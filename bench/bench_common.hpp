@@ -94,6 +94,8 @@ inline const char* status_token(core::SynthesisStatus status) {
     case core::SynthesisStatus::kIncomplete: return "incomplete";
     case core::SynthesisStatus::kLimit: return "limit";
     case core::SynthesisStatus::kTimeout: return "timeout";
+    case core::SynthesisStatus::kOutOfBudget: return "out_of_budget";
+    case core::SynthesisStatus::kInternalError: return "internal_error";
   }
   return "?";
 }
@@ -106,6 +108,10 @@ inline bool parse_status(const std::string& token,
   else if (token == "incomplete") status = core::SynthesisStatus::kIncomplete;
   else if (token == "limit") status = core::SynthesisStatus::kLimit;
   else if (token == "timeout") status = core::SynthesisStatus::kTimeout;
+  else if (token == "out_of_budget")
+    status = core::SynthesisStatus::kOutOfBudget;
+  else if (token == "internal_error")
+    status = core::SynthesisStatus::kInternalError;
   else return false;
   return true;
 }

@@ -258,7 +258,8 @@ int main(int argc, char** argv) {
             << manthan::portfolio::status_name(result.status) << " ("
             << result.stats.total_seconds << " s, "
             << result.stats.counterexamples << " counterexamples, "
-            << result.stats.repairs << " repairs)\n";
+            << result.stats.repairs << " repairs, "
+            << result.stats.restarts << " restarts)\n";
   if (cli.engine == "manthan3") {
     // Incremental-pipeline accounting: how much encoding work the
     // persistent solvers avoided and reclaimed across the run.

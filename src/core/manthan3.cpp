@@ -45,8 +45,118 @@ Lit unit_lit(Var v, bool value) {
 // Learning salts are offset by the refit generation (kLearnSalt + g), so
 // generation 0 reproduces the pre-reuse stream exactly and every refit
 // pass draws a fresh — but worker-invariant — stream per existential.
+// Attempt r > 0 of the restart schedule replaces the call seed by
+// derive_seed(seed, kRestartSalt, r) in all three of its streams.
 constexpr std::uint64_t kLearnSalt = 0x4c4541524eULL;   // "LEARN"
 constexpr std::uint64_t kVerifySalt = 0x564552494659ULL;  // "VERIFY"
+constexpr std::uint64_t kRestartSalt = 0x52455354415254ULL;  // "RESTART"
+
+// Stopping rules of one attempt. It gives up after kMaxNoProgressRounds
+// consecutive counterexamples for which no candidate could be repaired,
+// and attempt r restarts once it has spent kRestartUnit * luby(r + 1)
+// counterexamples.
+constexpr std::size_t kMaxNoProgressRounds = 12;
+constexpr std::size_t kRestartUnit = 32;
+
+/// The Luby, Sinclair & Zuckerman sequence 1, 1, 2, 1, 1, 2, 4, 1, ...
+/// (1-based): the restart schedule that is within a log factor of the
+/// optimal one for any run-time distribution of a Las Vegas algorithm.
+std::size_t luby(std::size_t i) {
+  for (std::size_t k = 1;; ++k) {
+    const std::size_t full = (std::size_t{1} << k) - 1;
+    if (i == full) return std::size_t{1} << (k - 1);
+    if (i < full) return luby(i - (full >> 1));
+  }
+}
+
+/// Fold one attempt's stats into the call's: additive counters and phase
+/// seconds sum; solver sizes, learn_workers and byte snapshots take the
+/// max. total_seconds is set once for the whole call by the caller.
+void merge_stats(SynthesisStats& into, const SynthesisStats& from) {
+  // A new SynthesisStats field must be merged here (sum or max).
+  static_assert(sizeof(SynthesisStats) == 29 * sizeof(std::size_t) +
+                                            5 * sizeof(double) +
+                                            6 * sizeof(std::uint64_t),
+                "merge_stats does not cover every SynthesisStats field");
+  const auto sum = [&](auto field) { into.*field += from.*field; };
+  const auto max = [&](auto field) {
+    into.*field = std::max(into.*field, from.*field);
+  };
+  sum(&SynthesisStats::samples);
+  sum(&SynthesisStats::unique_defined);
+  sum(&SynthesisStats::learned_candidates);
+  sum(&SynthesisStats::counterexamples);
+  sum(&SynthesisStats::repairs);
+  sum(&SynthesisStats::repair_checks);
+  sum(&SynthesisStats::maxsat_calls);
+  sum(&SynthesisStats::restarts);
+  sum(&SynthesisStats::sampling_seconds);
+  sum(&SynthesisStats::learning_seconds);
+  sum(&SynthesisStats::verify_seconds);
+  sum(&SynthesisStats::repair_seconds);
+  max(&SynthesisStats::learn_workers);
+  sum(&SynthesisStats::cones_encoded);
+  sum(&SynthesisStats::cones_reused);
+  sum(&SynthesisStats::aig_nodes_encoded);
+  sum(&SynthesisStats::activations_retired);
+  max(&SynthesisStats::verify_vars);
+  sum(&SynthesisStats::verify_clauses_retired);
+  max(&SynthesisStats::phi_vars);
+  sum(&SynthesisStats::phi_clauses_retired);
+  sum(&SynthesisStats::inprocess_runs);
+  sum(&SynthesisStats::eliminated_vars);
+  sum(&SynthesisStats::subsumed_clauses);
+  sum(&SynthesisStats::vivified_literals);
+  sum(&SynthesisStats::remapped_vars);
+  sum(&SynthesisStats::samples_appended);
+  sum(&SynthesisStats::refit_rounds);
+  sum(&SynthesisStats::refit_candidates);
+  sum(&SynthesisStats::gk_streamed_samples);
+  sum(&SynthesisStats::adaptive_refits);
+  sum(&SynthesisStats::analysis_unique_hits);
+  sum(&SynthesisStats::analysis_dependency_hits);
+  max(&SynthesisStats::peak_rss_bytes);
+  max(&SynthesisStats::sample_matrix_bytes);
+  max(&SynthesisStats::verify_arena_bytes);
+  max(&SynthesisStats::phi_arena_bytes);
+  max(&SynthesisStats::aig_nodes);
+  max(&SynthesisStats::aig_bytes);
+}
+
+/// Publish one call's counters into the global registry (core_* series).
+/// Instrument references are cached after the first call.
+void publish(const SynthesisStats& stats) {
+  auto& registry = obs::Registry::global();
+  static obs::Counter& runs = registry.counter("core_runs_total");
+  static obs::Counter& restarts = registry.counter("core_restarts_total");
+  static obs::Counter& cex = registry.counter("core_counterexamples_total");
+  static obs::Counter& repairs = registry.counter("core_repairs_total");
+  static obs::Counter& maxsat_calls =
+      registry.counter("core_maxsat_calls_total");
+  static obs::Counter& refits = registry.counter("core_refit_rounds_total");
+  static obs::Counter& streamed =
+      registry.counter("core_streamed_samples_total");
+  static obs::Counter& adaptive =
+      registry.counter("core_adaptive_refits_total");
+  static obs::Counter& samples_total = registry.counter("core_samples_total");
+  static obs::Histogram& run_seconds =
+      registry.histogram("core_synthesize_seconds");
+  static obs::Gauge& matrix_peak =
+      registry.gauge("core_sample_matrix_peak_bytes");
+  static obs::Gauge& aig_peak = registry.gauge("core_aig_peak_bytes");
+  runs.inc();
+  restarts.add(stats.restarts);
+  cex.add(stats.counterexamples);
+  repairs.add(stats.repairs);
+  maxsat_calls.add(stats.maxsat_calls);
+  refits.add(stats.refit_rounds);
+  streamed.add(stats.gk_streamed_samples);
+  adaptive.add(stats.adaptive_refits);
+  samples_total.add(stats.samples + stats.samples_appended);
+  run_seconds.observe(stats.total_seconds);
+  matrix_peak.update_max(static_cast<double>(stats.sample_matrix_bytes));
+  aig_peak.update_max(static_cast<double>(stats.aig_bytes));
+}
 
 /// Mismatches between a packed candidate simulation and the label column,
 /// restricted to rows [from_row, num_samples). The refit screen passes the
@@ -75,25 +185,154 @@ std::size_t packed_mismatches_since(const std::vector<std::uint64_t>& sim,
   return count + kernels.popcount_xor(sim.data() + w, label + w, words - w);
 }
 
-}  // namespace
+/// Seed-independent analysis of one synthesize() call, shared by all of
+/// its attempts: the dependency ⊆/= relations, the static ordering edges
+/// (Algorithm 1, lines 3-5) and the UNIQUE-style definitions.
+struct SharedAnalysis {
+  const dqbf::DqbfFormula& formula;
+  /// Relations answered by the tier-2 cache; null = ask the formula.
+  std::shared_ptr<const DependencyRelations> relations;
+  /// Static ordering edges only; every attempt learns on a copy.
+  DependencyManager static_order;
+  /// Extracted definitions, indexed like formula.existentials().
+  std::vector<aig::Ref> definitions;
+  std::vector<bool> defined;
 
-Manthan3::Manthan3(Manthan3Options options) : options_(options) {}
+  bool deps_subset(std::size_t j, std::size_t i) const {
+    return relations != nullptr ? relations->is_subset(j, i)
+                                : formula.deps_subset(j, i);
+  }
+  bool deps_equal(std::size_t j, std::size_t i) const {
+    return relations != nullptr ? relations->is_equal(j, i)
+                                : formula.deps_equal(j, i);
+  }
+};
 
-SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
-                                     aig::Aig& manager) {
-  util::Timer total_timer;
-  // Chaos-testing hook: replay a deterministic fault schedule for this
-  // run. Counters reset here, so the schedule indexes polls from the
-  // start of synthesize().
-  if (!options_.fault_spec.empty()) util::fault::install(options_.fault_spec);
-  const util::Deadline deadline(options_.time_limit_seconds, options_.cancel);
+SharedAnalysis analyze(const dqbf::DqbfFormula& formula,
+                       const Manthan3Options& options, aig::Aig& manager,
+                       const util::Deadline& deadline,
+                       SynthesisStats& stats) {
+  const std::size_t m = formula.existentials().size();
+  SharedAnalysis analysis{formula, nullptr, DependencyManager(m),
+                          std::vector<aig::Ref>(m, aig::kFalseRef),
+                          std::vector<bool>(m, false)};
+
+  // ---- Tier-2 analysis cache lookups ------------------------------------
+  // With a cache attached, the spec is canonicalized once and the static
+  // analyses are answered from (or stored into) the cache. Cached values
+  // equal what the cold computation below produces, so the synthesis
+  // trajectory is identical either way.
+  std::optional<dqbf::CanonicalForm> canon;
+  if (options.analysis_cache != nullptr) {
+    canon.emplace(dqbf::canonicalize(formula));
+    analysis.relations =
+        options.analysis_cache->lookup_dependencies(canon->spec);
+    if (analysis.relations != nullptr) {
+      ++stats.analysis_dependency_hits;
+    } else {
+      auto computed = std::make_shared<DependencyRelations>(
+          DependencyRelations::compute(formula));
+      options.analysis_cache->store_dependencies(canon->spec, computed);
+      analysis.relations = std::move(computed);
+    }
+  }
+
+  // ---- Static ordering constraints (Algorithm 1, lines 3-5) -------------
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if (i == j) continue;
+      // H_j ⊂ H_i (strict): y_i may come to depend on y_j; pre-commit the
+      // ordering edge so learning can never create a cycle.
+      if (analysis.deps_subset(j, i) && !analysis.deps_equal(j, i) &&
+          analysis.static_order.can_use(i, j)) {
+        analysis.static_order.record_use(i, j);
+      }
+    }
+  }
+
+  // ---- UNIQUE-style preprocessing ---------------------------------------
+  if (options.use_unique_extraction) {
+    obs::Span span("unique_def", "phase", options.trace_id);
+    UniqueDefExtractor unique(formula, options.unique);
+    for (std::size_t i = 0; i < m; ++i) {
+      if (deadline.expired()) break;
+      // Padoa check, answered from the tier-2 cache when a prior run
+      // already decided this (matrix, y_i, H_i) triple — possibly under a
+      // different spec or variable naming. Unknown (deadline) verdicts
+      // are neither used nor stored.
+      bool defined;
+      std::optional<bool> cached;
+      if (canon.has_value()) {
+        cached =
+            options.analysis_cache->lookup_unique(canon->existential_keys[i]);
+      }
+      if (cached.has_value()) {
+        ++stats.analysis_unique_hits;
+        defined = *cached;
+      } else {
+        const UniqueDefExtractor::Defined verdict =
+            unique.is_defined(i, &deadline);
+        if (verdict == UniqueDefExtractor::Defined::kUnknown) continue;
+        defined = verdict == UniqueDefExtractor::Defined::kYes;
+        if (canon.has_value()) {
+          options.analysis_cache->store_unique(canon->existential_keys[i],
+                                               defined);
+        }
+      }
+      if (!defined) continue;
+      const std::optional<aig::Ref> def = unique.extract(i, manager);
+      if (def.has_value()) {
+        analysis.definitions[i] = *def;
+        analysis.defined[i] = true;
+        ++stats.unique_defined;
+      }
+    }
+  }
+  return analysis;
+}
+
+/// Everything one synthesize() call hands to its attempts.
+struct Call {
+  const Manthan3Options& options;
+  const dqbf::DqbfFormula& formula;
+  aig::Aig& manager;
+  const util::Deadline& deadline;
+  /// Computed by attempt 0 right after its sampling phase — where the
+  /// single-attempt engine ran these analyses — so attempt 0 replays that
+  /// engine's trajectory, fault-site polls included.
+  std::optional<SharedAnalysis> shared;
+};
+
+struct AttemptLimits {
+  /// Seed of the attempt's sampler, learning and verify streams.
+  std::uint64_t seed = 0;
+  /// Counterexamples after which the attempt restarts (its Luby cap).
+  std::size_t cap = 0;
+  /// What is left of the call's counterexample and repair-check budgets.
+  std::size_t counterexamples_left = 0;
+  std::size_t repair_checks_left = 0;
+};
+
+/// How an attempt ended. kAnswer: the call is over with the attempt's
+/// status. kGiveUp (the no-progress rule) and kCap (the Luby cap): the
+/// call may restart. kBudget: the call's shared budget is spent.
+enum class AttemptEnd { kAnswer, kGiveUp, kCap, kBudget };
+
+/// One sample → learn → verify/repair run (Algorithms 1-3) with its own φ
+/// solver, verifier, sampler and training matrix. Fills `out` with the
+/// attempt's stats and, on kAnswer, its status and Henkin vector.
+AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
+                       SynthesisResult& out) {
+  const Manthan3Options& options = call.options;
+  const dqbf::DqbfFormula& formula = call.formula;
+  aig::Aig& manager = call.manager;
+  const util::Deadline& deadline = call.deadline;
   // Telemetry only: spans tag every phase of this run with the caller's
   // trace id (the service passes the spec fingerprint). When tracing is
   // off each Span costs one relaxed atomic load.
-  const std::uint64_t trace_id = options_.trace_id;
-  obs::Span run_span("synthesize", "phase", trace_id);
-  SynthesisResult result;
-  SynthesisStats& stats = result.stats;
+  const std::uint64_t trace_id = options.trace_id;
+  obs::Span attempt_span("attempt", "phase", trace_id);
+  SynthesisStats& stats = out.stats;
   const cnf::CnfFormula& matrix = formula.matrix();
   const std::vector<dqbf::Existential>& ex = formula.existentials();
   const std::size_t m = ex.size();
@@ -102,19 +341,17 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   // line 13), repair queries G_k (Algorithm 3, line 9), and — in the
   // incremental pipeline — the per-counterexample MaxSAT rounds all run
   // on it with assumptions, sharing one matrix encoding and one learnt
-  // clause database across the whole synthesis run.
+  // clause database across the whole attempt.
   sat::Solver phi_solver;
   // Persistent verification solver (incremental pipeline): constructed
-  // once before the verify/repair loop, lives in this scope so finish()
+  // once before the verify/repair loop, lives in this scope so end()
   // can snapshot its stats.
   std::optional<dqbf::IncrementalRefutation> verifier;
-  // Training matrix; declared before finish() so the exit snapshot can
+  // Training matrix; declared before end() so the exit snapshot can
   // report its footprint. Filled by the sampling phase below.
   cnf::SampleMatrix samples;
 
-  const auto finish = [&](SynthesisStatus status) {
-    result.status = status;
-    stats.total_seconds = total_timer.seconds();
+  const auto end = [&](AttemptEnd how) {
     const sat::SolverStats& phi_stats = phi_solver.stats();
     stats.phi_vars = static_cast<std::size_t>(phi_stats.vars_allocated);
     stats.phi_clauses_retired =
@@ -145,65 +382,33 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
       stats.verify_arena_bytes = vs.arena_bytes;
       add_maintenance(vs);
     }
-    // Memory snapshot (process-global values; see the stats doc).
-    stats.peak_rss_bytes = obs::peak_rss_bytes();
     stats.sample_matrix_bytes = samples.bytes();
     stats.phi_arena_bytes = phi_stats.arena_bytes;
-    stats.aig_nodes = manager.num_nodes();
-    stats.aig_bytes = manager.node_bytes();
-    // Publish run counters into the global registry (core_* series).
-    // Instrument references are cached after the first run.
-    auto& registry = obs::Registry::global();
-    static obs::Counter& runs = registry.counter("core_runs_total");
-    static obs::Counter& cex =
-        registry.counter("core_counterexamples_total");
-    static obs::Counter& repairs = registry.counter("core_repairs_total");
-    static obs::Counter& maxsat_calls =
-        registry.counter("core_maxsat_calls_total");
-    static obs::Counter& refits = registry.counter("core_refit_rounds_total");
-    static obs::Counter& streamed =
-        registry.counter("core_streamed_samples_total");
-    static obs::Counter& adaptive =
-        registry.counter("core_adaptive_refits_total");
-    static obs::Counter& samples_total =
-        registry.counter("core_samples_total");
-    static obs::Histogram& run_seconds =
-        registry.histogram("core_synthesize_seconds");
-    static obs::Gauge& matrix_peak =
-        registry.gauge("core_sample_matrix_peak_bytes");
-    static obs::Gauge& aig_peak = registry.gauge("core_aig_peak_bytes");
-    runs.inc();
-    cex.add(stats.counterexamples);
-    repairs.add(stats.repairs);
-    maxsat_calls.add(stats.maxsat_calls);
-    refits.add(stats.refit_rounds);
-    streamed.add(stats.gk_streamed_samples);
-    adaptive.add(stats.adaptive_refits);
-    samples_total.add(stats.samples + stats.samples_appended);
-    run_seconds.observe(stats.total_seconds);
-    matrix_peak.update_max(static_cast<double>(stats.sample_matrix_bytes));
-    aig_peak.update_max(static_cast<double>(stats.aig_bytes));
-    return result;
+    return how;
+  };
+  const auto answer = [&](SynthesisStatus status) {
+    out.status = status;
+    return end(AttemptEnd::kAnswer);
   };
 
-  // The whole pipeline below runs inside one try: an OutOfBudgetError
-  // thrown by any instrumented growth site (memory budget exceeded, real
-  // or injected allocation failure) unwinds to the catch at the end of
-  // this function and degrades into a kOutOfBudget result carrying the
-  // stats accumulated so far — never process death. The body keeps the
-  // function's base indentation; the catch is ~700 lines down.
+  // The whole attempt runs inside one try: an OutOfBudgetError thrown by
+  // any instrumented growth site (memory budget exceeded, real or
+  // injected allocation failure) unwinds to the catch at the end of this
+  // function and degrades into a kOutOfBudget answer carrying the stats
+  // accumulated so far — never process death. The body keeps the
+  // function's base indentation; the catch is ~600 lines down.
   try {
 
   if (!phi_solver.add_formula(matrix)) {
     // The matrix is unsatisfiable: no X-assignment extends, so the DQBF
     // is False (unless there are no universals either, still False).
-    return finish(SynthesisStatus::kUnrealizable);
+    return answer(SynthesisStatus::kUnrealizable);
   }
 
   // ---- Data generation (Algorithm 1, line 1) ----------------------------
   util::Timer phase_timer;
-  sampler::SamplerOptions sampler_options = options_.sampler;
-  sampler_options.seed = options_.seed;
+  sampler::SamplerOptions sampler_options = options.sampler;
+  sampler_options.seed = limits.seed;
   sampler::Sampler sampler(sampler_options);
   std::vector<Var> y_vars;
   y_vars.reserve(m);
@@ -217,8 +422,8 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   if (samples.empty()) {
     // UNSAT matrix or the deadline hit before the first model.
     const sat::Result r = phi_solver.solve({}, deadline);
-    if (r == sat::Result::kUnsat) return finish(SynthesisStatus::kUnrealizable);
-    if (r == sat::Result::kUnknown) return finish(SynthesisStatus::kTimeout);
+    if (r == sat::Result::kUnsat) return answer(SynthesisStatus::kUnrealizable);
+    if (r == sat::Result::kUnknown) return answer(SynthesisStatus::kTimeout);
     samples.append(phi_solver.model());
     stats.samples = 1;
   }
@@ -227,7 +432,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   // to the matrix (deduped against everything already in it) so refits
   // train on fresh data.
   std::unordered_set<std::uint64_t> sample_fps;
-  if (options_.sample_reuse) {
+  if (options.sample_reuse) {
     sample_fps.reserve(2 * samples.num_samples());
     for (std::size_t s = 0; s < samples.num_samples(); ++s) {
       sample_fps.insert(samples.row_fingerprint(s));
@@ -247,88 +452,13 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     return true;
   };
 
-  // ---- Tier-2 analysis cache lookups ------------------------------------
-  // With a cache attached, the spec is canonicalized once and the static
-  // analyses are answered from (or stored into) the cache. Cached values
-  // equal what the cold computation below produces, so the synthesis
-  // trajectory is identical either way.
-  std::optional<dqbf::CanonicalForm> canon;
-  std::shared_ptr<const DependencyRelations> dep_rel;
-  if (options_.analysis_cache != nullptr) {
-    canon.emplace(dqbf::canonicalize(formula));
-    dep_rel = options_.analysis_cache->lookup_dependencies(canon->spec);
-    if (dep_rel != nullptr) {
-      ++stats.analysis_dependency_hits;
-    } else {
-      auto computed = std::make_shared<DependencyRelations>(
-          DependencyRelations::compute(formula));
-      options_.analysis_cache->store_dependencies(canon->spec, computed);
-      dep_rel = std::move(computed);
-    }
+  if (!call.shared.has_value()) {
+    call.shared.emplace(analyze(formula, options, manager, deadline, stats));
   }
-  const auto deps_subset = [&](std::size_t j, std::size_t i) {
-    return dep_rel != nullptr ? dep_rel->is_subset(j, i)
-                              : formula.deps_subset(j, i);
-  };
-  const auto deps_equal = [&](std::size_t j, std::size_t i) {
-    return dep_rel != nullptr ? dep_rel->is_equal(j, i)
-                              : formula.deps_equal(j, i);
-  };
-
-  // ---- Static ordering constraints (Algorithm 1, lines 3-5) -------------
-  DependencyManager dep(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      if (i == j) continue;
-      // H_j ⊂ H_i (strict): y_i may come to depend on y_j; pre-commit the
-      // ordering edge so learning can never create a cycle.
-      if (deps_subset(j, i) && !deps_equal(j, i) && dep.can_use(i, j)) {
-        dep.record_use(i, j);
-      }
-    }
-  }
-
-  std::vector<aig::Ref> f(m, aig::kFalseRef);
-  std::vector<bool> fixed(m, false);
-
-  // ---- UNIQUE-style preprocessing ---------------------------------------
-  if (options_.use_unique_extraction) {
-    obs::Span span("unique_def", "phase", trace_id);
-    UniqueDefExtractor unique(formula, options_.unique);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (deadline.expired()) break;
-      // Padoa check, answered from the tier-2 cache when a prior run
-      // already decided this (matrix, y_i, H_i) triple — possibly under a
-      // different spec or variable naming. Unknown (deadline) verdicts
-      // are neither used nor stored.
-      bool defined;
-      std::optional<bool> cached;
-      if (canon.has_value()) {
-        cached =
-            options_.analysis_cache->lookup_unique(canon->existential_keys[i]);
-      }
-      if (cached.has_value()) {
-        ++stats.analysis_unique_hits;
-        defined = *cached;
-      } else {
-        const UniqueDefExtractor::Defined verdict =
-            unique.is_defined(i, &deadline);
-        if (verdict == UniqueDefExtractor::Defined::kUnknown) continue;
-        defined = verdict == UniqueDefExtractor::Defined::kYes;
-        if (canon.has_value()) {
-          options_.analysis_cache->store_unique(canon->existential_keys[i],
-                                                defined);
-        }
-      }
-      if (!defined) continue;
-      const std::optional<aig::Ref> def = unique.extract(i, manager);
-      if (def.has_value()) {
-        f[i] = *def;
-        fixed[i] = true;
-        ++stats.unique_defined;
-      }
-    }
-  }
+  const SharedAnalysis& shared = *call.shared;
+  DependencyManager dep = shared.static_order;
+  std::vector<aig::Ref> f = shared.definitions;
+  const std::vector<bool>& fixed = shared.defined;
 
   // ---- Candidate learning (Algorithm 2) ---------------------------------
   // Feature sets are pre-committed before any fitting so the fits are
@@ -343,7 +473,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   // serial in index order.
   phase_timer.reset();
   const std::size_t learn_workers =
-      std::max<std::size_t>(1, options_.learn_workers);
+      std::max<std::size_t>(1, options.learn_workers);
   stats.learn_workers = learn_workers;
   std::vector<std::vector<Var>> feature_vars(m);
   std::vector<std::vector<aig::Ref>> feature_refs(m);
@@ -353,8 +483,8 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     if (fixed[i]) continue;
     feature_vars[i].assign(ex[i].deps.begin(), ex[i].deps.end());
     for (std::size_t j = 0; j < m; ++j) {
-      if (j == i || !deps_subset(j, i)) continue;
-      const bool strict = !deps_equal(j, i);
+      if (j == i || !shared.deps_subset(j, i)) continue;
+      const bool strict = !shared.deps_equal(j, i);
       if ((strict || j < i) && dep.can_use(i, j)) {
         feature_vars[i].push_back(ex[j].var);
       }
@@ -367,9 +497,9 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   }
 
   const auto fit_one = [&](std::size_t i, std::uint64_t generation) {
-    dtree::DtreeOptions dt = options_.dtree;
-    dt.seed = util::derive_seed(options_.seed, kLearnSalt + generation, i);
-    if (options_.packed_learning) {
+    dtree::DtreeOptions dt = options.dtree;
+    dt.seed = util::derive_seed(limits.seed, kLearnSalt + generation, i);
+    if (options.packed_learning) {
       // Popcount path: split statistics straight off the packed columns.
       return dtree::DecisionTree::fit(samples, feature_vars[i], ex[i].var,
                                       dt);
@@ -467,8 +597,8 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
       final_functions[k] = manager.compose(f[k], substitution);
       substitution[ex[k].var] = final_functions[k];
     }
-    result.vector.functions = std::move(final_functions);
-    return finish(SynthesisStatus::kRealizable);
+    out.vector.functions = std::move(final_functions);
+    return answer(SynthesisStatus::kRealizable);
   };
 
   // ---- Verify / repair loop (Algorithm 1, lines 9-18) --------------------
@@ -476,8 +606,8 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   // verify solver re-encodes only repaired cones (activation literals
   // retire the stale output equivalences), and the MaxSAT rounds run as
   // activation-scoped Fu-Malik sessions on the φ solver, whose matrix
-  // encoding and learnt clauses persist for the whole run.
-  if (options_.incremental) {
+  // encoding and learnt clauses persist for the whole attempt.
+  if (options.incremental) {
     // Default solver options: the search RNG is reseeded from the round's
     // derived stream before every check(), so a construction seed would
     // never influence a solve.
@@ -490,17 +620,17 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   // counterexamples. The φ solver's matrix block is its interface —
   // extension checks assume X units and G_k queries assume H_k/Ŷ units
   // over it every round — so it stays out of variable elimination.
-  const bool maintain_solvers = options_.incremental && options_.inprocess &&
-                                options_.inprocess_interval > 0;
+  const bool maintain_solvers = options.incremental && options.inprocess &&
+                                options.inprocess_interval > 0;
   if (maintain_solvers) phi_solver.freeze_range(0, matrix.num_vars());
   std::size_t next_maintenance =
-      maintain_solvers ? options_.inprocess_interval : 0;
+      maintain_solvers ? options.inprocess_interval : 0;
   const auto maybe_maintain = [&] {
     if (!maintain_solvers || stats.counterexamples < next_maintenance) return;
-    next_maintenance = stats.counterexamples + options_.inprocess_interval;
+    next_maintenance = stats.counterexamples + options.inprocess_interval;
     obs::Span span("inprocess", "phase", trace_id);
-    verifier->maintain(options_.cancel);
-    repair_maxsat.maintain(options_.cancel);
+    verifier->maintain(options.cancel);
+    repair_maxsat.maintain(options.cancel);
   };
 
   // Cross-round sample reuse, refit side: batch-evaluate live candidates
@@ -521,9 +651,9 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   // (re)fit or last clean screen (adaptive policy only).
   std::vector<std::size_t> last_fit_rows(m, samples.num_samples());
   const auto maybe_refit = [&](bool force) {
-    if (!options_.sample_reuse) return;
+    if (!options.sample_reuse) return;
     const std::size_t now = samples.num_samples();
-    if (force || !options_.adaptive_refit) {
+    if (force || !options.adaptive_refit) {
       const std::size_t grown = now - last_fit_samples;
       if (grown == 0) return;
       // Periodic legacy refits wait for ~50% fresh data; a stuck round
@@ -542,7 +672,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     // certified ones; see bench/micro_core BM_ReuseRefit*).
     std::vector<std::size_t> refit_jobs;
     bool adaptive_trigger = false;
-    if (!force && options_.adaptive_refit) {
+    if (!force && options.adaptive_refit) {
       for (const std::size_t i : jobs) {
         // A screen pass is real work (matrix simulations); keep the PR-3
         // contract that cancellation/timeout is observed with bounded
@@ -550,7 +680,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
         // the watermarks untouched — the loop head reports kTimeout next.
         if (deadline.expired()) return;
         const std::size_t fresh = now - last_fit_rows[i];
-        if (fresh < options_.adaptive_refit_min_fresh) continue;
+        if (fresh < options.adaptive_refit_min_fresh) continue;
         const std::vector<std::uint64_t> sim =
             aig::simulate_matrix(manager, f[i], samples);
         const std::size_t mismatches = packed_mismatches_since(
@@ -560,7 +690,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
           // measured only over rows this candidate has not yet absorbed.
           last_fit_rows[i] = now;
         } else if (static_cast<double>(mismatches) >=
-                   options_.adaptive_refit_error_rate *
+                   options.adaptive_refit_error_rate *
                        static_cast<double>(fresh)) {
           refit_jobs.push_back(i);
         }
@@ -639,15 +769,15 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
 
   // Consecutive counterexamples for which no candidate could be repaired;
   // a fresh verification round may produce a different (repairable)
-  // counterexample, so incompleteness is only declared after several
-  // fruitless rounds in a row.
+  // counterexample, so the attempt only gives up after several fruitless
+  // rounds in a row.
   std::size_t no_progress_rounds = 0;
-  constexpr std::size_t kMaxNoProgressRounds = 12;
   while (true) {
-    if (deadline.expired()) return finish(SynthesisStatus::kTimeout);
-    if (stats.counterexamples >= options_.max_counterexamples) {
-      return finish(SynthesisStatus::kLimit);
+    if (deadline.expired()) return answer(SynthesisStatus::kTimeout);
+    if (stats.counterexamples >= limits.counterexamples_left) {
+      return end(AttemptEnd::kBudget);
     }
+    if (stats.counterexamples >= limits.cap) return end(AttemptEnd::kCap);
     maybe_refit(/*force=*/false);
     maybe_maintain();
 
@@ -655,14 +785,14 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     // Vary the search seed per round so a stuck repair sees a different
     // counterexample next time instead of the same one forever.
     const std::uint64_t round_seed = util::derive_seed(
-        options_.seed, kVerifySalt, stats.counterexamples + 1);
+        limits.seed, kVerifySalt, stats.counterexamples + 1);
     const double round_branch_freq = no_progress_rounds > 0 ? 0.1 : 0.0;
     const bool round_random_polarity = no_progress_rounds > 0;
     sat::Result verify_result;
     std::optional<sat::Solver> oneshot_solver;  // oracle mode: owns δ
     {
       obs::Span span("verify.round", "phase", trace_id);
-      if (options_.incremental) {
+      if (options.incremental) {
         sat::Solver& verify_solver = verifier->solver();
         verify_solver.reseed(round_seed);
         verify_solver.options().random_branch_freq = round_branch_freq;
@@ -686,14 +816,14 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     }
     stats.verify_seconds += phase_timer.seconds();
     if (verify_result == sat::Result::kUnknown) {
-      return finish(SynthesisStatus::kTimeout);
+      return answer(SynthesisStatus::kTimeout);
     }
     if (verify_result == sat::Result::kUnsat) return substitute_and_return();
 
     // δ: counterexample candidate-output assignment. Check whether δ[X]
     // extends to a model of φ at all (Algorithm 1, line 13).
     const cnf::Assignment& delta =
-        options_.incremental ? verifier->model() : oneshot_solver->model();
+        options.incremental ? verifier->model() : oneshot_solver->model();
     std::vector<Lit> x_assumptions;
     x_assumptions.reserve(formula.universals().size());
     for (const Var x : formula.universals()) {
@@ -705,16 +835,16 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
       extend_result = phi_solver.solve(x_assumptions, deadline);
     }
     if (extend_result == sat::Result::kUnknown) {
-      return finish(SynthesisStatus::kTimeout);
+      return answer(SynthesisStatus::kTimeout);
     }
     if (extend_result == sat::Result::kUnsat) {
-      return finish(SynthesisStatus::kUnrealizable);
+      return answer(SynthesisStatus::kUnrealizable);
     }
     const cnf::Assignment pi = phi_solver.model();
     ++stats.counterexamples;
     obs::trace_instant("counterexample", "event", trace_id);
     // π is a full model of φ — fresh training data (reuse).
-    if (options_.sample_reuse) append_sample(pi);
+    if (options.sample_reuse) append_sample(pi);
 
     // σ = π[X] + π[Y] + δ[Y'] (line 16). The working Y'-values are the
     // current candidate outputs; they are updated as repairs land.
@@ -730,7 +860,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     std::optional<maxsat::MaxSatSolver> oneshot_maxsat;  // oracle mode
     {
       obs::Span span("maxsat.round", "phase", trace_id);
-      if (options_.incremental) {
+      if (options.incremental) {
         std::vector<Lit> hard_units;
         hard_units.reserve(formula.universals().size());
         for (const Var x : formula.universals()) {
@@ -762,18 +892,18 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
       }
     }
     if (ms_status == maxsat::MaxSatStatus::kUnknown) {
-      return finish(SynthesisStatus::kTimeout);
+      return answer(SynthesisStatus::kTimeout);
     }
     if (ms_status == maxsat::MaxSatStatus::kUnsatisfiableHard) {
       // Cannot happen (π witnesses satisfiability); fail safe.
-      return finish(SynthesisStatus::kIncomplete);
+      return answer(SynthesisStatus::kIncomplete);
     }
     // The MaxSAT-corrected σ is a model of φ ∧ (X ↔ π[X]) closest to the
     // candidate outputs — exactly the data point the learner was missing
     // on this counterexample (reuse).
-    if (options_.sample_reuse) {
-      append_sample(options_.incremental ? repair_maxsat.model()
-                                         : oneshot_maxsat->model());
+    if (options.sample_reuse) {
+      append_sample(options.incremental ? repair_maxsat.model()
+                                        : oneshot_maxsat->model());
     }
     std::deque<std::size_t> queue;
     for (std::size_t i = 0; i < m; ++i) {
@@ -785,9 +915,9 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
     std::optional<obs::Span> repair_span;
     repair_span.emplace("repair", "phase", trace_id);
     while (!queue.empty()) {
-      if (deadline.expired()) return finish(SynthesisStatus::kTimeout);
-      if (stats.repair_checks >= options_.max_repair_iterations) {
-        return finish(SynthesisStatus::kLimit);
+      if (deadline.expired()) return answer(SynthesisStatus::kTimeout);
+      if (stats.repair_checks >= limits.repair_checks_left) {
+        return end(AttemptEnd::kBudget);
       }
       const std::size_t k = queue.front();
       queue.pop_front();
@@ -797,7 +927,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
       // Ŷ = {y_j : H_j ⊆ H_k, Order(y_j) > Order(y_k)} (line 6). Fixing
       // these lets the core mention admissible Y features (§5's example).
       std::vector<std::size_t> yhat;
-      if (options_.use_yhat_in_repair) {
+      if (options.use_yhat_in_repair) {
         for (std::size_t j = 0; j < m; ++j) {
           if (j != k && formula.deps_subset(j, k) &&
               order_pos[j] > order_pos[k]) {
@@ -821,7 +951,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
       ++stats.repair_checks;
       const sat::Result gk_result = phi_solver.solve(assumptions, deadline);
       if (gk_result == sat::Result::kUnknown) {
-        return finish(SynthesisStatus::kTimeout);
+        return answer(SynthesisStatus::kTimeout);
       }
       if (gk_result == sat::Result::kUnsat) {
         // Build β from the unit clauses in the UNSAT core (lines 11-12).
@@ -860,7 +990,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
         // session — stream it into the training matrix so the next refit
         // sees the repair neighborhood, not just the per-counterexample
         // MaxSAT points.
-        if (options_.sample_reuse && options_.stream_gk_samples &&
+        if (options.sample_reuse && options.stream_gk_samples &&
             append_sample(rho)) {
           ++stats.gk_streamed_samples;
         }
@@ -881,7 +1011,7 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
       // counterexample is repairable, and only then give up.
       maybe_refit(/*force=*/true);
       if (++no_progress_rounds >= kMaxNoProgressRounds) {
-        return finish(SynthesisStatus::kIncomplete);
+        return end(AttemptEnd::kGiveUp);
       }
     } else {
       no_progress_rounds = 0;
@@ -889,8 +1019,78 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   }
 
   } catch (const util::OutOfBudgetError&) {
-    return finish(SynthesisStatus::kOutOfBudget);
+    return answer(SynthesisStatus::kOutOfBudget);
   }
+}
+
+}  // namespace
+
+Manthan3::Manthan3(Manthan3Options options) : options_(options) {}
+
+SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
+                                     aig::Aig& manager) {
+  util::Timer total_timer;
+  // Chaos-testing hook: replay a deterministic fault schedule for this
+  // call. Counters reset here, so the schedule indexes polls from the
+  // start of synthesize(), across all attempts.
+  if (!options_.fault_spec.empty()) util::fault::install(options_.fault_spec);
+  const util::Deadline deadline(options_.time_limit_seconds, options_.cancel);
+  obs::Span run_span("synthesize", "phase", options_.trace_id);
+  Call call{options_, formula, manager, deadline, std::nullopt};
+  SynthesisResult result;
+  SynthesisStats& stats = result.stats;
+
+  // Restart schedule: attempt r runs with a fresh seed stream until it
+  // answers, gives up, or spends its Luby cap, all within the call's one
+  // deadline and shared counterexample / repair-check budgets. Attempt 0
+  // keeps the call seed, so a run that answers within the first cap is
+  // exactly the single-attempt engine.
+  bool any_capped = false;  // some attempt spent its whole Luby cap
+  bool any_gave_up = false;
+  for (std::size_t r = 0;; ++r) {
+    AttemptLimits limits;
+    limits.seed = r == 0 ? options_.seed
+                         : util::derive_seed(options_.seed, kRestartSalt, r);
+    limits.cap = kRestartUnit * luby(r + 1);
+    limits.counterexamples_left =
+        options_.max_counterexamples - stats.counterexamples;
+    limits.repair_checks_left =
+        options_.max_repair_iterations - stats.repair_checks;
+    SynthesisResult attempt;
+    const AttemptEnd how = run_attempt(call, limits, attempt);
+    merge_stats(stats, attempt.stats);
+    if (how == AttemptEnd::kAnswer) {
+      result.status = attempt.status;
+      result.vector = std::move(attempt.vector);
+      break;
+    }
+    any_capped |= how == AttemptEnd::kCap;
+    any_gave_up |= how == AttemptEnd::kGiveUp;
+    if (how == AttemptEnd::kBudget ||
+        stats.counterexamples >= options_.max_counterexamples ||
+        stats.repair_checks >= options_.max_repair_iterations) {
+      // Budget spent: incomplete when every attempt that ran to its own
+      // end gave up (the last one may have been cut by the budget), an
+      // iteration limit otherwise.
+      result.status = any_gave_up && !any_capped
+                          ? SynthesisStatus::kIncomplete
+                          : SynthesisStatus::kLimit;
+      break;
+    }
+    if (deadline.expired()) {
+      result.status = SynthesisStatus::kTimeout;
+      break;
+    }
+    ++stats.restarts;
+  }
+
+  stats.total_seconds = total_timer.seconds();
+  // Memory snapshot (process-global values; see the stats doc).
+  stats.peak_rss_bytes = obs::peak_rss_bytes();
+  stats.aig_nodes = manager.num_nodes();
+  stats.aig_bytes = manager.node_bytes();
+  publish(stats);
+  return result;
 }
 
 }  // namespace manthan::core

@@ -12,8 +12,21 @@
 //   5. Substitute      — expand candidates so each f_i mentions only H_i.
 //
 // The engine is sound (returns only certified vectors) but not complete:
-// on instances where no admissible repair exists (paper §5) it reports
-// kIncomplete.
+// repair can get stuck on a candidate set (paper §5), and whether it does
+// depends on the seed. synthesize() therefore runs the pipeline as a
+// sequence of attempts. An attempt ends when it answers, when 12
+// consecutive counterexamples allow no repair (the give-up), or when it
+// has spent its cap of 32 · luby(r+1) counterexamples (Luby restarts:
+// caps 32, 32, 64, 32, 32, 64, 128, ...). Attempt 0 uses `seed`; attempt
+// r > 0 draws its sampler, learning and verify streams from
+// derive_seed(seed, salt, r). All attempts share one deadline and the
+// call's max_counterexamples / max_repair_iterations budgets; the
+// seed-independent analyses (dependency relations, static ordering
+// edges, unique definitions) run once per call, and an unsatisfiable
+// matrix is answered by attempt 0. When the budget runs out the
+// call reports kIncomplete if every attempt that ran to its own end gave
+// up, and kLimit if any spent its whole cap; an expired deadline is
+// kTimeout.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +53,11 @@ struct Manthan3Options {
   /// Constrain Ŷ in the repair formula G_k (ablation: abl1_repair_yhat;
   /// §5 argues this is required for many repairs to succeed).
   bool use_yhat_in_repair = true;
-  /// Give up after this many candidate-repair attempts in total.
+  /// Give up after this many candidate-repair attempts in total, summed
+  /// over all restart attempts of the call.
   std::size_t max_repair_iterations = 20000;
-  /// Give up after this many verification counterexamples.
+  /// Give up after this many verification counterexamples, summed over
+  /// all restart attempts of the call.
   std::size_t max_counterexamples = 2000;
   /// Wall-clock budget in seconds; 0 = unlimited.
   double time_limit_seconds = 0.0;
@@ -154,6 +169,9 @@ struct SynthesisStats {
   std::size_t repairs = 0;
   std::size_t repair_checks = 0;   // G_k satisfiability queries
   std::size_t maxsat_calls = 0;
+  /// Attempts after the first: restarts of the CEGIS loop with a fresh
+  /// seed stream. The other counters sum over all attempts of the call.
+  std::size_t restarts = 0;
   double sampling_seconds = 0.0;
   double learning_seconds = 0.0;
   double verify_seconds = 0.0;

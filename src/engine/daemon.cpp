@@ -100,7 +100,8 @@ std::string result_json(const std::string& request_name,
   out << "    \"repairs\": " << st.repairs << ",\n";
   out << "    \"analysis_unique_hits\": " << st.analysis_unique_hits << ",\n";
   out << "    \"analysis_dependency_hits\": " << st.analysis_dependency_hits
-      << "\n";
+      << ",\n";
+  out << "    \"restarts\": " << st.restarts << "\n";
   out << "  }";
   if (with_certificate && response.solved() &&
       response.functions != nullptr) {

@@ -98,6 +98,7 @@ const SizeField kSizeFields[] = {
     {"analysis_unique_hits", &core::SynthesisStats::analysis_unique_hits},
     {"analysis_dependency_hits",
      &core::SynthesisStats::analysis_dependency_hits},
+    {"restarts", &core::SynthesisStats::restarts},
 };
 
 const U64Field kU64Fields[] = {

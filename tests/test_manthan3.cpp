@@ -5,7 +5,9 @@
 
 #include "core/manthan3.hpp"
 #include "dqbf/certificate.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 #include "workloads/workloads.hpp"
 
 namespace manthan::core {
@@ -71,10 +73,13 @@ TEST(Manthan3, XorUnrealizableEndsIncomplete) {
   params.seed = 7;
   const dqbf::DqbfFormula f = workloads::gen_unrealizable(params);
   aig::Aig manager;
-  const SynthesisResult result = run(f, manager);
-  EXPECT_TRUE(result.status == SynthesisStatus::kIncomplete ||
-              result.status == SynthesisStatus::kLimit)
-      << "got " << static_cast<int>(result.status);
+  Manthan3Options options;
+  const SynthesisResult result = run(f, manager, options);
+  // Every attempt gives up, so restarts spend the counterexample budget
+  // and the call still reports the give-up, not an iteration limit.
+  EXPECT_EQ(result.status, SynthesisStatus::kIncomplete);
+  EXPECT_LE(result.stats.counterexamples, options.max_counterexamples);
+  EXPECT_GT(result.stats.restarts, 0u);
 }
 
 TEST(Manthan3, DetectsUnsatMatrixAsUnrealizable) {
@@ -146,7 +151,9 @@ TEST(Manthan3, RepairLoopFixesBadCandidates) {
   if (result.status == SynthesisStatus::kRealizable) {
     expect_certified(f, manager, result);
   } else {
-    EXPECT_EQ(result.status, SynthesisStatus::kIncomplete);
+    EXPECT_TRUE(result.status == SynthesisStatus::kIncomplete ||
+                result.status == SynthesisStatus::kLimit)
+        << "unexpected status " << static_cast<int>(result.status);
   }
 }
 
@@ -329,6 +336,74 @@ TEST(Manthan3, SolverMaintenanceFiresAndStaysCertified) {
       baseline.status != SynthesisStatus::kTimeout) {
     EXPECT_EQ(result.status, baseline.status);
   }
+}
+
+/// An instance of the standard suite, by name.
+dqbf::DqbfFormula suite_instance(const std::string& name) {
+  for (workloads::Instance& instance :
+       workloads::standard_suite(workloads::SuiteParams{})) {
+    if (instance.name == name) return std::move(instance.formula);
+  }
+  ADD_FAILURE() << "no suite instance " << name;
+  return {};
+}
+
+/// Manthan3 seed of paper-suite run k, as portfolio::Runner derives it
+/// (suite seed 42 + k, engine index 0).
+std::uint64_t paper_seed(const std::string& name, std::uint64_t k) {
+  return util::derive_seed(42 + k, util::hash64(name), 0);
+}
+
+TEST(Manthan3, RestartsCertifyWhereOneAttemptGivesUp) {
+  // planted_10x3_s0 is True, but the first attempt's repair gets stuck
+  // at every paper seed; a restart on a fresh seed stream certifies it.
+  const dqbf::DqbfFormula f = suite_instance("planted_10x3_s0");
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    aig::Aig manager;
+    Manthan3Options options;
+    options.seed = paper_seed("planted_10x3_s0", k);
+    const SynthesisResult result = run(f, manager, options);
+    expect_certified(f, manager, result);
+    EXPECT_GE(result.stats.restarts, 1u) << "seed " << k;
+  }
+}
+
+TEST(Manthan3, RestartScheduleIsDeterministic) {
+  const dqbf::DqbfFormula f = suite_instance("planted_10x3_s0");
+  Manthan3Options options;
+  options.seed = paper_seed("planted_10x3_s0", 0);
+  obs::Counter& runs = obs::Registry::global().counter("core_runs_total");
+  obs::Counter& restarts =
+      obs::Registry::global().counter("core_restarts_total");
+  const std::uint64_t runs_before = runs.value();
+  const std::uint64_t restarts_before = restarts.value();
+  aig::Aig manager_a;
+  const SynthesisResult a = run(f, manager_a, options);
+  aig::Aig manager_b;
+  const SynthesisResult b = run(f, manager_b, options);
+  ASSERT_EQ(a.status, b.status);
+  EXPECT_EQ(a.vector.functions, b.vector.functions);
+  EXPECT_EQ(a.stats.counterexamples, b.stats.counterexamples);
+  EXPECT_EQ(a.stats.restarts, b.stats.restarts);
+  EXPECT_GE(a.stats.restarts, 1u);
+  // The registry counts calls, not attempts.
+  EXPECT_EQ(runs.value() - runs_before, 2u);
+  EXPECT_EQ(restarts.value() - restarts_before, 2 * a.stats.restarts);
+}
+
+TEST(Manthan3, RunWithinFirstCapDoesNotRestart) {
+  // A starved learner makes the first candidates wrong, so the repair
+  // loop runs, but it certifies well inside the first Luby cap (32).
+  const dqbf::DqbfFormula f = testutil::small_planted(11);
+  Manthan3Options options;
+  options.sampler.num_samples = 4;
+  options.sampler.probe_samples = 4;
+  aig::Aig manager;
+  const SynthesisResult result = run(f, manager, options);
+  expect_certified(f, manager, result);
+  ASSERT_GT(result.stats.counterexamples, 0u);
+  ASSERT_LE(result.stats.counterexamples, 32u);
+  EXPECT_EQ(result.stats.restarts, 0u);
 }
 
 // Soundness property sweep: across many generated instances and seeds,

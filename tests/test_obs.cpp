@@ -358,6 +358,8 @@ TEST(Trace, ChromeTraceIsWellFormedAndNested) {
 
   std::set<std::string> names;
   const Json* synthesize = nullptr;
+  std::size_t synthesize_spans = 0;
+  std::size_t attempt_spans = 0;
   for (const Json& e : events.items) {
     ASSERT_EQ(e.kind, Json::kObject);
     ASSERT_TRUE(e.has("name"));
@@ -369,14 +371,24 @@ TEST(Trace, ChromeTraceIsWellFormedAndNested) {
       ASSERT_TRUE(e.has("dur"));
     }
     names.insert(e.at("name").text);
-    if (e.at("name").text == "synthesize") synthesize = &e;
+    if (e.at("name").text == "synthesize") {
+      synthesize = &e;
+      ++synthesize_spans;
+    }
+    if (e.at("name").text == "attempt") ++attempt_spans;
   }
+  // One synthesize span per call; each restart attempt nests inside it.
+  // Deterministic at this seed: the run restarts, so several attempts
+  // share the one synthesize span.
+  EXPECT_GE(result.stats.restarts, 1u);
+  EXPECT_EQ(synthesize_spans, 1u);
+  EXPECT_EQ(attempt_spans, result.stats.restarts + 1);
   // The acceptance bar: at least 6 distinct pipeline phases in one run.
   const std::set<std::string> phases = {
       "synthesize", "sample",  "sample.probe", "sample.main",
       "unique_def", "learn",   "verify.round", "extend",
       "maxsat.round", "repair", "refit",       "inprocess",
-      "substitute"};
+      "substitute", "attempt"};
   std::size_t distinct = 0;
   for (const std::string& n : names) distinct += phases.count(n);
   EXPECT_GE(distinct, 6u) << "phases seen: " << names.size();
@@ -423,6 +435,7 @@ void expect_same_trajectory(const core::SynthesisStats& a,
   EXPECT_EQ(a.repairs, b.repairs);
   EXPECT_EQ(a.repair_checks, b.repair_checks);
   EXPECT_EQ(a.maxsat_calls, b.maxsat_calls);
+  EXPECT_EQ(a.restarts, b.restarts);
   EXPECT_EQ(a.cones_encoded, b.cones_encoded);
   EXPECT_EQ(a.aig_nodes_encoded, b.aig_nodes_encoded);
   EXPECT_EQ(a.aig_nodes, b.aig_nodes);

@@ -259,7 +259,9 @@ int main(int argc, char** argv) {
             << result.stats.total_seconds << " s, "
             << result.stats.counterexamples << " counterexamples, "
             << result.stats.repairs << " repairs, "
-            << result.stats.restarts << " restarts)\n";
+            << result.stats.restarts << " restarts, "
+            << result.stats.arbiter_points << " arbiter points, "
+            << result.stats.arbiter_patches << " arbiter patches)\n";
   if (cli.engine == "manthan3") {
     // Incremental-pipeline accounting: how much encoding work the
     // persistent solvers avoided and reclaimed across the run.

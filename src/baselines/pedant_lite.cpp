@@ -1,8 +1,8 @@
 #include "baselines/pedant_lite.hpp"
 
-#include <map>
 #include <vector>
 
+#include "core/arbiter.hpp"
 #include "dqbf/certificate.hpp"
 #include "sat/solver.hpp"
 #include "util/timer.hpp"
@@ -56,24 +56,9 @@ SynthesisResult PedantLite::synthesize(const dqbf::DqbfFormula& formula,
   // Phase 2: arbiter tables for the undefined outputs. Each table maps an
   // H_i valuation (packed bits over the sorted dependency set) to the
   // output value; the function is default-false overridden by entries.
-  std::vector<std::map<std::vector<bool>, bool>> table(m);
+  std::vector<core::CubeTable> table(m);
   std::size_t total_entries = 0;
   std::size_t flips = 0;
-
-  const auto rebuild = [&](std::size_t i) {
-    aig::Ref acc = aig::kFalseRef;  // default
-    for (const auto& [cube_bits, value] : table[i]) {
-      std::vector<aig::Ref> lits;
-      lits.reserve(cube_bits.size());
-      for (std::size_t b = 0; b < cube_bits.size(); ++b) {
-        const aig::Ref in = manager.input(ex[i].deps[b]);
-        lits.push_back(cube_bits[b] ? in : aig::ref_not(in));
-      }
-      const aig::Ref cube = manager.and_all(lits);
-      acc = manager.ite_gate(cube, aig::Aig::constant(value), acc);
-    }
-    f[i] = acc;
-  };
 
   for (std::size_t iteration = 0;; ++iteration) {
     if (deadline.expired()) return finish(SynthesisStatus::kTimeout);
@@ -123,12 +108,10 @@ SynthesisResult PedantLite::synthesize(const dqbf::DqbfFormula& formula,
       const bool current = manager.evaluate(f[i], delta);
       const bool wanted = pi.value(ex[i].var);
       if (current == wanted) continue;
-      std::vector<bool> cube_bits;
-      cube_bits.reserve(ex[i].deps.size());
-      for (const Var d : ex[i].deps) cube_bits.push_back(delta.value(d));
-      const auto it = table[i].find(cube_bits);
+      std::vector<bool> cube = core::cube_bits(delta, ex[i].deps);
+      const auto it = table[i].find(cube);
       if (it == table[i].end()) {
-        table[i].emplace(std::move(cube_bits), wanted);
+        table[i].emplace(std::move(cube), wanted);
         ++total_entries;
       } else {
         // Entry flip: the previously recorded value turned out to block a
@@ -138,7 +121,8 @@ SynthesisResult PedantLite::synthesize(const dqbf::DqbfFormula& formula,
           return finish(SynthesisStatus::kIncomplete);
         }
       }
-      rebuild(i);
+      f[i] = core::decision_list(manager, ex[i].deps, table[i],
+                                 aig::kFalseRef);
       changed = true;
     }
     if (!changed) {

@@ -9,7 +9,9 @@
 // (H_i-cube → value) entries layered over a default function. Every
 // verification counterexample either inserts or flips a table entry, so
 // the loop makes progress; oscillating entries signal an instance the
-// approach cannot finish (bounded by max_iterations).
+// approach cannot finish (bounded by max_iterations). The cube and
+// decision-list code lives in core/arbiter.hpp, shared with Manthan3's
+// repair of last resort.
 //
 // This reproduces Pedant's profile: instant on definition-rich instances
 // (e.g. equivalence checking), weak when outputs are heavily

@@ -11,6 +11,7 @@
 
 #include "aig/aig_sim.hpp"
 #include "cnf/sample_matrix.hpp"
+#include "core/arbiter.hpp"
 #include "core/dependency.hpp"
 #include "dqbf/certificate.hpp"
 #include "dqbf/fingerprint.hpp"
@@ -52,9 +53,9 @@ constexpr std::uint64_t kVerifySalt = 0x564552494659ULL;  // "VERIFY"
 constexpr std::uint64_t kRestartSalt = 0x52455354415254ULL;  // "RESTART"
 
 // Stopping rules of one attempt. It gives up after kMaxNoProgressRounds
-// consecutive counterexamples for which no candidate could be repaired,
-// and attempt r restarts once it has spent kRestartUnit * luby(r + 1)
-// counterexamples.
+// consecutive counterexamples for which no candidate could be repaired or
+// patched from the arbiter expansion, and attempt r restarts once it has
+// spent kRestartUnit * luby(r + 1) counterexamples.
 constexpr std::size_t kMaxNoProgressRounds = 12;
 constexpr std::size_t kRestartUnit = 32;
 
@@ -74,7 +75,7 @@ std::size_t luby(std::size_t i) {
 /// max. total_seconds is set once for the whole call by the caller.
 void merge_stats(SynthesisStats& into, const SynthesisStats& from) {
   // A new SynthesisStats field must be merged here (sum or max).
-  static_assert(sizeof(SynthesisStats) == 29 * sizeof(std::size_t) +
+  static_assert(sizeof(SynthesisStats) == 31 * sizeof(std::size_t) +
                                             5 * sizeof(double) +
                                             6 * sizeof(std::uint64_t),
                 "merge_stats does not cover every SynthesisStats field");
@@ -90,6 +91,8 @@ void merge_stats(SynthesisStats& into, const SynthesisStats& from) {
   sum(&SynthesisStats::repair_checks);
   sum(&SynthesisStats::maxsat_calls);
   sum(&SynthesisStats::restarts);
+  sum(&SynthesisStats::arbiter_points);
+  sum(&SynthesisStats::arbiter_patches);
   sum(&SynthesisStats::sampling_seconds);
   sum(&SynthesisStats::learning_seconds);
   sum(&SynthesisStats::verify_seconds);
@@ -131,6 +134,8 @@ void publish(const SynthesisStats& stats) {
   static obs::Counter& restarts = registry.counter("core_restarts_total");
   static obs::Counter& cex = registry.counter("core_counterexamples_total");
   static obs::Counter& repairs = registry.counter("core_repairs_total");
+  static obs::Counter& arbiter_patches =
+      registry.counter("core_arbiter_patches_total");
   static obs::Counter& maxsat_calls =
       registry.counter("core_maxsat_calls_total");
   static obs::Counter& refits = registry.counter("core_refit_rounds_total");
@@ -148,6 +153,7 @@ void publish(const SynthesisStats& stats) {
   restarts.add(stats.restarts);
   cex.add(stats.counterexamples);
   repairs.add(stats.repairs);
+  arbiter_patches.add(stats.arbiter_patches);
   maxsat_calls.add(stats.maxsat_calls);
   refits.add(stats.refit_rounds);
   streamed.add(stats.gk_streamed_samples);
@@ -301,6 +307,9 @@ struct Call {
   /// single-attempt engine ran these analyses — so attempt 0 replays that
   /// engine's trajectory, fault-site polls included.
   std::optional<SharedAnalysis> shared;
+  /// X-points of stalled counterexamples. They do not depend on the seed,
+  /// so every attempt adds to (and is refuted by) the same expansion.
+  ArbiterExpansion expansion;
 };
 
 struct AttemptLimits {
@@ -633,6 +642,13 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     repair_maxsat.maintain(options.cancel);
   };
 
+  // Repair of last resort: the decision-list entries (H_k-cube → value)
+  // this attempt prepended from the arbiter expansion, and the arbiters
+  // whose cubes it has recorded. Entries mention only H_k, so they are
+  // always admissible and record no dependency edge.
+  std::vector<CubeTable> entries(m);
+  std::vector<bool> recorded;
+
   // Cross-round sample reuse, refit side: batch-evaluate live candidates
   // over the packed matrix with the 64-way AIG simulator and refit exactly
   // those that now disagree with the data. Two trigger policies:
@@ -751,7 +767,8 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
         }
       }
       if (!admissible) continue;
-      f[i] = refit_f;
+      // The attempt's arbiter entries stay on top of the new tree.
+      f[i] = decision_list(manager, ex[i].deps, entries[i], refit_f);
       ++stats.refit_candidates;
       for (const std::int32_t id : manager.support(f[i])) {
         if (!formula.is_existential(static_cast<Var>(id))) continue;
@@ -1001,20 +1018,61 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
       }
     }
     repair_span.reset();
-    stats.repair_seconds += phase_timer.seconds();
+
+    // No candidate could be repaired for this counterexample: the
+    // engine's documented incompleteness (§5). Repair of last resort:
+    // add π[X] to the arbiter expansion. UNSAT proves the DQBF False;
+    // otherwise its model patches the candidates through decision-list
+    // entries over H_k (Pedant's rule insertion).
+    std::size_t patches = 0;
     if (repairs_this_cex == 0) {
-      // No candidate could be repaired for this counterexample: the
-      // engine's documented incompleteness (§5). Refit from whatever
-      // counterexample data accumulated — a relearned candidate often
-      // escapes where core-guided patching is stuck — then retry a few
-      // rounds with randomized verification in case another
-      // counterexample is repairable, and only then give up.
-      maybe_refit(/*force=*/true);
-      if (++no_progress_rounds >= kMaxNoProgressRounds) {
-        return end(AttemptEnd::kGiveUp);
+      obs::Span span("expansion", "phase", trace_id);
+      ArbiterExpansion& expansion = call.expansion;
+      const std::size_t points_before = expansion.num_points();
+      const sat::Result expansion_result = expansion.add_point(pi, deadline);
+      stats.arbiter_points += expansion.num_points() - points_before;
+      if (expansion_result == sat::Result::kUnknown) {
+        return answer(SynthesisStatus::kTimeout);
       }
-    } else {
+      if (expansion_result == sat::Result::kUnsat) {
+        return answer(SynthesisStatus::kUnrealizable);
+      }
+      recorded.resize(expansion.num_arbiters(), false);
+      const std::vector<std::size_t>& point = expansion.point_arbiters();
+      const auto patch = [&](std::size_t id) {
+        const ArbiterExpansion::Arbiter& a = expansion.arbiter(id);
+        const std::size_t k = a.existential;
+        const bool value = expansion.value(id);
+        entries[k][a.cube] = value;
+        f[k] = prepend_entry(manager, ex[k].deps, a.cube, value, f[k]);
+        if (id == point[k]) sigma_yp[k] = value;  // δ lies in the cube
+        ++patches;
+      };
+      // Cubes recorded earlier in this attempt whose arbiter changed
+      // value, then this point's cubes where the candidate disagrees.
+      for (const std::size_t id : expansion.flipped()) {
+        if (recorded[id]) patch(id);
+      }
+      for (std::size_t k = 0; k < m; ++k) {
+        if (fixed[k]) continue;
+        if (expansion.value(point[k]) != sigma_yp[k]) patch(point[k]);
+        recorded[point[k]] = true;
+      }
+      stats.arbiter_patches += patches;
+    }
+    stats.repair_seconds += phase_timer.seconds();
+    if (repairs_this_cex > 0 || patches > 0) {
       no_progress_rounds = 0;
+      continue;
+    }
+    // Nothing to patch: refit from whatever counterexample data
+    // accumulated — a relearned candidate often escapes where
+    // core-guided patching is stuck — then retry a few rounds with
+    // randomized verification in case another counterexample is
+    // repairable, and only then give up.
+    maybe_refit(/*force=*/true);
+    if (++no_progress_rounds >= kMaxNoProgressRounds) {
+      return end(AttemptEnd::kGiveUp);
     }
   }
 
@@ -1036,7 +1094,8 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   if (!options_.fault_spec.empty()) util::fault::install(options_.fault_spec);
   const util::Deadline deadline(options_.time_limit_seconds, options_.cancel);
   obs::Span run_span("synthesize", "phase", options_.trace_id);
-  Call call{options_, formula, manager, deadline, std::nullopt};
+  Call call{options_, formula, manager, deadline, std::nullopt,
+            ArbiterExpansion(formula)};
   SynthesisResult result;
   SynthesisStats& stats = result.stats;
 

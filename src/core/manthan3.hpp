@@ -13,20 +13,42 @@
 //
 // The engine is sound (returns only certified vectors) but not complete:
 // repair can get stuck on a candidate set (paper §5), and whether it does
-// depends on the seed. synthesize() therefore runs the pipeline as a
-// sequence of attempts. An attempt ends when it answers, when 12
-// consecutive counterexamples allow no repair (the give-up), or when it
-// has spent its cap of 32 · luby(r+1) counterexamples (Luby restarts:
-// caps 32, 32, 64, 32, 32, 64, 128, ...). Attempt 0 uses `seed`; attempt
-// r > 0 draws its sampler, learning and verify streams from
-// derive_seed(seed, salt, r). All attempts share one deadline and the
-// call's max_counterexamples / max_repair_iterations budgets; the
-// seed-independent analyses (dependency relations, static ordering
-// edges, unique definitions) run once per call, and an unsatisfiable
-// matrix is answered by attempt 0. When the budget runs out the
-// call reports kIncomplete if every attempt that ran to its own end gave
-// up, and kLimit if any spent its whole cap; an expired deadline is
-// kTimeout.
+// depends on the seed.
+//
+// Counterexample-point expansion (core/arbiter.hpp) is the repair of last
+// resort. When a counterexample admits no repair, its X-point π goes into
+// an arbiter expansion: the matrix instantiated at π[X], with each y_k
+// replaced by an arbiter variable for (k, π[H_k]). An UNSAT expansion
+// proves the DQBF False, which catches the False formulas whose every
+// X-assignment extends to a model (the extension check never fires on
+// them). Otherwise the expansion's model patches the candidates:
+// ite(H_k = c, a_{k,c}, f_k) is prepended for this point's cubes where the
+// candidate disagrees and for the attempt's earlier cubes whose arbiter
+// flipped. The entries mention only H_k, so they are always admissible,
+// and a refit keeps them on top of the new tree. A patch counts as
+// progress. The expansion's X-points are seed-independent, so all
+// attempts of a call share it. A round with a repair never touches it.
+// kUnrealizable therefore has exactly three sources: an unsatisfiable
+// matrix, a counterexample whose X-assignment does not extend (Algorithm
+// 1, line 13), and an UNSAT expansion.
+//
+// synthesize() runs the pipeline as a sequence of attempts. An attempt
+// ends when it answers, when 12 consecutive counterexamples allow neither
+// a repair nor a patch (the give-up), or when it has spent its cap of
+// 32 · luby(r+1) counterexamples (Luby restarts: caps 32, 32, 64, 32, 32,
+// 64, 128, ...). Attempt 0 uses `seed`; attempt r > 0 draws its sampler,
+// learning and verify streams from derive_seed(seed, salt, r). All
+// attempts share one deadline and the call's max_counterexamples /
+// max_repair_iterations budgets; the seed-independent analyses
+// (dependency relations, static ordering edges, unique definitions) run
+// once per call, and an unsatisfiable matrix is answered by attempt 0.
+// When the budget runs out the call reports kIncomplete if every attempt
+// that ran to its own end gave up, and kLimit if any spent its whole cap;
+// an expired deadline is kTimeout. kIncomplete is rare: a stalled
+// counterexample's candidate outputs falsify φ at π[X] while the arbiter
+// model satisfies it there, so some arbiter disagrees with some
+// undefined candidate and a patch lands (unique definitions agree with
+// every model). Attempts end on their cap instead, and the call on kLimit.
 #pragma once
 
 #include <cstdint>
@@ -172,6 +194,11 @@ struct SynthesisStats {
   /// Attempts after the first: restarts of the CEGIS loop with a fresh
   /// seed stream. The other counters sum over all attempts of the call.
   std::size_t restarts = 0;
+  /// Distinct X-points added to the arbiter expansion (one per stalled
+  /// counterexample with a new X-assignment; 0 when no round stalls).
+  std::size_t arbiter_points = 0;
+  /// Decision-list entries prepended from the expansion's model.
+  std::size_t arbiter_patches = 0;
   double sampling_seconds = 0.0;
   double learning_seconds = 0.0;
   double verify_seconds = 0.0;

@@ -99,6 +99,8 @@ const SizeField kSizeFields[] = {
     {"analysis_dependency_hits",
      &core::SynthesisStats::analysis_dependency_hits},
     {"restarts", &core::SynthesisStats::restarts},
+    {"arbiter_points", &core::SynthesisStats::arbiter_points},
+    {"arbiter_patches", &core::SynthesisStats::arbiter_patches},
 };
 
 const U64Field kU64Fields[] = {

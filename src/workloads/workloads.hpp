@@ -113,7 +113,7 @@ struct UnrealizableParams {
   std::size_t num_constraints = 2;
   /// false: y_i ↔ x_a ⊕ x_b with H_i = {x_a} — False, but *not* provable
   /// through Manthan3's extension check (every X-assignment extends to a
-  /// model); only elimination-based reasoning refutes it.
+  /// model); expansion or elimination reasoning refutes it.
   /// true: additionally y_i ↔ x_b, so an X-assignment with x_a ≠ x_b has
   /// no extension at all — every engine detects False quickly.
   bool extension_detectable = false;

@@ -3,6 +3,8 @@
 // the soundness invariant (everything returned certifies).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/manthan3.hpp"
 #include "dqbf/certificate.hpp"
 #include "obs/metrics.hpp"
@@ -63,23 +65,22 @@ TEST(Manthan3, DetectsExtensionUnrealizable) {
   EXPECT_EQ(result.status, SynthesisStatus::kUnrealizable);
 }
 
-TEST(Manthan3, XorUnrealizableEndsIncomplete) {
+TEST(Manthan3, XorUnrealizableProvedFalse) {
   // y ↔ x0 xor x1 with H = {x0} is False, but every X extends to a model,
-  // so Manthan3's False test never fires — the documented outcome is
-  // kIncomplete (repair gets stuck), never a wrong "realizable".
+  // so the extension check never fires and no G_k query is UNSAT. The
+  // stalled counterexamples' X-points go into the arbiter expansion; two
+  // points that differ only outside H force one arbiter both ways, and
+  // the UNSAT expansion proves the formula False.
   workloads::UnrealizableParams params;
   params.num_constraints = 1;
   params.extension_detectable = false;
   params.seed = 7;
   const dqbf::DqbfFormula f = workloads::gen_unrealizable(params);
   aig::Aig manager;
-  Manthan3Options options;
-  const SynthesisResult result = run(f, manager, options);
-  // Every attempt gives up, so restarts spend the counterexample budget
-  // and the call still reports the give-up, not an iteration limit.
-  EXPECT_EQ(result.status, SynthesisStatus::kIncomplete);
-  EXPECT_LE(result.stats.counterexamples, options.max_counterexamples);
-  EXPECT_GT(result.stats.restarts, 0u);
+  const SynthesisResult result = run(f, manager);
+  EXPECT_EQ(result.status, SynthesisStatus::kUnrealizable);
+  EXPECT_LE(result.stats.counterexamples, 8u);
+  EXPECT_GE(result.stats.arbiter_points, 2u);
 }
 
 TEST(Manthan3, DetectsUnsatMatrixAsUnrealizable) {
@@ -355,13 +356,14 @@ std::uint64_t paper_seed(const std::string& name, std::uint64_t k) {
 }
 
 TEST(Manthan3, RestartsCertifyWhereOneAttemptGivesUp) {
-  // planted_10x3_s0 is True, but the first attempt's repair gets stuck
-  // at every paper seed; a restart on a fresh seed stream certifies it.
-  const dqbf::DqbfFormula f = suite_instance("planted_10x3_s0");
+  // plantedhard_16x6_s0 is True, but the first attempt spends its Luby
+  // cap without certifying at every paper seed; a later attempt on a
+  // fresh seed stream certifies it.
+  const dqbf::DqbfFormula f = suite_instance("plantedhard_16x6_s0");
   for (std::uint64_t k = 0; k < 3; ++k) {
     aig::Aig manager;
     Manthan3Options options;
-    options.seed = paper_seed("planted_10x3_s0", k);
+    options.seed = paper_seed("plantedhard_16x6_s0", k);
     const SynthesisResult result = run(f, manager, options);
     expect_certified(f, manager, result);
     EXPECT_GE(result.stats.restarts, 1u) << "seed " << k;
@@ -369,14 +371,17 @@ TEST(Manthan3, RestartsCertifyWhereOneAttemptGivesUp) {
 }
 
 TEST(Manthan3, RestartScheduleIsDeterministic) {
-  const dqbf::DqbfFormula f = suite_instance("planted_10x3_s0");
+  const dqbf::DqbfFormula f = suite_instance("plantedhard_16x6_s0");
   Manthan3Options options;
-  options.seed = paper_seed("planted_10x3_s0", 0);
+  options.seed = paper_seed("plantedhard_16x6_s0", 0);
   obs::Counter& runs = obs::Registry::global().counter("core_runs_total");
   obs::Counter& restarts =
       obs::Registry::global().counter("core_restarts_total");
+  obs::Counter& patches =
+      obs::Registry::global().counter("core_arbiter_patches_total");
   const std::uint64_t runs_before = runs.value();
   const std::uint64_t restarts_before = restarts.value();
+  const std::uint64_t patches_before = patches.value();
   aig::Aig manager_a;
   const SynthesisResult a = run(f, manager_a, options);
   aig::Aig manager_b;
@@ -385,10 +390,36 @@ TEST(Manthan3, RestartScheduleIsDeterministic) {
   EXPECT_EQ(a.vector.functions, b.vector.functions);
   EXPECT_EQ(a.stats.counterexamples, b.stats.counterexamples);
   EXPECT_EQ(a.stats.restarts, b.stats.restarts);
+  EXPECT_EQ(a.stats.arbiter_points, b.stats.arbiter_points);
+  EXPECT_EQ(a.stats.arbiter_patches, b.stats.arbiter_patches);
   EXPECT_GE(a.stats.restarts, 1u);
   // The registry counts calls, not attempts.
   EXPECT_EQ(runs.value() - runs_before, 2u);
   EXPECT_EQ(restarts.value() - restarts_before, 2 * a.stats.restarts);
+  EXPECT_EQ(patches.value() - patches_before, 2 * a.stats.arbiter_patches);
+}
+
+TEST(Manthan3, ExpansionDecidesStalledSuiteRuns) {
+  // unreal_2x1_s0 is False although every X-assignment extends to a
+  // model: only an UNSAT expansion refutes it. xorshared_1x2_s0 is True,
+  // but every G_k query is SAT (the §5 stall): only decision-list entries
+  // from the expansion's model repair it. Both at every paper seed.
+  const dqbf::DqbfFormula unreal = suite_instance("unreal_2x1_s0");
+  const dqbf::DqbfFormula xorshared = suite_instance("xorshared_1x2_s0");
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    Manthan3Options options;
+    options.seed = paper_seed("unreal_2x1_s0", k);
+    aig::Aig unreal_manager;
+    const SynthesisResult refuted = run(unreal, unreal_manager, options);
+    EXPECT_EQ(refuted.status, SynthesisStatus::kUnrealizable) << "seed " << k;
+    EXPECT_GT(refuted.stats.arbiter_points, 0u) << "seed " << k;
+
+    options.seed = paper_seed("xorshared_1x2_s0", k);
+    aig::Aig xor_manager;
+    const SynthesisResult certified = run(xorshared, xor_manager, options);
+    expect_certified(xorshared, xor_manager, certified);
+    EXPECT_GT(certified.stats.arbiter_patches, 0u) << "seed " << k;
+  }
 }
 
 TEST(Manthan3, RunWithinFirstCapDoesNotRestart) {
@@ -404,6 +435,98 @@ TEST(Manthan3, RunWithinFirstCapDoesNotRestart) {
   ASSERT_GT(result.stats.counterexamples, 0u);
   ASSERT_LE(result.stats.counterexamples, 32u);
   EXPECT_EQ(result.stats.restarts, 0u);
+}
+
+TEST(Manthan3, RunWithoutStalledRoundLeavesExpansionUnused) {
+  // Every counterexample of this run admits a repair, so the arbiter
+  // expansion is never consulted and the trajectory is the plain
+  // sample → learn → verify/repair loop.
+  const dqbf::DqbfFormula f = testutil::small_planted(16);
+  Manthan3Options options;
+  options.sampler.num_samples = 4;
+  options.sampler.probe_samples = 4;
+  aig::Aig manager;
+  const SynthesisResult result = run(f, manager, options);
+  expect_certified(f, manager, result);
+  ASSERT_GT(result.stats.repairs, 0u);
+  EXPECT_EQ(result.stats.arbiter_points, 0u);
+  EXPECT_EQ(result.stats.arbiter_patches, 0u);
+}
+
+/// A random tiny DQBF: 2–6 universals and 2–3 existentials, each
+/// depending on a random subset of at most 3 (or 2) universals (so nested,
+/// equal and incomparable dependency sets all occur), under a random
+/// matrix of 2- and 3-literal clauses that each mention an existential.
+/// Small enough for testutil::brute_force_true.
+dqbf::DqbfFormula random_tiny_dqbf(std::uint64_t seed) {
+  util::Rng rng(seed);
+  const Var nx = static_cast<Var>(2 + rng.next_below(5));
+  const Var ny = static_cast<Var>(2 + rng.next_below(2));
+  dqbf::DqbfFormula f;
+  f.matrix() = cnf::CnfFormula(nx + ny);
+  for (Var x = 0; x < nx; ++x) f.add_universal(x);
+  // At most 16 function-table bits in total (brute_force_true's limit).
+  const std::size_t max_deps = ny == 2 ? 3 : 2;
+  for (Var y = nx; y < nx + ny; ++y) {
+    std::vector<Var> deps;
+    for (Var x = 0; x < nx && deps.size() < max_deps; ++x) {
+      if (rng.flip()) deps.push_back(x);
+    }
+    f.add_existential(y, std::move(deps));
+  }
+  const std::size_t num_clauses =
+      static_cast<std::size_t>(nx) + rng.next_below(nx + ny);
+  for (std::size_t c = 0; c < num_clauses; ++c) {
+    const std::size_t width = rng.next_below(3) == 0 ? 2 : 3;
+    std::vector<Var> vars{nx + static_cast<Var>(rng.next_below(ny))};
+    while (vars.size() < width) {
+      const Var v = static_cast<Var>(rng.next_below(nx + ny));
+      if (std::find(vars.begin(), vars.end(), v) == vars.end()) {
+        vars.push_back(v);
+      }
+    }
+    cnf::Clause clause;
+    for (const Var v : vars) clause.push_back(rng.flip() ? pos(v) : neg(v));
+    f.matrix().add_clause(clause);
+  }
+  return f;
+}
+
+TEST(Manthan3, SoundOnRandomTinyDqbfs) {
+  // Against exhaustive ground truth: a False verdict only on False
+  // formulas, and every realizable answer certifies — whichever of the
+  // unsat-matrix check, the extension check, repairs or the arbiter
+  // expansion produced it.
+  std::size_t true_formulas = 0;
+  std::size_t false_formulas = 0;
+  std::size_t refuted = 0;
+  std::size_t refuted_after_stall = 0;
+  std::size_t certified = 0;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    const dqbf::DqbfFormula f = random_tiny_dqbf(seed);
+    const bool truth = testutil::brute_force_true(f);
+    ++(truth ? true_formulas : false_formulas);
+    aig::Aig manager;
+    Manthan3Options options;
+    options.seed = seed;
+    const SynthesisResult result = run(f, manager, options);
+    if (result.status == SynthesisStatus::kRealizable) {
+      EXPECT_TRUE(testutil::is_certified(f, manager, result))
+          << "seed " << seed;
+      ++certified;
+    }
+    if (result.status == SynthesisStatus::kUnrealizable) {
+      EXPECT_FALSE(truth) << "declared a True formula False, seed " << seed;
+      ++refuted;
+      if (result.stats.arbiter_points > 0) ++refuted_after_stall;
+    }
+  }
+  // The sweep must exercise both verdicts.
+  EXPECT_GE(true_formulas, 40u);
+  EXPECT_GE(false_formulas, 40u);
+  EXPECT_GT(certified, 0u);
+  EXPECT_GT(refuted, 0u);
+  EXPECT_GT(refuted_after_stall, 0u);
 }
 
 // Soundness property sweep: across many generated instances and seeds,

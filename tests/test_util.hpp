@@ -1,11 +1,13 @@
 // Shared helpers for the test suites: canonical DQBF fixtures, tiny
-// DQDIMACS text fixtures, planted-formula builders, and a certificate-check
-// matcher. Everything is inline and header-only; a suite only pays the link
-// dependencies of the helpers it actually calls.
+// DQDIMACS text fixtures, planted-formula builders, a brute-force
+// ground-truth check, and a certificate-check matcher. Everything is
+// inline and header-only; a suite only pays the link dependencies of the
+// helpers it actually calls.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "core/manthan3.hpp"
@@ -79,6 +81,45 @@ inline dqbf::DqbfFormula small_planted(std::uint64_t seed,
 /// that engines do real work, used by the deadline/timeout suites.
 inline dqbf::DqbfFormula hard_planted(std::uint64_t seed) {
   return workloads::gen_planted({14, 8, 7, 8, 80, seed});
+}
+
+// --- ground truth ------------------------------------------------------------
+
+/// Exhaustive ground-truth DQBF check for tiny instances: enumerate all
+/// Henkin function tables and test whether some vector satisfies φ for
+/// every X. Only feasible for a handful of variables.
+inline bool brute_force_true(const dqbf::DqbfFormula& f) {
+  const auto& ex = f.existentials();
+  const auto& universals = f.universals();
+  const std::size_t nx = universals.size();
+  // Total table bits across all existentials.
+  std::size_t table_bits = 0;
+  for (const auto& e : ex) table_bits += 1ULL << e.deps.size();
+  if (table_bits > 16 || nx > 10) ADD_FAILURE() << "instance too large";
+  for (std::uint64_t tables = 0; tables < (1ULL << table_bits); ++tables) {
+    bool all_x_ok = true;
+    for (std::uint64_t xbits = 0; xbits < (1ULL << nx) && all_x_ok;
+         ++xbits) {
+      cnf::Assignment a(
+          static_cast<std::size_t>(f.matrix().num_vars()));
+      for (std::size_t i = 0; i < nx; ++i) {
+        a.set(universals[i], ((xbits >> i) & 1) != 0);
+      }
+      // Apply each function table.
+      std::size_t offset = 0;
+      for (const auto& e : ex) {
+        std::size_t index = 0;
+        for (std::size_t d = 0; d < e.deps.size(); ++d) {
+          if (a.value(e.deps[d])) index |= 1ULL << d;
+        }
+        a.set(e.var, ((tables >> (offset + index)) & 1) != 0);
+        offset += 1ULL << e.deps.size();
+      }
+      if (!f.matrix().satisfied_by(a)) all_x_ok = false;
+    }
+    if (all_x_ok) return true;
+  }
+  return false;
 }
 
 // --- certificate-check matcher ---------------------------------------------

@@ -6,49 +6,14 @@
 
 #include "aig/aig_sim.hpp"
 #include "sat/solver.hpp"
+#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 namespace manthan::workloads {
 namespace {
 
 using cnf::Var;
-
-/// Exhaustive ground-truth DQBF check for tiny instances: enumerate all
-/// Henkin function tables and test whether some vector satisfies φ for
-/// every X. Only feasible for a handful of variables.
-bool brute_force_true(const dqbf::DqbfFormula& f) {
-  const auto& ex = f.existentials();
-  const auto& universals = f.universals();
-  const std::size_t nx = universals.size();
-  // Total table bits across all existentials.
-  std::size_t table_bits = 0;
-  for (const auto& e : ex) table_bits += 1ULL << e.deps.size();
-  if (table_bits > 16 || nx > 10) ADD_FAILURE() << "instance too large";
-  for (std::uint64_t tables = 0; tables < (1ULL << table_bits); ++tables) {
-    bool all_x_ok = true;
-    for (std::uint64_t xbits = 0; xbits < (1ULL << nx) && all_x_ok;
-         ++xbits) {
-      cnf::Assignment a(
-          static_cast<std::size_t>(f.matrix().num_vars()));
-      for (std::size_t i = 0; i < nx; ++i) {
-        a.set(universals[i], ((xbits >> i) & 1) != 0);
-      }
-      // Apply each function table.
-      std::size_t offset = 0;
-      for (const auto& e : ex) {
-        std::size_t index = 0;
-        for (std::size_t d = 0; d < e.deps.size(); ++d) {
-          if (a.value(e.deps[d])) index |= 1ULL << d;
-        }
-        a.set(e.var, ((tables >> (offset + index)) & 1) != 0);
-        offset += 1ULL << e.deps.size();
-      }
-      if (!f.matrix().satisfied_by(a)) all_x_ok = false;
-    }
-    if (all_x_ok) return true;
-  }
-  return false;
-}
+using testutil::brute_force_true;
 
 TEST(Workloads, PlantedIsWellFormed) {
   const dqbf::DqbfFormula f = gen_planted({8, 4, 3, 5, 30, 42});

@@ -18,7 +18,6 @@
 
 #include "obs/memory.hpp"
 #include "portfolio/runner.hpp"
-#include "util/simd.hpp"
 #include "portfolio/tables.hpp"
 #include "workloads/workloads.hpp"
 
@@ -33,15 +32,6 @@ void report_memory_counters(State& state) {
   state.counters["peak_rss_bytes"] =
       static_cast<double>(obs::peak_rss_bytes());
   state.counters["rss_bytes"] = static_cast<double>(obs::current_rss_bytes());
-}
-
-/// Record the active SIMD dispatch tier (0 = scalar, 1 = AVX2, 2 = AVX-512)
-/// so archived BENCH_*.json snapshots identify the data-path width they
-/// were measured with — numbers from different tiers are not comparable.
-template <typename State>
-void report_simd_tier(State& state) {
-  state.counters["simd_tier"] = static_cast<double>(
-      static_cast<int>(util::simd::active_tier()));
 }
 
 inline std::size_t env_scale() {

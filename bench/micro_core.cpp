@@ -16,7 +16,6 @@
 #include <benchmark/benchmark.h>
 
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -94,7 +93,6 @@ void run_pipeline(benchmark::State& state,
   state.counters["sample_matrix_bytes"] =
       static_cast<double>(last.stats.sample_matrix_bytes);
   manthan::bench::report_memory_counters(state);
-  manthan::bench::report_simd_tier(state);
 }
 
 void BM_PipelineIncrementalPlanted(benchmark::State& state) {
@@ -245,12 +243,11 @@ BENCHMARK(BM_MaxSatRoundsRebuild)->Unit(benchmark::kMillisecond);
 // benchmarks.
 
 // --- bit-packed sampling + learning front end --------------------------------
-// The PR-5 data path: enumerating solver session -> packed SampleMatrix ->
-// popcount decision trees, against the pre-PR path (one full solve() per
-// model, row-wise vector<bool> learning). BM_Sampling* isolates the model
-// harvest (samples/sec); BM_SampleLearnPhase* times the whole front half
-// of Algorithm 1 (GetSamples + CandidateSkF) on a learning-dominated
-// instance through Manthan3 itself.
+// The data path: enumerating solver session -> packed SampleMatrix ->
+// popcount decision trees. BM_SamplingEnumerate isolates the model harvest
+// (samples/sec); BM_SampleLearnPhasePacked times the whole front half of
+// Algorithm 1 (GetSamples + CandidateSkF) on a learning-dominated
+// instance.
 
 manthan::dqbf::DqbfFormula learning_heavy() {
   manthan::workloads::PlantedParams params;
@@ -273,62 +270,6 @@ std::vector<manthan::cnf::Var> existential_vars(
   return y_vars;
 }
 
-/// The pre-PR GetSamples, verbatim: one full solve() per model on a
-/// probe + biased-main solver pair, duplicate detection through an
-/// unordered_set<vector<bool>> of whole models, results accumulated as
-/// vector<Assignment> rows. This is the benchmarked baseline for the
-/// packed front end — not the in-library `enumerate = false` oracle,
-/// which already benefits from fingerprint dedup and packed storage.
-std::vector<manthan::cnf::Assignment> sample_pre_pr(
-    const manthan::cnf::CnfFormula& formula,
-    const std::vector<manthan::cnf::Var>& bias_vars, std::uint64_t seed) {
-  std::vector<manthan::cnf::Assignment> samples;
-  std::unordered_set<std::vector<bool>> seen;
-  const auto draw = [&](manthan::sat::Solver& solver, std::size_t count) {
-    std::size_t duplicates = 0;
-    const std::size_t max_duplicates = 16 + 4 * count;
-    while (count > 0) {
-      if (solver.solve() != manthan::sat::Result::kSat) break;
-      if (seen.insert(solver.model().bits()).second) {
-        samples.push_back(solver.model());
-        --count;
-      } else if (++duplicates >= max_duplicates) {
-        break;
-      }
-    }
-  };
-  manthan::sat::SolverOptions probe_options;
-  probe_options.random_polarity = true;
-  probe_options.random_branch_freq = 0.2;
-  probe_options.seed = seed;
-  manthan::sat::Solver probe_solver(probe_options);
-  if (!probe_solver.add_formula(formula)) return {};
-  draw(probe_solver, std::min<std::size_t>(64, kSampleBudget));
-  if (samples.empty() || samples.size() >= kSampleBudget) return samples;
-  std::vector<double> bias(static_cast<std::size_t>(formula.num_vars()),
-                           0.5);
-  for (const manthan::cnf::Var v : bias_vars) {
-    std::size_t trues = 0;
-    for (const auto& a : samples) {
-      if (a.value(v)) ++trues;
-    }
-    const double fraction =
-        static_cast<double>(trues) / static_cast<double>(samples.size());
-    if (fraction >= 0.65) {
-      bias[static_cast<std::size_t>(v)] = 0.9;
-    } else if (fraction <= 0.35) {
-      bias[static_cast<std::size_t>(v)] = 0.1;
-    }
-  }
-  manthan::sat::SolverOptions main_options = probe_options;
-  main_options.seed = seed ^ 0x5deece66dULL;
-  main_options.polarity_bias = bias;
-  manthan::sat::Solver main_solver(main_options);
-  if (!main_solver.add_formula(formula)) return samples;
-  draw(main_solver, kSampleBudget - samples.size());
-  return samples;
-}
-
 void BM_SamplingEnumerate(benchmark::State& state) {
   const auto formula = learning_heavy();
   const auto y_vars = existential_vars(formula);
@@ -346,20 +287,6 @@ void BM_SamplingEnumerate(benchmark::State& state) {
   state.counters["samples"] = static_cast<double>(samples);
 }
 BENCHMARK(BM_SamplingEnumerate)->Unit(benchmark::kMillisecond);
-
-void BM_SamplingSolvePerModelPrePr(benchmark::State& state) {
-  const auto formula = learning_heavy();
-  const auto y_vars = existential_vars(formula);
-  std::size_t samples = 0;
-  for (auto _ : state) {
-    samples = sample_pre_pr(formula.matrix(), y_vars, 42).size();
-    benchmark::DoNotOptimize(samples);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(samples));
-  state.counters["samples"] = static_cast<double>(samples);
-}
-BENCHMARK(BM_SamplingSolvePerModelPrePr)->Unit(benchmark::kMillisecond);
 
 // Whole front half of Algorithm 1 (GetSamples + CandidateSkF), isolated:
 // per-existential features are the Henkin dependencies plus every earlier
@@ -387,36 +314,6 @@ void BM_SampleLearnPhasePacked(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SampleLearnPhasePacked)->Unit(benchmark::kMillisecond);
-
-void BM_SampleLearnPhasePrePr(benchmark::State& state) {
-  const auto formula = learning_heavy();
-  const auto y_vars = existential_vars(formula);
-  for (auto _ : state) {
-    const std::vector<manthan::cnf::Assignment> samples =
-        sample_pre_pr(formula.matrix(), y_vars, 42);
-    for (std::size_t i = 0; i < formula.num_existentials(); ++i) {
-      const auto& e = formula.existentials()[i];
-      std::vector<manthan::cnf::Var> features(e.deps.begin(), e.deps.end());
-      for (std::size_t j = 0; j < i; ++j) features.push_back(y_vars[j]);
-      std::vector<std::vector<bool>> rows;
-      rows.reserve(samples.size());
-      std::vector<bool> labels;
-      labels.reserve(samples.size());
-      for (const auto& s : samples) {
-        std::vector<bool> row;
-        row.reserve(features.size());
-        for (const manthan::cnf::Var v : features) row.push_back(s.value(v));
-        rows.push_back(std::move(row));
-        labels.push_back(s.value(e.var));
-      }
-      manthan::dtree::DtreeOptions dt;
-      dt.seed = manthan::util::derive_seed(42, 0x4c4541524eULL, i);
-      benchmark::DoNotOptimize(
-          manthan::dtree::DecisionTree::fit(rows, labels, dt));
-    }
-  }
-}
-BENCHMARK(BM_SampleLearnPhasePrePr)->Unit(benchmark::kMillisecond);
 
 // --- cross-round sample reuse ------------------------------------------------
 // Counterexample-heavy nested-dependency family (repair-hostile: the

@@ -14,7 +14,6 @@
 #include "cnf/sample_matrix.hpp"
 #include "dtree/decision_tree.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -85,10 +84,6 @@ void BM_DtreeFitPacked(benchmark::State& state) {
   }
   state.counters["samples"] = static_cast<double>(state.range(0));
   state.counters["features"] = static_cast<double>(state.range(1));
-  // Dispatch tier of the split-counting kernels (0 scalar / 1 avx2 /
-  // 2 avx512): packed-fit numbers from different tiers are not comparable.
-  state.counters["simd_tier"] = static_cast<double>(
-      static_cast<int>(manthan::util::simd::active_tier()));
 }
 BENCHMARK(BM_DtreeFitPacked)
     ->Args({200, 8})->Args({500, 16})->Args({1000, 32})->Args({4096, 64});

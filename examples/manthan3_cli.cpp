@@ -34,7 +34,6 @@
 #include "obs/trace.hpp"
 #include "portfolio/runner.hpp"
 #include "preprocess/hqspre_lite.hpp"
-#include "util/simd.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -281,9 +280,6 @@ int main(int argc, char** argv) {
               << result.stats.refit_rounds << " refit rounds ("
               << result.stats.adaptive_refits << " adaptive) / "
               << result.stats.refit_candidates << " candidates refit\n";
-    std::cout << "simd: " << manthan::util::simd::tier_name(
-                     manthan::util::simd::active_tier())
-              << " data path\n";
     std::cout << "memory: peak RSS "
               << result.stats.peak_rss_bytes / (1024 * 1024) << " MiB, "
               << "sample matrix " << result.stats.sample_matrix_bytes / 1024

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/simd.hpp"
-
 namespace manthan::aig {
 
 std::uint64_t simulate64(
@@ -31,14 +29,14 @@ std::uint64_t simulate64(
 
 namespace {
 
-/// Words per simulation block: each gate evaluates kBlock words (1024
-/// samples) at a time through the lane-wide combine kernel, so the vector
-/// unit runs full blocks instead of one word per gate visit, while the
-/// per-gate scratch slot (128 bytes) stays cache-resident across blocks.
+/// Words per simulation block: each gate evaluates kSimBlockWords words
+/// (1024 samples) in one tight loop instead of one word per gate visit,
+/// while the per-gate scratch slot (128 bytes) stays cache-resident
+/// across blocks.
 constexpr std::size_t kSimBlockWords = 16;
 
 /// All-zero block read by constants and out-of-matrix inputs.
-alignas(64) constexpr std::uint64_t kZeroBlock[kSimBlockWords] = {};
+constexpr std::uint64_t kZeroBlock[kSimBlockWords] = {};
 
 }  // namespace
 
@@ -86,9 +84,7 @@ std::vector<std::uint64_t> simulate_matrix(const Aig& aig, Ref root,
   const std::uint64_t root_inv = ref_complemented(root) ? ~0ULL : 0;
   const std::uint32_t root_slot = slot.at(ref_node(root));
 
-  const util::simd::Kernels& kernels = util::simd::kernels();
-  util::simd::AlignedVector<std::uint64_t> scratch(gates.size() *
-                                                   kSimBlockWords);
+  std::vector<std::uint64_t> scratch(gates.size() * kSimBlockWords);
   const std::size_t words = matrix.num_words();
   for (std::size_t w = 0; w < words; w += kSimBlockWords) {
     const std::size_t n = std::min(kSimBlockWords, words - w);
@@ -103,10 +99,15 @@ std::vector<std::uint64_t> simulate_matrix(const Aig& aig, Ref root,
     };
     for (std::size_t g = 0; g < gates.size(); ++g) {
       const Gate& gate = gates[g];
-      kernels.combine(scratch.data() + g * kSimBlockWords, src(gate.slot0),
-                      gate.inv0, src(gate.slot1), gate.inv1, 0, n);
+      std::uint64_t* dst = scratch.data() + g * kSimBlockWords;
+      const std::uint64_t* a = src(gate.slot0);
+      const std::uint64_t* b = src(gate.slot1);
+      for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = (a[i] ^ gate.inv0) & (b[i] ^ gate.inv1);
+      }
     }
-    kernels.xor_const(out.data() + w, src(root_slot), root_inv, n);
+    const std::uint64_t* root_words = src(root_slot);
+    for (std::size_t i = 0; i < n; ++i) out[w + i] = root_words[i] ^ root_inv;
   }
   // Mask the tail: callers popcount the result directly.
   out[words - 1] &= matrix.tail_mask();

@@ -22,8 +22,8 @@ std::uint64_t simulate64(
 
 /// Batch-evaluate `root` over every sample of a bit-packed training
 /// matrix: input ids are read as matrix variables (ids outside the matrix
-/// evaluate to false), 64 samples per word through the runtime-dispatched
-/// util::simd kernels. Returns one output word per matrix word; bits at
+/// evaluate to false), 64 samples per word, in blocks of 16 words per
+/// gate. Returns one output word per matrix word; bits at
 /// positions >= num_samples() in the last word are ZERO (the result is
 /// masked with matrix.tail_mask() before returning), so popcounts over the
 /// result need no re-masking. This is how the synthesis loop screens

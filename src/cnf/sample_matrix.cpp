@@ -5,18 +5,17 @@
 #include <string>
 
 #include "util/budget.hpp"
-#include "util/simd.hpp"
+#include "util/rng.hpp"
 
 namespace manthan::cnf {
 
 namespace {
 
 /// Shared mixer behind fingerprint() and SampleMatrix::row_fingerprint():
-/// packs bits 64 at a time and chains each word through the one
-/// simd::fingerprint_chain implementation. Both entry points MUST hash
-/// equal assignments equally — the synthesis loop dedups solver models
-/// (via fingerprint) against matrix rows (via row_fingerprint) — and
-/// sharing the feeder enforces that structurally.
+/// packs bits 64 at a time and chains each word through splitmix64. Both
+/// entry points MUST hash equal assignments equally — the synthesis loop
+/// dedups solver models (via fingerprint) against matrix rows (via
+/// row_fingerprint) — and sharing the feeder enforces that structurally.
 template <typename BitAt>
 std::uint64_t fingerprint_bits(std::size_t num_vars, BitAt bit_at) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ num_vars;
@@ -24,11 +23,11 @@ std::uint64_t fingerprint_bits(std::size_t num_vars, BitAt bit_at) {
   for (std::size_t v = 0; v < num_vars; ++v) {
     if (bit_at(v)) word |= 1ULL << (v & 63);
     if ((v & 63) == 63) {
-      h = util::simd::fingerprint_chain(h, &word, 1);
+      h = util::splitmix64(h ^ word);
       word = 0;
     }
   }
-  if ((num_vars & 63) != 0) h = util::simd::fingerprint_chain(h, &word, 1);
+  if ((num_vars & 63) != 0) h = util::splitmix64(h ^ word);
   return h;
 }
 
@@ -36,18 +35,16 @@ std::uint64_t fingerprint_bits(std::size_t num_vars, BitAt bit_at) {
 
 void SampleMatrix::grow_words(std::size_t words) {
   if (words <= words_cap_) return;
-  // Capacity stays a multiple of 8 words (one 64-byte line): the storage
-  // is 64-byte aligned, so every column pointer stays aligned as well.
   std::size_t cap = words_cap_ == 0 ? 8 : words_cap_;
   while (cap < words) cap *= 2;
   // Matrix growth is an instrumented hazard point: the byte delta is
   // charged to the thread's ResourceBudget and a (real or injected)
   // bad_alloc becomes OutOfBudgetError instead of process death.
-  util::simd::AlignedVector<std::uint64_t> grown;
+  std::vector<std::uint64_t> grown;
   util::guarded_grow(
       util::fault::Site::kSampleMatrixGrow,
       num_vars_ * (cap - words_cap_) * sizeof(std::uint64_t), [&] {
-        grown = util::simd::AlignedVector<std::uint64_t>(num_vars_ * cap, 0);
+        grown = std::vector<std::uint64_t>(num_vars_ * cap, 0);
       });
   for (std::size_t v = 0; v < num_vars_; ++v) {
     const std::uint64_t* src = data_.data() + v * words_cap_;

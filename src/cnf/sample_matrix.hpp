@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cnf/cnf.hpp"
-#include "util/simd.hpp"
 
 namespace manthan::cnf {
 
@@ -53,9 +52,6 @@ class SampleMatrix {
   /// (s % 64) of word (s / 64). Bits at positions >= num_samples() in the
   /// last word are always zero, so popcounts over (column & column) terms
   /// need no masking; complemented terms must be masked with tail_mask().
-  /// Every column pointer is 64-byte aligned (storage is aligned and
-  /// words_cap_ is kept a multiple of 8), so vector kernels never straddle
-  /// a cache line.
   const std::uint64_t* column(Var v) const {
     return data_.data() + static_cast<std::size_t>(v) * words_cap_;
   }
@@ -81,10 +77,9 @@ class SampleMatrix {
   std::size_t num_vars_ = 0;
   std::size_t num_samples_ = 0;
   /// Words allocated per column; column v occupies
-  /// data_[v * words_cap_ .. v * words_cap_ + words_cap_). Always a
-  /// multiple of 8 (one 64-byte line) so every column starts aligned.
+  /// data_[v * words_cap_ .. v * words_cap_ + words_cap_).
   std::size_t words_cap_ = 0;
-  util::simd::AlignedVector<std::uint64_t> data_;
+  std::vector<std::uint64_t> data_;
 };
 
 /// 64-bit fingerprint of the first `num_vars` values of `a` (splitmix64

@@ -22,11 +22,9 @@
 #include "obs/trace.hpp"
 #include "sat/solver.hpp"
 #include "util/budget.hpp"
-#include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/scheduler.hpp"
-#include "util/simd.hpp"
 
 namespace manthan::core {
 
@@ -58,6 +56,12 @@ constexpr std::uint64_t kRestartSalt = 0x52455354415254ULL;  // "RESTART"
 // spent kRestartUnit * luby(r + 1) counterexamples.
 constexpr std::size_t kMaxNoProgressRounds = 12;
 constexpr std::size_t kRestartUnit = 32;
+
+// Refit trigger of cross-round sample reuse: a candidate's error rate over
+// the rows appended since its last fit is measured once at least
+// kRefitMinFreshRows of them arrived, and reaching kRefitErrorRate refits it.
+constexpr std::size_t kRefitMinFreshRows = 16;
+constexpr double kRefitErrorRate = 0.05;
 
 /// The Luby, Sinclair & Zuckerman sequence 1, 1, 2, 1, 1, 2, 4, 1, ...
 /// (1-based): the restart schedule that is within a log factor of the
@@ -180,15 +184,17 @@ std::size_t packed_mismatches_since(const std::vector<std::uint64_t>& sim,
   const std::size_t words = samples.num_words();
   std::size_t w = from_row >> 6;
   if (w >= words) return 0;
-  const util::simd::Kernels& kernels = util::simd::kernels();
   std::size_t count = 0;
   if ((from_row & 63) != 0) {
     const std::uint64_t diff =
         (sim[w] ^ label[w]) & ~((1ULL << (from_row & 63)) - 1);
-    count += kernels.popcount(&diff, 1);
+    count += static_cast<std::size_t>(__builtin_popcountll(diff));
     ++w;
   }
-  return count + kernels.popcount_xor(sim.data() + w, label + w, words - w);
+  for (; w < words; ++w) {
+    count += static_cast<std::size_t>(__builtin_popcountll(sim[w] ^ label[w]));
+  }
+  return count;
 }
 
 /// Seed-independent analysis of one synthesize() call, shared by all of
@@ -651,31 +657,26 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
 
   // Cross-round sample reuse, refit side: batch-evaluate live candidates
   // over the packed matrix with the 64-way AIG simulator and refit exactly
-  // those that now disagree with the data. Two trigger policies:
-  //   * adaptive (default): each candidate tracks the row count of its own
-  //     last fit; once adaptive_refit_min_fresh rows arrived since then,
-  //     its error rate over those fresh rows is measured every round (the
-  //     batch simulation is cheap), and clearing adaptive_refit_error_rate
-  //     triggers a refit of exactly the drifted candidates;
-  //   * legacy (adaptive_refit = false): wait until the whole matrix grew
-  //     ~50% since the last global screen, then refit any candidate that
-  //     disagrees with a fresh row.
+  // those that now disagree with the data. Each candidate tracks the row
+  // count of its own last fit; once kRefitMinFreshRows rows arrived since
+  // then, its error rate over those fresh rows is measured every round
+  // (the batch simulation is cheap), and reaching kRefitErrorRate triggers
+  // a refit of exactly the drifted candidates. A no-progress round forces
+  // a screen of the whole matrix instead.
   // The refreshed candidates re-enter verification unchanged in soundness
   // terms — only a verify-UNSAT certifies the vector.
+  //
+  // Matrix row count at the last forced screen.
   std::size_t last_fit_samples = samples.num_samples();
   // Per-candidate watermark: matrix row count at the candidate's last
-  // (re)fit or last clean screen (adaptive policy only).
+  // (re)fit or last clean screen.
   std::vector<std::size_t> last_fit_rows(m, samples.num_samples());
   const auto maybe_refit = [&](bool force) {
     if (!options.sample_reuse) return;
     const std::size_t now = samples.num_samples();
-    if (force || !options.adaptive_refit) {
-      const std::size_t grown = now - last_fit_samples;
-      if (grown == 0) return;
-      // Periodic legacy refits wait for ~50% fresh data; a stuck round
-      // refits on whatever arrived.
-      if (!force && 2 * grown < last_fit_samples) return;
-    }
+    // A stuck round refits on whatever arrived since the last forced
+    // screen, but only if something did.
+    if (force && now == last_fit_samples) return;
     obs::Span span("refit", "phase", trace_id);
     // Staleness screen. Periodic refits only touch candidates that
     // mis-predict rows appended since their last fit: mismatches on older
@@ -687,8 +688,7 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     // escape hatch that converts budget-exhausting families into
     // certified ones; see bench/micro_core BM_ReuseRefit*).
     std::vector<std::size_t> refit_jobs;
-    bool adaptive_trigger = false;
-    if (!force && options.adaptive_refit) {
+    if (!force) {
       for (const std::size_t i : jobs) {
         // A screen pass is real work (matrix simulations); keep the PR-3
         // contract that cancellation/timeout is observed with bounded
@@ -696,7 +696,7 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
         // the watermarks untouched — the loop head reports kTimeout next.
         if (deadline.expired()) return;
         const std::size_t fresh = now - last_fit_rows[i];
-        if (fresh < options.adaptive_refit_min_fresh) continue;
+        if (fresh < kRefitMinFreshRows) continue;
         const std::vector<std::uint64_t> sim =
             aig::simulate_matrix(manager, f[i], samples);
         const std::size_t mismatches = packed_mismatches_since(
@@ -706,20 +706,17 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
           // measured only over rows this candidate has not yet absorbed.
           last_fit_rows[i] = now;
         } else if (static_cast<double>(mismatches) >=
-                   options.adaptive_refit_error_rate *
-                       static_cast<double>(fresh)) {
+                   kRefitErrorRate * static_cast<double>(fresh)) {
           refit_jobs.push_back(i);
         }
       }
-      adaptive_trigger = !refit_jobs.empty();
     } else {
-      const std::size_t screen_from = force ? 0 : last_fit_samples;
       for (const std::size_t i : jobs) {
         if (deadline.expired()) return;
         const std::vector<std::uint64_t> sim =
             aig::simulate_matrix(manager, f[i], samples);
         if (packed_mismatches_since(sim, samples.column(ex[i].var), samples,
-                                    screen_from) != 0) {
+                                    0) != 0) {
           refit_jobs.push_back(i);
         }
       }
@@ -748,7 +745,7 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
       feature_refs[i].resize(keep);
     }
     ++stats.refit_rounds;
-    if (adaptive_trigger) ++stats.adaptive_refits;
+    if (!force) ++stats.adaptive_refits;
     run_fits(refit_jobs, stats.refit_rounds);
     // Adopt with a cycle guard: edges recorded while adopting earlier
     // batch-mates can invalidate a feature this tree was fitted with; a
@@ -1007,8 +1004,7 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
         // session — stream it into the training matrix so the next refit
         // sees the repair neighborhood, not just the per-counterexample
         // MaxSAT points.
-        if (options.sample_reuse && options.stream_gk_samples &&
-            append_sample(rho)) {
+        if (options.sample_reuse && append_sample(rho)) {
           ++stats.gk_streamed_samples;
         }
         for (std::size_t t = 0; t < m; ++t) {
@@ -1088,10 +1084,6 @@ Manthan3::Manthan3(Manthan3Options options) : options_(options) {}
 SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
                                      aig::Aig& manager) {
   util::Timer total_timer;
-  // Chaos-testing hook: replay a deterministic fault schedule for this
-  // call. Counters reset here, so the schedule indexes polls from the
-  // start of synthesize(), across all attempts.
-  if (!options_.fault_spec.empty()) util::fault::install(options_.fault_spec);
   const util::Deadline deadline(options_.time_limit_seconds, options_.cancel);
   obs::Span run_span("synthesize", "phase", options_.trace_id);
   Call call{options_, formula, manager, deadline, std::nullopt,

@@ -52,7 +52,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -110,31 +109,16 @@ struct Manthan3Options {
   /// Cross-round sample reuse: append every repair counterexample's
   /// φ-extension π and each MaxSAT-corrected σ to the training matrix
   /// (fingerprint-deduped), and refit candidates that disagree with the
-  /// refreshed data — screened by 64-way AIG simulation over the matrix —
-  /// when the matrix has grown substantially or a verification round made
-  /// no repair progress. Later refits therefore train on
-  /// counterexample-corrected data instead of the stale round-0 samples.
+  /// refreshed data — screened by 64-way AIG simulation over the matrix.
+  /// Every G_k-SAT model ρ (a full model of φ from an already-hot solver
+  /// session) is appended too, so refits see the repair neighborhood of
+  /// the counterexample. Every round, each candidate with at least 16 rows
+  /// appended since its own last fit is batch-simulated over them and
+  /// refit when its error rate there reaches 5%; a verification round
+  /// that made no repair progress screens the whole matrix instead. Later
+  /// refits therefore train on counterexample-corrected data instead of
+  /// the stale round-0 samples.
   bool sample_reuse = true;
-  /// Streaming sample harvest (sample_reuse only): when a repair G_k query
-  /// comes back SAT, its model ρ is a full model of φ produced by a solver
-  /// session that is already hot — append it to the training matrix
-  /// (fingerprint-deduped) instead of discarding it. Later refits then see
-  /// the repair neighborhood of the counterexample, not just the one
-  /// MaxSAT-corrected point per round.
-  bool stream_gk_samples = true;
-  /// Refit trigger policy (sample_reuse only). true = adaptive: every
-  /// round, each candidate with at least adaptive_refit_min_fresh rows
-  /// appended since its own last fit is batch-simulated over the matrix
-  /// (cheap — the SIMD data path), and is refit when its error rate over
-  /// those fresh rows reaches adaptive_refit_error_rate. false = legacy
-  /// global policy: screen only after the whole matrix grew ~50% since
-  /// the previous screen. No-progress rounds force a full-matrix screen
-  /// under either policy.
-  bool adaptive_refit = true;
-  /// Minimum fresh rows before a candidate's error rate is measured.
-  std::size_t adaptive_refit_min_fresh = 16;
-  /// Fresh-row error rate at which a candidate is refit.
-  double adaptive_refit_error_rate = 0.05;
   /// Inter-round maintenance on the persistent solvers (incremental
   /// pipeline only): every `inprocess_interval` counterexamples, run SAT
   /// inprocessing (occurrence-list subsumption + self-subsumption,
@@ -162,13 +146,6 @@ struct Manthan3Options {
   /// of concurrent requests can be told apart; 0 = untagged. Telemetry
   /// only — never feeds the derive_seed streams.
   std::uint64_t trace_id = 0;
-  /// Fault-injection schedule (util/fault.hpp spec grammar) installed
-  /// into the process-global injector at the start of synthesize(),
-  /// resetting its poll counters — so a single run replays the schedule
-  /// deterministically. Empty = leave the injector alone (it may still be
-  /// active via fault::install() or MANTHAN_FAULTS). Chaos testing only;
-  /// concurrent runs share the one global injector.
-  std::string fault_spec;
 };
 
 enum class SynthesisStatus {
@@ -243,19 +220,19 @@ struct SynthesisStats {
   /// Counterexample-derived samples appended to the training matrix
   /// (π extensions and MaxSAT-corrected σ, deduped by fingerprint).
   std::size_t samples_appended = 0;
-  /// Refit passes triggered by matrix growth / no-progress rounds.
+  /// Refit passes triggered by the error-rate screen / no-progress rounds.
   std::size_t refit_rounds = 0;
   /// Refit candidates adopted across all passes. Screened twice: only
   /// candidates whose packed-sim predictions disagree with rows appended
   /// since their last fit are refit, and a refit whose support would
   /// create a dependency cycle is rejected (its predecessor stays).
   std::size_t refit_candidates = 0;
-  /// G_k-SAT models streamed into the matrix (stream_gk_samples; subset
-  /// of samples_appended).
+  /// G_k-SAT models streamed into the matrix (subset of
+  /// samples_appended).
   std::size_t gk_streamed_samples = 0;
   /// Refit passes triggered by the adaptive per-candidate error-rate
-  /// policy (subset of refit_rounds; forced no-progress refits and legacy
-  /// growth-triggered refits are not counted here).
+  /// policy (subset of refit_rounds; forced no-progress refits are not
+  /// counted here).
   std::size_t adaptive_refits = 0;
   // --- tier-2 analysis cache (zero when analysis_cache is null) -----------
   /// Padoa verdicts answered from the cache (SAT checks skipped).

@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace manthan::dtree {
 
@@ -156,7 +155,7 @@ DecisionTree DecisionTree::fit(const cnf::SampleMatrix& data,
   // Root active mask: every sample. Column tail bits beyond num_samples()
   // are zero by construction, so child masks (active & col, active & ~col)
   // never resurrect tail bits once the root mask clears them.
-  util::simd::AlignedVector<std::uint64_t> active(words, ~0ULL);
+  std::vector<std::uint64_t> active(words, ~0ULL);
   active[words - 1] = data.tail_mask();
   tree.build_packed(cols, data.column(label_var), words, active, 0, options);
   return tree;
@@ -180,18 +179,28 @@ constexpr std::size_t kSparseRowsPerWord = 2;
 // this.
 std::int32_t DecisionTree::build_packed(
     const std::vector<const std::uint64_t*>& cols, const std::uint64_t* label,
-    std::size_t words, const util::simd::AlignedVector<std::uint64_t>& active,
+    std::size_t words, const std::vector<std::uint64_t>& active,
     std::size_t depth, const DtreeOptions& options) {
-  const util::simd::Kernels& kernels = util::simd::kernels();
+  // popcount(active) and popcount(active & label): the node's counts.
   std::size_t total = 0;
   std::size_t positives = 0;
-  kernels.count_node(active.data(), label, words, &total, &positives);
+  for (std::size_t w = 0; w < words; ++w) {
+    total += static_cast<std::size_t>(__builtin_popcountll(active[w]));
+    positives +=
+        static_cast<std::size_t>(__builtin_popcountll(active[w] & label[w]));
+  }
   if (total < kSparseRowsPerWord * words) {
     // Sparse node: unpack the mask into row indices once and count by
     // row from here down.
     std::vector<std::uint32_t> indices;
     indices.reserve(total);
-    util::simd::collect_set_bits(active.data(), words, indices);
+    for (std::size_t w = 0; w < words; ++w) {
+      const auto base = static_cast<std::uint32_t>(w << 6);
+      for (std::uint64_t bits = active[w]; bits != 0; bits &= bits - 1) {
+        indices.push_back(base +
+                          static_cast<std::uint32_t>(__builtin_ctzll(bits)));
+      }
+    }
     return build_sparse(cols, label, indices, depth, options);
   }
   const bool majority = positives * 2 >= total;
@@ -210,19 +219,25 @@ std::int32_t DecisionTree::build_packed(
       cols.size(), total, positives, depth, options,
       [&](std::size_t f, std::size_t& hi_total, std::size_t& hi_pos) {
         // popcount(active & col) and popcount(active & col & label): the
-        // (hi_total, hi_pos) split statistics of one feature, fused in
-        // one pass through the active kernel tier.
-        kernels.count_split(active.data(), cols[f], label, words, &hi_total,
-                            &hi_pos);
+        // (hi_total, hi_pos) split statistics of one feature, in one pass.
+        const std::uint64_t* col = cols[f];
+        for (std::size_t w = 0; w < words; ++w) {
+          const std::uint64_t hi = active[w] & col[w];
+          hi_total += static_cast<std::size_t>(__builtin_popcountll(hi));
+          hi_pos +=
+              static_cast<std::size_t>(__builtin_popcountll(hi & label[w]));
+        }
       });
   if (best_feature < 0) return make_leaf(majority);
 
   const std::uint64_t* best_col =
       cols[static_cast<std::size_t>(best_feature)];
-  util::simd::AlignedVector<std::uint64_t> lo_active(words);
-  util::simd::AlignedVector<std::uint64_t> hi_active(words);
-  kernels.split_masks(active.data(), best_col, hi_active.data(),
-                      lo_active.data(), words);
+  std::vector<std::uint64_t> lo_active(words);
+  std::vector<std::uint64_t> hi_active(words);
+  for (std::size_t w = 0; w < words; ++w) {
+    hi_active[w] = active[w] & best_col[w];
+    lo_active[w] = active[w] & ~best_col[w];
+  }
   const auto id = static_cast<std::int32_t>(nodes_.size());
   nodes_.push_back({best_feature, -1, -1, false});
   const std::int32_t lo =

@@ -11,9 +11,7 @@
 //   * the packed path consumes a cnf::SampleMatrix view directly — split
 //     statistics are popcounts over (active & column [& label]) words,
 //     with one active-row bitmask per tree node, so a feature scan costs
-//     features x words instead of features x samples bit reads; the word
-//     loops run through the runtime-dispatched util::simd kernels
-//     (scalar/AVX2/AVX-512, all bit-identical);
+//     features x words instead of features x samples bit reads;
 //   * the row-wise path over std::vector<bool> rows is kept as the
 //     differential oracle (and for callers without packed data). Counts,
 //     Gini arithmetic, tie-break rotation, and recursion order match the
@@ -96,7 +94,7 @@ class DecisionTree {
                      const DtreeOptions& options);
   std::int32_t build_packed(const std::vector<const std::uint64_t*>& cols,
                             const std::uint64_t* label, std::size_t words,
-                            const util::simd::AlignedVector<std::uint64_t>& active,
+                            const std::vector<std::uint64_t>& active,
                             std::size_t depth, const DtreeOptions& options);
   std::int32_t build_sparse(const std::vector<const std::uint64_t*>& cols,
                             const std::uint64_t* label,

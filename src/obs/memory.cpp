@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "obs/metrics.hpp"
-#include "util/simd.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -52,13 +51,6 @@ void register_process_metrics(Registry& registry) {
   });
   registry.register_callback_gauge("process_rss_bytes", [] {
     return static_cast<double>(current_rss_bytes());
-  });
-  // Active SIMD dispatch tier of the packed data path (0 = scalar,
-  // 1 = AVX2, 2 = AVX-512) — lets dashboards and archived bench snapshots
-  // tell machine tiers apart.
-  registry.register_callback_gauge("simd_active_tier", [] {
-    return static_cast<double>(
-        static_cast<int>(util::simd::active_tier()));
   });
 }
 

@@ -4,7 +4,6 @@
 
 #include "obs/trace.hpp"
 #include "sat/solver.hpp"
-#include "util/simd.hpp"
 
 namespace manthan::sampler {
 
@@ -13,7 +12,12 @@ namespace {
 /// Population count of variable `v`'s packed column (tail bits are zero by
 /// construction, so no masking is needed).
 std::size_t column_popcount(const cnf::SampleMatrix& m, Var v) {
-  return util::simd::kernels().popcount(m.column(v), m.num_words());
+  const std::uint64_t* col = m.column(v);
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < m.num_words(); ++w) {
+    count += static_cast<std::size_t>(__builtin_popcountll(col[w]));
+  }
+  return count;
 }
 
 }  // namespace

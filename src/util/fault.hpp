@@ -13,9 +13,9 @@
 // The injector is compiled in always, with the PR-8 span discipline for
 // the idle path: when no schedule is installed, poll() is one relaxed
 // atomic load and a predictable branch. Enable programmatically with
-// install(), per run via Manthan3Options::fault_spec, or for a whole
-// process via the MANTHAN_FAULTS environment variable (read once, on the
-// first poll).
+// install() (which resets the poll counters, so installing right before a
+// run replays its schedule), or for a whole process via the MANTHAN_FAULTS
+// environment variable (read once, on the first poll).
 //
 // Spec grammar (semicolon-separated entries):
 //   spec  := entry (';' entry)*

@@ -320,10 +320,12 @@ struct RunOutcome {
 RunOutcome run_manthan3_with_faults(const std::string& spec) {
   core::Manthan3Options options;
   options.time_limit_seconds = 30.0;
-  options.fault_spec = spec;
   core::Manthan3 engine(options);
   aig::Aig manager;
   const dqbf::DqbfFormula f = testutil::paper_example();
+  // install() resets the poll counters, so the schedule indexes polls from
+  // the start of synthesize().
+  fault::install(spec);
   const core::SynthesisResult result = engine.synthesize(f, manager);
   return {result.status, fault::total_fires()};
 }

@@ -327,5 +327,41 @@ TEST(IncrementalPipeline, RepairHeavyRunExercisesRetirement) {
   }
 }
 
+TEST(IncrementalPipeline, NestedPlantedFourWorkersMatchSerial) {
+  // Counterexample-heavy nested-dependency instance, so the streaming
+  // sample-append and adaptive-refit paths run under the learning fan-out
+  // (the TSan job runs this suite). Seed 10 takes 161 counterexamples;
+  // seed 42 certifies this instance without any.
+  workloads::PlantedParams params{12, 6, 4, 6, 80, 7};
+  params.nested_deps = true;
+  params.dep_size_max = 10;
+  const dqbf::DqbfFormula f = workloads::gen_planted(params);
+  aig::Aig serial_manager;
+  const core::SynthesisResult serial =
+      run_engine(f, serial_manager, /*incremental=*/true, 1, 10);
+  EXPECT_GT(serial.stats.gk_streamed_samples, 0u);
+  EXPECT_GT(serial.stats.adaptive_refits, 0u);
+  aig::Aig parallel_manager;
+  const core::SynthesisResult parallel =
+      run_engine(f, parallel_manager, /*incremental=*/true, 4, 10);
+  ASSERT_EQ(parallel.status, serial.status);
+  EXPECT_EQ(parallel.vector.functions, serial.vector.functions);
+  EXPECT_EQ(parallel.stats.samples, serial.stats.samples);
+  EXPECT_EQ(parallel.stats.learned_candidates,
+            serial.stats.learned_candidates);
+  EXPECT_EQ(parallel.stats.counterexamples, serial.stats.counterexamples);
+  EXPECT_EQ(parallel.stats.repairs, serial.stats.repairs);
+  EXPECT_EQ(parallel.stats.repair_checks, serial.stats.repair_checks);
+  EXPECT_EQ(parallel.stats.maxsat_calls, serial.stats.maxsat_calls);
+  EXPECT_EQ(parallel.stats.cones_encoded, serial.stats.cones_encoded);
+  EXPECT_EQ(parallel.stats.cones_reused, serial.stats.cones_reused);
+  EXPECT_EQ(parallel.stats.samples_appended, serial.stats.samples_appended);
+  EXPECT_EQ(parallel.stats.gk_streamed_samples,
+            serial.stats.gk_streamed_samples);
+  EXPECT_EQ(parallel.stats.refit_rounds, serial.stats.refit_rounds);
+  EXPECT_EQ(parallel.stats.refit_candidates, serial.stats.refit_candidates);
+  EXPECT_EQ(parallel.stats.adaptive_refits, serial.stats.adaptive_refits);
+}
+
 }  // namespace
 }  // namespace manthan

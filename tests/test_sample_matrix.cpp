@@ -11,7 +11,6 @@
 #include "aig/aig_sim.hpp"
 #include "cnf/sample_matrix.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace manthan::cnf {
 namespace {
@@ -25,16 +24,18 @@ Assignment random_assignment(std::size_t num_vars, util::Rng& rng) {
 }
 
 TEST(SampleMatrix, RoundTripsRowsAcrossWordBoundaries) {
-  // 200 samples x 13 vars: crosses three 64-sample word boundaries.
+  // 600 samples x 13 vars: crosses nine 64-sample word boundaries and one
+  // capacity doubling (8 -> 16 words per column), which must keep every
+  // earlier row.
   util::Rng rng(3);
   SampleMatrix m(13);
   std::vector<Assignment> rows;
-  for (int s = 0; s < 200; ++s) {
+  for (int s = 0; s < 600; ++s) {
     rows.push_back(random_assignment(13, rng));
     m.append(rows.back());
   }
-  ASSERT_EQ(m.num_samples(), 200u);
-  EXPECT_EQ(m.num_words(), 4u);
+  ASSERT_EQ(m.num_samples(), 600u);
+  EXPECT_EQ(m.num_words(), 10u);
   for (std::size_t s = 0; s < rows.size(); ++s) {
     EXPECT_EQ(m.row(s), rows[s]) << "sample " << s;
     for (Var v = 0; v < 13; ++v) {
@@ -74,34 +75,6 @@ TEST(SampleMatrix, TailMaskFullWhenAligned) {
   for (int s = 0; s < 64; ++s) m.append(Assignment(2, true));
   EXPECT_EQ(m.num_words(), 1u);
   EXPECT_EQ(m.tail_mask(), ~0ULL);
-}
-
-TEST(SampleMatrix, ColumnsStay64ByteAlignedAcrossGrowth) {
-  // The SIMD kernels are fed column pointers directly; the storage promise
-  // is that every column starts on a cache line (capacity is always a
-  // multiple of 8 words), and growth must re-establish it.
-  util::Rng rng(19);
-  SampleMatrix m(9);
-  std::vector<Assignment> rows;
-  for (int s = 0; s < 2000; ++s) {
-    rows.push_back(random_assignment(9, rng));
-    m.append(rows.back());
-    if (s % 257 == 0 || s == 1999) {
-      for (Var v = 0; v < 9; ++v) {
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.column(v)) %
-                      util::simd::kAlignBytes,
-                  0u)
-            << "after " << s + 1 << " samples, column " << v;
-      }
-    }
-  }
-  // Growth preserved every previously appended row and the tail invariant.
-  for (std::size_t s = 0; s < rows.size(); ++s) {
-    ASSERT_EQ(m.row(s), rows[s]) << "sample " << s;
-  }
-  for (Var v = 0; v < 9; ++v) {
-    EXPECT_EQ(m.column(v)[m.num_words() - 1] & ~m.tail_mask(), 0u);
-  }
 }
 
 TEST(SampleMatrix, AppendRejectsUndersizedAssignments) {
@@ -204,8 +177,8 @@ TEST(SimulateMatrix, MatchesScalarEvaluation) {
 }
 
 TEST(SimulateMatrix, TailBitsAreZeroInTheReturnedWords) {
-  // Contract since the SIMD restructure: simulate_matrix masks the final
-  // word before returning, so callers may popcount the result directly.
+  // Contract: simulate_matrix masks the final word before returning, so
+  // callers may popcount the result directly.
   util::Rng rng(29);
   aig::Aig manager;
   const aig::Ref root = random_cone(manager, 6, 20, rng);

@@ -177,95 +177,15 @@ void BM_SatXorFamilyMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_SatXorFamilyMatrix)->Arg(64)->Arg(512);
 
-// --- inter-solve inprocessing ----------------------------------------------
-
-/// Inprocessing on/off series over the planted-family matrix: one session
-/// loads the matrix, optionally runs an inprocess pass, then answers a
-/// fixed batch of assumption queries (the verify/repair access pattern).
-/// arena_bytes reports the post-session clause-database footprint so the
-/// subsumption/BVE shrink is visible next to the time series.
-void BM_SatInprocessPlanted(benchmark::State& state) {
-  manthan::workloads::PlantedParams params;
-  params.num_universals = 20;
-  params.num_existentials = 10;
-  params.dep_size = 5;
-  params.function_gates = 10;
-  params.num_clauses = static_cast<std::size_t>(state.range(0));
-  params.seed = 5;
-  const manthan::dqbf::DqbfFormula dqbf =
-      manthan::workloads::gen_planted(params);
-  const CnfFormula& f = dqbf.matrix();
-  const bool inprocess = state.range(1) != 0;
-  std::uint64_t arena_bytes = 0;
-  for (auto _ : state) {
-    manthan::util::Rng rng(23);
-    manthan::sat::Solver s;
-    s.add_formula(f);
-    s.freeze_range(0, 8);
-    if (inprocess) s.inprocess();
-    for (int q = 0; q < 8; ++q) {
-      std::vector<Lit> assumptions;
-      for (Var v = 0; v < 8; ++v) assumptions.push_back(Lit(v, rng.flip()));
-      benchmark::DoNotOptimize(s.solve(assumptions));
-    }
-    arena_bytes = s.stats().arena_bytes;
-  }
-  state.counters["arena_bytes"] = static_cast<double>(arena_bytes);
-  manthan::bench::report_memory_counters(state);
-}
-BENCHMARK(BM_SatInprocessPlanted)
-    ->Args({800, 0})
-    ->Args({800, 1})
-    ->Args({3200, 0})
-    ->Args({3200, 1});
-
-/// Inprocessing on/off series over the xor-family matrix: same session
-/// shape as the planted series; xor chains leave little for subsumption
-/// but vivification still trims implied tails.
-void BM_SatInprocessXorFamily(benchmark::State& state) {
-  manthan::workloads::XorChainParams params;
-  params.num_pairs = static_cast<std::size_t>(state.range(0));
-  params.xor_with_shared = true;
-  params.seed = 3;
-  const manthan::dqbf::DqbfFormula dqbf =
-      manthan::workloads::gen_xor_chain(params);
-  const CnfFormula& f = dqbf.matrix();
-  const bool inprocess = state.range(1) != 0;
-  std::uint64_t arena_bytes = 0;
-  for (auto _ : state) {
-    manthan::util::Rng rng(29);
-    manthan::sat::Solver s;
-    s.add_formula(f);
-    s.freeze_range(0, 8);
-    if (inprocess) s.inprocess();
-    for (int q = 0; q < 8; ++q) {
-      std::vector<Lit> assumptions;
-      for (Var v = 0; v < 8; ++v) assumptions.push_back(Lit(v, rng.flip()));
-      benchmark::DoNotOptimize(s.solve(assumptions));
-    }
-    arena_bytes = s.stats().arena_bytes;
-  }
-  state.counters["arena_bytes"] = static_cast<double>(arena_bytes);
-  manthan::bench::report_memory_counters(state);
-}
-BENCHMARK(BM_SatInprocessXorFamily)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({512, 0})
-    ->Args({512, 1});
-
-/// Daemon-length variable churn: rounds of fresh selector variables with
-/// guarded clauses, retire, and (when enabled) inprocess + compact. The
-/// remapper keeps the live variable range bounded; without it the solver
-/// drags every dead selector through watches and the order heap.
-void BM_SatRetireCompactChurn(benchmark::State& state) {
-  const bool maintain = state.range(0) != 0;
-  std::uint64_t reclaimed = 0;
+/// Long-session variable churn: rounds of fresh selector variables with
+/// guarded clauses, each solved once and retired. Every dead selector
+/// keeps its slot, so this prices what a session pays for never
+/// renumbering.
+void BM_SatRetireChurn(benchmark::State& state) {
   for (auto _ : state) {
     manthan::sat::Solver s;
     const CnfFormula base = random_3sat(40, 3.0, 41);
     s.add_formula(base);
-    s.freeze_range(0, 40);
     for (int round = 0; round < 64; ++round) {
       const Lit act = manthan::cnf::pos(s.new_var());
       for (Var v = 0; v < 6; ++v) {
@@ -275,16 +195,10 @@ void BM_SatRetireCompactChurn(benchmark::State& state) {
       }
       benchmark::DoNotOptimize(s.solve({act}));
       s.retire(act);
-      if (maintain && round % 8 == 7) {
-        s.inprocess();
-        s.compact();
-      }
     }
-    reclaimed = s.stats().remapped_vars;
   }
-  state.counters["reclaimed_vars"] = static_cast<double>(reclaimed);
 }
-BENCHMARK(BM_SatRetireCompactChurn)->Arg(0)->Arg(1);
+BENCHMARK(BM_SatRetireChurn);
 
 /// Learnt-clause churn: an unsatisfiable over-constrained instance drives
 /// thousands of conflicts through clause learning, database reduction and

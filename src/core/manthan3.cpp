@@ -79,7 +79,8 @@ std::size_t luby(std::size_t i) {
 /// max. total_seconds is set once for the whole call by the caller.
 void merge_stats(SynthesisStats& into, const SynthesisStats& from) {
   // A new SynthesisStats field must be merged here (sum or max).
-  static_assert(sizeof(SynthesisStats) == 31 * sizeof(std::size_t) +
+  // inprocess_runs is the one exception: it is always 0.
+  static_assert(sizeof(SynthesisStats) == 27 * sizeof(std::size_t) +
                                             5 * sizeof(double) +
                                             6 * sizeof(std::uint64_t),
                 "merge_stats does not cover every SynthesisStats field");
@@ -110,11 +111,6 @@ void merge_stats(SynthesisStats& into, const SynthesisStats& from) {
   sum(&SynthesisStats::verify_clauses_retired);
   max(&SynthesisStats::phi_vars);
   sum(&SynthesisStats::phi_clauses_retired);
-  sum(&SynthesisStats::inprocess_runs);
-  sum(&SynthesisStats::eliminated_vars);
-  sum(&SynthesisStats::subsumed_clauses);
-  sum(&SynthesisStats::vivified_literals);
-  sum(&SynthesisStats::remapped_vars);
   sum(&SynthesisStats::samples_appended);
   sum(&SynthesisStats::refit_rounds);
   sum(&SynthesisStats::refit_candidates);
@@ -373,15 +369,6 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
         static_cast<std::size_t>(phi_stats.retired_clauses);
     stats.activations_retired =
         static_cast<std::size_t>(phi_stats.retired_activations);
-    const auto add_maintenance = [&stats](const sat::SolverStats& s) {
-      stats.inprocess_runs += static_cast<std::size_t>(s.inprocess_runs);
-      stats.eliminated_vars += static_cast<std::size_t>(s.eliminated_vars);
-      stats.subsumed_clauses += static_cast<std::size_t>(s.subsumed_clauses);
-      stats.vivified_literals +=
-          static_cast<std::size_t>(s.vivified_literals);
-      stats.remapped_vars += static_cast<std::size_t>(s.remapped_vars);
-    };
-    add_maintenance(phi_stats);
     if (verifier.has_value()) {
       const dqbf::IncrementalRefutation::Stats& vstats = verifier->stats();
       stats.cones_encoded = static_cast<std::size_t>(vstats.cones_encoded);
@@ -395,7 +382,6 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
       stats.verify_clauses_retired =
           static_cast<std::size_t>(vs.retired_clauses);
       stats.verify_arena_bytes = vs.arena_bytes;
-      add_maintenance(vs);
     }
     stats.sample_matrix_bytes = samples.bytes();
     stats.phi_arena_bytes = phi_stats.arena_bytes;
@@ -630,24 +616,6 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
   }
   maxsat::IncrementalMaxSat repair_maxsat(phi_solver);
 
-  // Inter-round solver maintenance (incremental pipeline only): both
-  // persistent solvers inprocess + compact every inprocess_interval
-  // counterexamples. The φ solver's matrix block is its interface —
-  // extension checks assume X units and G_k queries assume H_k/Ŷ units
-  // over it every round — so it stays out of variable elimination.
-  const bool maintain_solvers = options.incremental && options.inprocess &&
-                                options.inprocess_interval > 0;
-  if (maintain_solvers) phi_solver.freeze_range(0, matrix.num_vars());
-  std::size_t next_maintenance =
-      maintain_solvers ? options.inprocess_interval : 0;
-  const auto maybe_maintain = [&] {
-    if (!maintain_solvers || stats.counterexamples < next_maintenance) return;
-    next_maintenance = stats.counterexamples + options.inprocess_interval;
-    obs::Span span("inprocess", "phase", trace_id);
-    verifier->maintain(options.cancel);
-    repair_maxsat.maintain(options.cancel);
-  };
-
   // Repair of last resort: the decision-list entries (H_k-cube → value)
   // this attempt prepended from the arbiter expansion, and the arbiters
   // whose cubes it has recorded. Entries mention only H_k, so they are
@@ -793,7 +761,6 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     }
     if (stats.counterexamples >= limits.cap) return end(AttemptEnd::kCap);
     maybe_refit(/*force=*/false);
-    maybe_maintain();
 
     phase_timer.reset();
     // Vary the search seed per round so a stuck repair sees a different

@@ -49,6 +49,11 @@
 // model satisfies it there, so some arbiter disagrees with some
 // undefined candidate and a patch lands (unique definitions agree with
 // every model). Attempts end on their cap instead, and the call on kLimit.
+//
+// Each attempt owns its incremental SAT solvers for its whole life: the φ
+// solver that the MaxSAT and G_k queries share and, when `incremental` is
+// set, the verify solver. Neither is simplified between rounds; the next
+// attempt starts with fresh ones, which is what bounds their size.
 #pragma once
 
 #include <cstdint>
@@ -119,17 +124,6 @@ struct Manthan3Options {
   /// refits therefore train on counterexample-corrected data instead of
   /// the stale round-0 samples.
   bool sample_reuse = true;
-  /// Inter-round maintenance on the persistent solvers (incremental
-  /// pipeline only): every `inprocess_interval` counterexamples, run SAT
-  /// inprocessing (occurrence-list subsumption + self-subsumption,
-  /// bounded variable elimination, clause vivification) and variable-range
-  /// compaction on the verify solver and the shared φ/MaxSAT solver.
-  /// Retired activation scopes, dead Tseitin cones, and recycled MaxSAT
-  /// round variables are reclaimed, so daemon-length runs stop leaking
-  /// variable ids. Sound by construction: interface variables are frozen
-  /// and the remapper translates models/cores back to stable numbering.
-  bool inprocess = true;
-  std::size_t inprocess_interval = 32;
   /// Cross-instance analysis cache (the service's tier 2): unique-def
   /// Padoa verdicts and the dependency ⊆/= relations are looked up by
   /// canonical fingerprints before being recomputed, and computed results
@@ -204,18 +198,9 @@ struct SynthesisStats {
   std::size_t phi_vars = 0;
   /// Clause records reclaimed by retirement in the φ/MaxSAT solver.
   std::size_t phi_clauses_retired = 0;
-  // --- solver maintenance (zero when inprocess = false or the oracle
-  // pipeline runs) ---------------------------------------------------------
-  /// Inprocessing passes across the verify and φ/MaxSAT solvers.
+  /// Always 0 (the solvers have no inprocessing); kept because the
+  /// benchmark driver in perfbench/ still reads it.
   std::size_t inprocess_runs = 0;
-  /// Variables removed by bounded variable elimination (both solvers).
-  std::size_t eliminated_vars = 0;
-  /// Clauses removed by occurrence-list subsumption (both solvers).
-  std::size_t subsumed_clauses = 0;
-  /// Literals removed by clause vivification (both solvers).
-  std::size_t vivified_literals = 0;
-  /// Internal variable slots reclaimed by compaction (both solvers).
-  std::size_t remapped_vars = 0;
   // --- cross-round sample reuse (zero when sample_reuse = false) ----------
   /// Counterexample-derived samples appended to the training matrix
   /// (π extensions and MaxSAT-corrected σ, deduped by fingerprint).

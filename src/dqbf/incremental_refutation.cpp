@@ -14,9 +14,6 @@ IncrementalRefutation::IncrementalRefutation(const DqbfFormula& formula,
   // The matrix variable block comes first so cone inputs (universal and
   // existential variables) land on their own CNF variables.
   solver_.reserve_vars(matrix.num_vars());
-  // Counterexamples are read off these variables every round; keep them
-  // out of variable elimination during maintain().
-  solver_.freeze_range(0, matrix.num_vars());
 
   // ¬φ, encoded once: one selector per clause asserting that the clause
   // is falsified; at least one selector must fire. (One-sided Tseitin
@@ -87,17 +84,6 @@ sat::Result IncrementalRefutation::check(const HenkinVector& candidate,
 sat::Result IncrementalRefutation::check(const HenkinVector& candidate) {
   relink(candidate);
   return solver_.solve(assumptions_);
-}
-
-void IncrementalRefutation::maintain(const util::CancelToken* cancel) {
-  ++stats_.maintenance_runs;
-  sat::InprocessOptions options;
-  options.cancel = cancel;
-  // UNSAT here means the current guard set refutes at the root — check()
-  // will report it; maintenance itself has nothing more to do.
-  if (!solver_.inprocess(options)) return;
-  if (cancel != nullptr && cancel->cancelled()) return;
-  solver_.compact();
 }
 
 const IncrementalRefutation::Stats& IncrementalRefutation::stats() const {

@@ -46,8 +46,6 @@ class IncrementalRefutation {
     std::uint64_t activations_retired = 0;
     /// From the cone encoder: fresh AIG nodes Tseitin-encoded.
     std::uint64_t aig_nodes_encoded = 0;
-    /// maintain() calls (inprocessing + variable compaction).
-    std::uint64_t maintenance_runs = 0;
   };
 
   /// `formula` and `manager` must outlive the object. The solver is
@@ -65,16 +63,6 @@ class IncrementalRefutation {
 
   const cnf::Assignment& model() const { return solver_.model(); }
   sat::Solver& solver() { return solver_; }
-
-  /// Inter-round maintenance: run SAT inprocessing (subsumption, bounded
-  /// variable elimination, vivification) and compact the variable range.
-  /// Matrix variables are frozen at construction, guard variables are
-  /// protected by the solver itself, and retired guards / dead Tseitin
-  /// cone variables are reclaimed — daemon-length runs stop leaking
-  /// variable ids. Call between check() rounds only. `cancel` (nullable)
-  /// is polled between per-item inprocessing steps: a cancelled token
-  /// skips the remaining simplification work, leaving a sound database.
-  void maintain(const util::CancelToken* cancel = nullptr);
 
   const Stats& stats() const;
 

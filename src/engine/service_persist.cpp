@@ -85,11 +85,6 @@ const SizeField kSizeFields[] = {
     {"verify_clauses_retired", &core::SynthesisStats::verify_clauses_retired},
     {"phi_vars", &core::SynthesisStats::phi_vars},
     {"phi_clauses_retired", &core::SynthesisStats::phi_clauses_retired},
-    {"inprocess_runs", &core::SynthesisStats::inprocess_runs},
-    {"eliminated_vars", &core::SynthesisStats::eliminated_vars},
-    {"subsumed_clauses", &core::SynthesisStats::subsumed_clauses},
-    {"vivified_literals", &core::SynthesisStats::vivified_literals},
-    {"remapped_vars", &core::SynthesisStats::remapped_vars},
     {"samples_appended", &core::SynthesisStats::samples_appended},
     {"refit_rounds", &core::SynthesisStats::refit_rounds},
     {"refit_candidates", &core::SynthesisStats::refit_candidates},

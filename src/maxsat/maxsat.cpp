@@ -15,17 +15,6 @@ Var IncrementalMaxSat::fresh_round_var() {
   return v;
 }
 
-void IncrementalMaxSat::maintain(const util::CancelToken* cancel) {
-  ++stats_.maintenance_runs;
-  sat::InprocessOptions options;
-  options.cancel = cancel;
-  // Root-UNSAT means the hard clauses are contradictory; the next
-  // solve_round() reports kUnsatisfiableHard on its own.
-  if (!solver_.inprocess(options)) return;
-  if (cancel != nullptr && cancel->cancelled()) return;
-  solver_.compact();
-}
-
 MaxSatStatus IncrementalMaxSat::solve_round(const std::vector<Lit>& hard,
                                             const std::vector<Lit>& soft,
                                             const util::Deadline* deadline) {

@@ -51,8 +51,6 @@ class IncrementalMaxSat {
     /// Fu-Malik relaxation iterations summed over all rounds (== the sum
     /// of the optima).
     std::uint64_t cores_relaxed = 0;
-    /// maintain() calls (inprocessing + compaction on the borrowed solver).
-    std::uint64_t maintenance_runs = 0;
   };
 
   /// `solver` must already contain the hard clauses and outlive the
@@ -71,15 +69,6 @@ class IncrementalMaxSat {
   /// Whether soft literal `index` holds in the optimum found by the last
   /// solve_round().
   bool soft_satisfied(std::size_t index) const { return soft_value_[index]; }
-
-  /// Inter-round maintenance on the borrowed solver: inprocess + compact.
-  /// Recycled round variables are unconstrained between rounds, so they
-  /// compact away as free drops and revive on demand; the owner is
-  /// responsible for freezing its own interface variables (the engine
-  /// freezes the matrix block). Call between solve_round()s only.
-  /// `cancel` (nullable) is polled between per-item inprocessing steps: a
-  /// cancelled token skips the remaining simplification work.
-  void maintain(const util::CancelToken* cancel = nullptr);
 
   /// The optimal assignment (the borrowed solver's full model at the
   /// optimum, so it includes solver-internal selector variables above the

@@ -3,9 +3,9 @@
 // chrome://tracing or https://ui.perfetto.dev).
 //
 // Every pipeline phase in Manthan3::synthesize (sample, learn, verify
-// round, repair, MaxSAT round, inprocess, refit, substitute) and every
-// service boundary (job start, cache hit, race lanes) opens a Span; the
-// span records {name, category, start, duration, thread, trace id} when
+// round, repair, MaxSAT round, refit, substitute) and every service
+// boundary (job start, cache hit, race lanes) opens a Span; the span
+// records {name, category, start, duration, thread, trace id} when
 // it closes. Trace ids are derived from the canonical spec fingerprint,
 // so all spans of one request correlate across threads — race lanes and
 // scheduler workers included.

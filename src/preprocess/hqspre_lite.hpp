@@ -17,9 +17,8 @@
 //     sound, so no quantifier-prefix restriction applies).
 //
 // The clause passes run over an occurrence-list database with 64-bit
-// clause abstractions, sharing the screening/subset kernels in
-// sat/simplify.hpp with the SAT solver's inprocessing engine; only the
-// DQBF-aware universal reduction stays local.
+// clause abstractions, using the screening/subset kernels in
+// sat/simplify.hpp; the DQBF-aware universal reduction stays local.
 //
 // Eliminated existentials are recorded on a reconstruction stack so a
 // Henkin vector of the simplified formula extends to one of the original

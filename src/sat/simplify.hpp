@@ -1,12 +1,7 @@
-// Shared clause-simplification kernels.
-//
-// Both simplification engines — the SAT solver's inter-solve inprocessing
-// (solver.cpp) and the DQBF preprocessor (preprocess/hqspre_lite.cpp) —
-// run occurrence-list-driven subsumption and self-subsuming resolution.
-// The data layouts differ (flat arena records with arbitrary literal
-// order vs. sorted std::vector clauses), but the screening and the
-// subset tests are the same algorithm; this header holds them so the two
-// engines cannot drift apart.
+// Clause-simplification kernels for occurrence-list-driven subsumption
+// and self-subsuming resolution over sorted clauses. The DQBF
+// preprocessor (preprocess/hqspre_lite.cpp) is their user; the CDCL
+// solver does no clause simplification of its own.
 //
 // The workhorse is the 64-bit clause abstraction (SatELite's signature
 // trick): hash every variable into one of 64 buckets and OR the bucket
@@ -40,8 +35,7 @@ inline bool abstraction_subsumes(std::uint64_t sub, std::uint64_t sup) {
 }
 
 /// Exact subset test over *sorted* literal ranges: every literal of `sub`
-/// occurs in `sup`. (The solver's arena records are unsorted and use a
-/// mark-array test instead; see Solver::inprocess.)
+/// occurs in `sup`.
 template <typename LitsA, typename LitsB>
 bool subsumes_sorted(const LitsA& sub, const LitsB& sup) {
   auto it = sup.begin();

@@ -95,8 +95,8 @@ void Solver::set_clause_activity(ClauseRef c, float activity) {
   std::memcpy(&arena_[c + 2], &activity, sizeof(activity));
 }
 
-Var Solver::new_internal_var() {
-  const Var v = internal_vars();
+Var Solver::new_var() {
+  const Var v = num_vars();
   assigns_.push_back(LBool::kUndef);
   var_data_.push_back({});
   saved_phase_.push_back(options_.default_polarity);
@@ -106,12 +106,6 @@ Var Solver::new_internal_var() {
   order_.grow(v + 1);
   order_.insert(v);
   return v;
-}
-
-Var Solver::new_var() {
-  const Var iv = new_internal_var();
-  remap_.push_var(iv);
-  return remap_.num_external() - 1;
 }
 
 Var Solver::reserve_vars(Var count) {
@@ -129,12 +123,10 @@ void Solver::reseed(std::uint64_t seed) { rng_ = util::Rng(seed); }
 bool Solver::add_clause(const Clause& clause) {
   if (!ok_) return false;
   for (const Lit l : clause) ensure_vars(l.var() + 1);
-  if (remap_.identity()) return add_clause_impl(clause, nullptr);
-  if (!translate_clause_in(clause, map_tmp_)) return true;  // fixed-satisfied
-  return add_clause_impl(map_tmp_, nullptr);
+  return add_clause_impl(clause, nullptr);
 }
 
-// `clause` is in internal numbering; every variable already has a slot.
+// Every variable of `clause` already has a slot.
 bool Solver::add_clause_impl(const Clause& clause, ClauseRef* attached) {
   if (attached != nullptr) *attached = kNoReason;
   if (!ok_) return false;
@@ -175,23 +167,28 @@ bool Solver::add_clause_activated(const Clause& clause, Lit activation) {
   guarded.reserve(clause.size() + 1);
   guarded.assign(clause.begin(), clause.end());
   guarded.push_back(~activation);
-  // The guarded index is keyed by *internal* variable (activation
-  // literals are fresh by contract, hence always live).
-  Var act_var = activation.var();
-  const Clause* use = &guarded;
-  if (!remap_.identity()) {
-    if (!translate_clause_in(guarded, map_tmp_)) return true;
-    use = &map_tmp_;
-    act_var = remap_.to_internal(activation.var());
-  }
   ClauseRef cref = kNoReason;
-  const bool result = add_clause_impl(*use, &cref);
+  const bool result = add_clause_impl(guarded, &cref);
   // Only arena records need indexing: simplified-away clauses (satisfied,
   // tautological, or collapsed to a unit) leave nothing to retire.
   if (cref != kNoReason) {
-    activation_clauses_[act_var].push_back(cref);
+    activation_clauses_[activation.var()].push_back(cref);
   }
   return result;
+}
+
+bool Solver::enqueue_root_unit(Lit p) {
+  assert(decision_level() == 0);
+  if (!ok_) return false;
+  const LBool val = value(p);
+  if (val == LBool::kTrue) return true;
+  if (val == LBool::kFalse) {
+    ok_ = false;
+    return false;
+  }
+  enqueue(p, kNoReason);
+  ok_ = (propagate() == kNoReason);
+  return ok_;
 }
 
 std::size_t Solver::retire(Lit activation) {
@@ -202,35 +199,11 @@ std::size_t Solver::retire(const std::vector<Lit>& activations) {
   assert(decision_level() == 0);
   if (activations.empty()) return 0;
   stats_.retired_activations += activations.size();
-  // Translate to internal numbering. A guard compact() dropped as
-  // root-fixed was already retired (retirement is the only way an
-  // activation variable gets a root value), so it is skipped; free drops
-  // revive as fresh, trivially-retirable variables.
-  const std::vector<Lit>* acts = &activations;
-  std::vector<Lit> translated;
-  if (!remap_.identity()) {
-    translated.reserve(activations.size());
-    for (const Lit a : activations) {
-      switch (remap_.drop_kind(a.var())) {
-        case Remapper::DropKind::kLive:
-          translated.push_back(remap_.to_internal(a));
-          break;
-        case Remapper::DropKind::kFixed:
-          break;
-        case Remapper::DropKind::kFree:
-        case Remapper::DropKind::kEliminated:
-          translated.push_back(Lit(revive(a.var()), a.negated()));
-          break;
-      }
-    }
-    acts = &translated;
-    if (acts->empty()) return 0;
-  }
   std::size_t reclaimed = 0;
   // Reclaim the indexed guarded records first. A record can be a root
   // reason only if it propagated its own ~activation; those stay alive
   // (they are satisfied and harmless) rather than dangling as reasons.
-  for (const Lit activation : *acts) {
+  for (const Lit activation : activations) {
     const auto it = activation_clauses_.find(activation.var());
     if (it == activation_clauses_.end()) continue;
     for (const ClauseRef cref : it->second) {
@@ -245,8 +218,8 @@ std::size_t Solver::retire(const std::vector<Lit>& activations) {
   // recorded the guard during assumption solving — is satisfied forever
   // from here on.
   std::unordered_set<std::uint32_t> dead;
-  dead.reserve(acts->size());
-  for (const Lit activation : *acts) {
+  dead.reserve(activations.size());
+  for (const Lit activation : activations) {
     enqueue_root_unit(~activation);
     dead.insert(static_cast<std::uint32_t>((~activation).code()));
   }
@@ -677,13 +650,7 @@ std::uint32_t Solver::lbd_of_clause(ClauseRef cref) {
 
 bool Solver::pick_polarity(Var v) {
   if (options_.random_polarity) {
-    // polarity_bias is written by clients in external numbering.
-    auto i = static_cast<std::size_t>(v);
-    if (!remap_.identity()) {
-      const Var ev = remap_.to_external(v);
-      if (ev == cnf::kNoVar) return rng_.flip(0.5);
-      i = static_cast<std::size_t>(ev);
-    }
+    const auto i = static_cast<std::size_t>(v);
     const double p_true =
         i < options_.polarity_bias.size() ? options_.polarity_bias[i] : 0.5;
     return rng_.flip(p_true);
@@ -697,11 +664,10 @@ Lit Solver::pick_branch_lit() {
       rng_.flip(options_.random_branch_freq)) {
     // Random decision variable (sampler diversification).
     const Var v = static_cast<Var>(rng_.next_below(
-        static_cast<std::uint64_t>(internal_vars())));
-    if (value(v) == LBool::kUndef && !is_orphan(v)) next = v;
+        static_cast<std::uint64_t>(num_vars())));
+    if (value(v) == LBool::kUndef) next = v;
   }
-  while (next == cnf::kNoVar || value(next) != LBool::kUndef ||
-         is_orphan(next)) {
+  while (next == cnf::kNoVar || value(next) != LBool::kUndef) {
     if (order_.empty()) return cnf::kUndefLit;
     next = order_.remove_max();
   }
@@ -715,7 +681,7 @@ Lit Solver::pick_enum_lit() {
   // model-rich formulas where every model needs a root restart.
   while (enum_cursor_ < enum_order_.size()) {
     const Var v = enum_order_[enum_cursor_];
-    if (value(v) == LBool::kUndef && !is_orphan(v)) {
+    if (value(v) == LBool::kUndef) {
       return Lit(v, !pick_polarity(v));
     }
     ++enum_cursor_;
@@ -726,8 +692,8 @@ Lit Solver::pick_enum_lit() {
 void Solver::scramble_for_descent() {
   // Fisher-Yates over the decision permutation: each descent branches in
   // a fresh random order, decorrelating successive models.
-  enum_order_.resize(static_cast<std::size_t>(internal_vars()));
-  for (Var v = 0; v < internal_vars(); ++v) {
+  enum_order_.resize(static_cast<std::size_t>(num_vars()));
+  for (Var v = 0; v < num_vars(); ++v) {
     enum_order_[static_cast<std::size_t>(v)] = v;
   }
   for (std::size_t i = enum_order_.size(); i > 1; --i) {
@@ -835,22 +801,15 @@ void Solver::garbage_collect() {
     ClauseRef& r = var_data_[static_cast<std::size_t>(l.var())].reason;
     if (r != kNoReason) reloc(r);
   }
-  for (Var v = 0; v < internal_vars(); ++v) {
+  for (Var v = 0; v < num_vars(); ++v) {
     if (value(v) == LBool::kUndef) {
       var_data_[static_cast<std::size_t>(v)].reason = kNoReason;
     }
   }
-  // Guarded records removed outside retire() (root-satisfied clauses
-  // swept by simplify_root) are dropped from the index here, like the
-  // stale clause-list entries below.
+  // Guarded records are removed only by retire(), which erases their
+  // index entry, so every indexed record is live.
   for (auto& entry : activation_clauses_) {
-    std::size_t keep = 0;
-    for (ClauseRef cref : entry.second) {
-      if ((arena_[cref] & (kMarkBit | kRelocBit)) == kMarkBit) continue;
-      reloc(cref);
-      entry.second[keep++] = cref;
-    }
-    entry.second.resize(keep);
+    for (ClauseRef& cref : entry.second) reloc(cref);
   }
   // The clause lists may still carry records retired between reductions;
   // they are dead (detached, marked) and get swept here rather than paying
@@ -868,733 +827,6 @@ void Solver::garbage_collect() {
   sweep(learnt_clauses_);
   arena_ = std::move(to);
   wasted_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// External/internal translation and revival
-// ---------------------------------------------------------------------------
-
-bool Solver::enqueue_root_unit(Lit p) {
-  assert(decision_level() == 0);
-  if (!ok_) return false;
-  const LBool val = value(p);
-  if (val == LBool::kTrue) return true;
-  if (val == LBool::kFalse) {
-    ok_ = false;
-    return false;
-  }
-  enqueue(p, kNoReason);
-  ok_ = (propagate() == kNoReason);
-  return ok_;
-}
-
-Var Solver::revive(Var external) {
-  const Var iv = new_internal_var();
-  const bool was_eliminated = remap_.is_eliminated(external);
-  remap_.bind(external, iv);
-  if (was_eliminated) {
-    // Re-adding the defining clauses restores full equivalence with the
-    // pre-elimination formula: the resolvents that replaced them are
-    // implied and stay. Binding first terminates the recursion (a stored
-    // clause may mention the variable itself or later-eliminated ones).
-    const auto it = elim_group_of_.find(external);
-    assert(it != elim_group_of_.end());
-    ElimGroup& group = elim_groups_[it->second];
-    group.revived = true;
-    elim_group_of_.erase(it);
-    std::vector<Lit> lits;  // local: revival can recurse through here
-    const auto re_add = [&](const std::vector<Clause>& side) {
-      for (const Clause& c : side) {
-        if (!translate_clause_in(c, lits)) continue;
-        if (!add_clause_impl(lits, nullptr)) return false;
-      }
-      return true;
-    };
-    if (re_add(group.clauses)) re_add(group.other);
-    group.clauses.clear();
-    group.clauses.shrink_to_fit();
-    group.other.clear();
-    group.other.shrink_to_fit();
-  }
-  return iv;
-}
-
-bool Solver::translate_clause_in(const Clause& clause, std::vector<Lit>& out) {
-  out.clear();
-  for (const Lit l : clause) {
-    switch (remap_.drop_kind(l.var())) {
-      case Remapper::DropKind::kLive:
-        out.push_back(remap_.to_internal(l));
-        break;
-      case Remapper::DropKind::kFixed:
-        if ((remap_.fixed_value(l.var()) ^ l.negated()) == LBool::kTrue) {
-          return false;  // satisfied by the recorded root value
-        }
-        break;  // false literal: drop
-      case Remapper::DropKind::kFree:
-      case Remapper::DropKind::kEliminated:
-        out.push_back(Lit(revive(l.var()), l.negated()));
-        break;
-    }
-  }
-  return true;
-}
-
-void Solver::freeze(Var v) {
-  ensure_vars(v + 1);
-  if (static_cast<std::size_t>(v) >= frozen_.size()) {
-    frozen_.resize(static_cast<std::size_t>(v) + 1, 0);
-  }
-  frozen_[static_cast<std::size_t>(v)] = 1;
-}
-
-void Solver::freeze_range(Var first, Var count) {
-  if (count <= 0) return;
-  ensure_vars(first + count);
-  if (static_cast<std::size_t>(first + count) > frozen_.size()) {
-    frozen_.resize(static_cast<std::size_t>(first + count), 0);
-  }
-  for (Var i = 0; i < count; ++i) {
-    frozen_[static_cast<std::size_t>(first + i)] = 1;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Inprocessing
-// ---------------------------------------------------------------------------
-
-bool Solver::clause_contains(ClauseRef cref, Lit l) const {
-  const std::uint32_t size = clause_size(cref);
-  const std::uint32_t base = lit_base(cref);
-  const auto code = static_cast<std::uint32_t>(l.code());
-  for (std::uint32_t i = 0; i < size; ++i) {
-    if (arena_[base + i] == code) return true;
-  }
-  return false;
-}
-
-bool Solver::is_guarded_record(ClauseRef cref) const {
-  return std::binary_search(guarded_records_.begin(), guarded_records_.end(),
-                            cref);
-}
-
-void Solver::occ_push(ClauseRef cref) {
-  const std::uint32_t size = clause_size(cref);
-  const std::uint32_t base = lit_base(cref);
-  for (std::uint32_t i = 0; i < size; ++i) {
-    occ_[static_cast<std::size_t>(arena_[base + i])].push_back(cref);
-  }
-}
-
-void Solver::build_occ_lists() {
-  const auto n = static_cast<std::size_t>(internal_vars());
-  occ_.assign(2 * n, {});
-  guarded_var_.assign(n, 0);
-  guarded_records_.clear();
-  // Guarded records are invisible to every simplification; any variable
-  // occurring in one (including the activation variable itself) is
-  // additionally barred from elimination, so retirement semantics can
-  // never be broken by a resolvent that silently dropped a guard.
-  for (const auto& entry : activation_clauses_) {
-    guarded_var_[static_cast<std::size_t>(entry.first)] = 1;
-    for (const ClauseRef cref : entry.second) {
-      guarded_records_.push_back(cref);
-      if (clause_removed(cref)) continue;
-      const std::uint32_t size = clause_size(cref);
-      const std::uint32_t base = lit_base(cref);
-      for (std::uint32_t i = 0; i < size; ++i) {
-        guarded_var_[static_cast<std::size_t>(arena_[base + i] >> 1)] = 1;
-      }
-    }
-  }
-  std::sort(guarded_records_.begin(), guarded_records_.end());
-  for (const ClauseRef cref : problem_clauses_) {
-    if (clause_removed(cref) || is_guarded_record(cref)) continue;
-    occ_push(cref);
-  }
-}
-
-bool Solver::simplify_root() {
-  assert(decision_level() == 0);
-  if (!ok_) return false;
-  if (propagate() != kNoReason) {
-    ok_ = false;
-    return false;
-  }
-  // Root facts never re-enter conflict analysis (analyze / analyze_final
-  // skip level-0 literals), so their reason records are dead links;
-  // clearing them lets every root-satisfied clause be removed, including
-  // records that propagated units.
-  for (const Lit l : trail_) {
-    var_data_[static_cast<std::size_t>(l.var())].reason = kNoReason;
-  }
-  std::vector<Lit> lits;
-  const auto clean = [&](std::vector<ClauseRef>& list) {
-    std::size_t keep = 0;
-    for (const ClauseRef cref : list) {
-      if (clause_removed(cref)) continue;  // stale entry awaiting GC
-      const std::uint32_t size = clause_size(cref);
-      bool satisfied = false;
-      lits.clear();
-      for (std::uint32_t i = 0; i < size; ++i) {
-        const Lit l = clause_lit(cref, i);
-        const LBool val = value(l);
-        if (val == LBool::kTrue) {
-          satisfied = true;
-          break;
-        }
-        if (val == LBool::kUndef) lits.push_back(l);
-      }
-      if (satisfied) {
-        remove_clause(cref);
-        continue;
-      }
-      if (lits.size() == static_cast<std::size_t>(size)) {
-        list[keep++] = cref;  // untouched
-        continue;
-      }
-      // Strip the root-false literals (propagation is at fixpoint, so at
-      // least two literals remain).
-      if (rebuild_clause(cref, lits)) list[keep++] = cref;
-    }
-    list.resize(keep);
-  };
-  clean(problem_clauses_);
-  clean(learnt_clauses_);
-  return ok_;
-}
-
-bool Solver::rebuild_clause(ClauseRef cref, std::vector<Lit>& lits) {
-  // `lits` is a subset of the record's literals. In-pass root units may
-  // have assigned some of them since the caller built the list, so
-  // re-filter here: that keeps every mutation locally sound regardless
-  // of interleaving, and guarantees attached watches sit on unassigned
-  // literals.
-  std::size_t keep = 0;
-  bool satisfied = false;
-  for (const Lit l : lits) {
-    const LBool val = value(l);
-    if (val == LBool::kTrue) {
-      satisfied = true;
-      break;
-    }
-    if (val == LBool::kUndef) lits[keep++] = l;
-  }
-  if (satisfied) {
-    remove_clause(cref);
-    return false;
-  }
-  lits.resize(keep);
-  if (lits.empty()) {
-    remove_clause(cref);
-    ok_ = false;
-    return false;
-  }
-  if (lits.size() == 1) {
-    remove_clause(cref);
-    enqueue_root_unit(lits[0]);
-    return false;
-  }
-  // Rewrite the record in place; the shrink slack counts as wasted arena
-  // words. detach_watches on an already-detached record (vivification
-  // target) is a harmless no-op scan.
-  detach_watches(cref);
-  const std::uint32_t old_words = record_words(cref);
-  const std::uint32_t base = lit_base(cref);
-  for (std::size_t i = 0; i < lits.size(); ++i) {
-    arena_[base + i] = static_cast<std::uint32_t>(lits[i].code());
-  }
-  arena_[cref] = (static_cast<std::uint32_t>(lits.size()) << kSizeShift) |
-                 (arena_[cref] & (kLearntBit | kMarkBit | kRelocBit));
-  wasted_ += old_words - record_words(cref);
-  attach_watches(cref);
-  return true;
-}
-
-bool Solver::inprocess_should_stop(const InprocessOptions& options) {
-  if (inprocess_stopped_) return true;
-  if (util::fault::poll(util::fault::Site::kSatInprocessStep) ==
-          util::fault::Kind::kCancel ||
-      (options.cancel != nullptr && options.cancel->cancelled())) {
-    inprocess_stopped_ = true;
-  }
-  return inprocess_stopped_;
-}
-
-bool Solver::subsumption_pass(const InprocessOptions& options) {
-  // Every unguarded problem clause is processed once as the subsuming
-  // side; strengthened clauses re-enter the queue. Occurrence lists are
-  // lazily stale — the mark test below is exact regardless of how a
-  // candidate was found.
-  std::vector<ClauseRef> queue;
-  queue.reserve(problem_clauses_.size());
-  for (const ClauseRef cref : problem_clauses_) {
-    if (!clause_removed(cref) && !is_guarded_record(cref)) {
-      queue.push_back(cref);
-    }
-  }
-  std::vector<Lit> strengthened;
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    if (!ok_) return false;
-    if (inprocess_should_stop(options)) break;
-    const ClauseRef c = queue[qi];
-    if (clause_removed(c)) continue;
-    const std::uint32_t size = clause_size(c);
-    // Mark c's literals; remember the cheapest occurrence list to scan.
-    Lit pivot = cnf::kUndefLit;
-    std::size_t pivot_occ = 0;
-    for (std::uint32_t i = 0; i < size; ++i) {
-      const Lit l = clause_lit(c, i);
-      lit_mark_[static_cast<std::size_t>(l.code())] = 1;
-      const std::size_t n = occ_[static_cast<std::size_t>(l.code())].size();
-      if (!pivot.valid() || n < pivot_occ) {
-        pivot = l;
-        pivot_occ = n;
-      }
-    }
-    // Backward subsumption: c removes its supersets. Any superset of c
-    // contains the pivot, so one occurrence list covers all candidates.
-    if (pivot_occ <= options.occ_limit) {
-      for (const ClauseRef d :
-           occ_[static_cast<std::size_t>(pivot.code())]) {
-        if (d == c || clause_removed(d)) continue;
-        const std::uint32_t d_size = clause_size(d);
-        if (d_size < size) continue;
-        const std::uint32_t d_base = lit_base(d);
-        std::uint32_t hits = 0;
-        for (std::uint32_t k = 0; k < d_size; ++k) {
-          hits += lit_mark_[static_cast<std::size_t>(arena_[d_base + k])];
-        }
-        if (hits == size) {
-          remove_clause(d);
-          ++stats_.subsumed_clauses;
-        }
-      }
-    }
-    // Self-subsuming resolution: if (c \ {q}) ∪ {~q} ⊆ d, resolving c
-    // with d on var(q) yields d \ {~q} — strengthen d in place. d cannot
-    // contain q too (it would be tautological), so a candidate with ~q
-    // and |c|-1 marked hits contains exactly c \ {q}.
-    for (std::uint32_t i = 0; i < size && ok_; ++i) {
-      const Lit nq = ~clause_lit(c, i);
-      const auto& cand = occ_[static_cast<std::size_t>(nq.code())];
-      if (cand.size() > options.occ_limit) continue;
-      for (const ClauseRef d : cand) {
-        if (clause_removed(d)) continue;
-        const std::uint32_t d_size = clause_size(d);
-        if (d_size < size) continue;
-        const std::uint32_t d_base = lit_base(d);
-        std::uint32_t hits = 0;
-        bool has_nq = false;
-        for (std::uint32_t k = 0; k < d_size; ++k) {
-          hits += lit_mark_[static_cast<std::size_t>(arena_[d_base + k])];
-          has_nq |= arena_[d_base + k] == static_cast<std::uint32_t>(nq.code());
-        }
-        if (!has_nq || hits != size - 1) continue;
-        strengthened.clear();
-        for (std::uint32_t k = 0; k < d_size; ++k) {
-          const Lit l =
-              Lit::from_code(static_cast<std::int32_t>(arena_[d_base + k]));
-          if (l != nq) strengthened.push_back(l);
-        }
-        ++stats_.strengthened_literals;
-        if (rebuild_clause(d, strengthened)) queue.push_back(d);
-        if (!ok_) break;
-      }
-    }
-    // Clear the marks. The literal *set* of c is untouched by this pass
-    // (in-pass propagation may only reorder records), so rescanning the
-    // record clears exactly what was set.
-    const std::uint32_t base = lit_base(c);
-    for (std::uint32_t i = 0; i < size; ++i) {
-      lit_mark_[static_cast<std::size_t>(arena_[base + i])] = 0;
-    }
-  }
-  return ok_;
-}
-
-bool Solver::eliminate_pass(const InprocessOptions& options) {
-  // Cheapest candidates first: fewest total occurrences.
-  std::vector<std::pair<std::uint32_t, Var>> cands;
-  for (Var v = 0; v < internal_vars(); ++v) {
-    if (value(v) != LBool::kUndef || is_orphan(v)) continue;
-    if (guarded_var_[static_cast<std::size_t>(v)] != 0) continue;
-    if (is_frozen(remap_.identity() ? v : remap_.to_external(v))) continue;
-    const std::size_t occ_n =
-        occ_[static_cast<std::size_t>(cnf::pos(v).code())].size() +
-        occ_[static_cast<std::size_t>(cnf::neg(v).code())].size();
-    if (occ_n == 0 || occ_n > 2 * options.occ_limit) continue;
-    cands.emplace_back(static_cast<std::uint32_t>(occ_n), v);
-  }
-  std::sort(cands.begin(), cands.end());
-  std::vector<ClauseRef> pos, neg;
-  std::vector<Lit> merged;
-  std::vector<std::vector<Lit>> resolvents;
-  std::vector<std::uint8_t> elim_mark(
-      static_cast<std::size_t>(internal_vars()), 0);
-  bool any = false;
-  for (const auto& [occ_count, v] : cands) {
-    (void)occ_count;
-    if (!ok_) return false;
-    if (inprocess_should_stop(options)) break;
-    if (value(v) != LBool::kUndef) continue;  // fixed by an in-pass unit
-    const Lit vp = cnf::pos(v);
-    const Lit vn = cnf::neg(v);
-    // Exact occurrence sets (list entries are lazily stale).
-    pos.clear();
-    neg.clear();
-    for (const ClauseRef cref : occ_[static_cast<std::size_t>(vp.code())]) {
-      if (!clause_removed(cref) && clause_contains(cref, vp)) {
-        pos.push_back(cref);
-      }
-    }
-    for (const ClauseRef cref : occ_[static_cast<std::size_t>(vn.code())]) {
-      if (!clause_removed(cref) && clause_contains(cref, vn)) {
-        neg.push_back(cref);
-      }
-    }
-    if (pos.empty() && neg.empty()) continue;  // free: compact() handles it
-    if (pos.size() > options.occ_limit || neg.size() > options.occ_limit) {
-      continue;
-    }
-    // Trial resolution under the SatELite bound: eliminate only if the
-    // resolvent set is no larger than what it replaces (plus slack).
-    const std::size_t budget = pos.size() + neg.size() + options.elim_grow;
-    resolvents.clear();
-    bool abort = false;
-    for (const ClauseRef cp : pos) {
-      const std::uint32_t cp_size = clause_size(cp);
-      const std::uint32_t cp_base = lit_base(cp);
-      for (const ClauseRef cn : neg) {
-        merged.clear();
-        bool taut = false;
-        bool satisfied = false;
-        std::size_t cp_marked = 0;
-        for (std::uint32_t i = 0; i < cp_size; ++i) {
-          const Lit l =
-              Lit::from_code(static_cast<std::int32_t>(arena_[cp_base + i]));
-          if (l.var() == v) continue;
-          const LBool val = value(l);
-          if (val == LBool::kTrue) {
-            satisfied = true;
-            break;
-          }
-          if (val == LBool::kFalse) continue;
-          lit_mark_[static_cast<std::size_t>(l.code())] = 1;
-          merged.push_back(l);
-          ++cp_marked;
-        }
-        if (!satisfied) {
-          const std::uint32_t cn_size = clause_size(cn);
-          const std::uint32_t cn_base = lit_base(cn);
-          for (std::uint32_t i = 0; i < cn_size; ++i) {
-            const Lit l =
-                Lit::from_code(static_cast<std::int32_t>(arena_[cn_base + i]));
-            if (l.var() == v) continue;
-            const LBool val = value(l);
-            if (val == LBool::kTrue) {
-              satisfied = true;
-              break;
-            }
-            if (val == LBool::kFalse) continue;
-            if (lit_mark_[static_cast<std::size_t>((~l).code())] != 0) {
-              taut = true;
-              break;
-            }
-            if (lit_mark_[static_cast<std::size_t>(l.code())] == 0) {
-              merged.push_back(l);
-            }
-          }
-        }
-        for (std::size_t i = 0; i < cp_marked; ++i) {
-          lit_mark_[static_cast<std::size_t>(merged[i].code())] = 0;
-        }
-        if (satisfied || taut) continue;
-        if (merged.size() > options.elim_clause_limit) {
-          abort = true;
-          break;
-        }
-        resolvents.push_back(merged);
-        if (resolvents.size() > budget) {
-          abort = true;
-          break;
-        }
-      }
-      if (abort) break;
-    }
-    if (abort) continue;
-    // Commit. Store the smaller side (in external literals) for model
-    // extension and revival; this leaves identity mode on the first drop.
-    remap_.materialize(internal_vars());
-    const Var ev = remap_.to_external(v);
-    const bool store_pos = pos.size() <= neg.size();
-    ElimGroup group;
-    group.lit = remap_.to_external(store_pos ? vp : vn);
-    const auto externalize = [&](const std::vector<ClauseRef>& side,
-                                 std::vector<Clause>& out) {
-      out.reserve(side.size());
-      for (const ClauseRef cref : side) {
-        Clause stored;
-        const std::uint32_t size = clause_size(cref);
-        const std::uint32_t base = lit_base(cref);
-        stored.reserve(size);
-        for (std::uint32_t i = 0; i < size; ++i) {
-          stored.push_back(remap_.to_external(
-              Lit::from_code(static_cast<std::int32_t>(arena_[base + i]))));
-        }
-        out.push_back(std::move(stored));
-      }
-    };
-    externalize(store_pos ? pos : neg, group.clauses);
-    externalize(store_pos ? neg : pos, group.other);
-    elim_group_of_[ev] = elim_groups_.size();
-    elim_groups_.push_back(std::move(group));
-    remap_.drop(ev, Remapper::DropKind::kEliminated);
-    for (const ClauseRef cref : pos) remove_clause(cref);
-    for (const ClauseRef cref : neg) remove_clause(cref);
-    // add_clause_impl re-checks root values, so resolvents stay sound
-    // even when an earlier resolvent collapsed to a propagating unit.
-    for (const std::vector<Lit>& r : resolvents) {
-      ClauseRef attached = kNoReason;
-      if (!add_clause_impl(r, &attached)) return false;
-      if (attached != kNoReason) occ_push(attached);
-    }
-    elim_mark[static_cast<std::size_t>(v)] = 1;
-    any = true;
-    ++stats_.eliminated_vars;
-  }
-  // Learnt clauses mentioning an eliminated variable would keep its
-  // orphaned slot in the search; drop them (always sound).
-  if (any) {
-    std::size_t keep = 0;
-    for (const ClauseRef cref : learnt_clauses_) {
-      if (clause_removed(cref)) continue;
-      const std::uint32_t size = clause_size(cref);
-      const std::uint32_t base = lit_base(cref);
-      bool mentions = false;
-      for (std::uint32_t i = 0; i < size && !mentions; ++i) {
-        mentions = elim_mark[static_cast<std::size_t>(arena_[base + i] >> 1)] != 0;
-      }
-      if (mentions && !clause_is_root_reason(cref)) {
-        remove_clause(cref);
-      } else {
-        learnt_clauses_[keep++] = cref;
-      }
-    }
-    learnt_clauses_.resize(keep);
-  }
-  return ok_;
-}
-
-bool Solver::vivify_pass(const InprocessOptions& options) {
-  // Clause vivification: detach a clause, assume the negation of its
-  // literals one by one, and shorten it when propagation proves a prefix
-  // sufficient — (¬l₁ ∧ … ∧ ¬lᵢ) ⊢ conflict or lᵢ₊₁ means the prefix
-  // clause is implied and subsumes the original. No conflicts are
-  // learnt; the pass is bounded by a propagation budget.
-  const std::uint64_t budget_end =
-      stats_.propagations + options.vivify_budget;
-  std::vector<Lit> lits, kept;
-  for (const ClauseRef cref : problem_clauses_) {
-    if (!ok_) return false;
-    if (stats_.propagations >= budget_end) break;
-    if (inprocess_should_stop(options)) break;
-    if (clause_removed(cref) || is_guarded_record(cref)) continue;
-    const std::uint32_t size = clause_size(cref);
-    if (size < 3) continue;
-    lits.clear();
-    for (std::uint32_t i = 0; i < size; ++i) lits.push_back(clause_lit(cref, i));
-    detach_watches(cref);
-    kept.clear();
-    bool shortened = false;
-    bool root_satisfied = false;
-    for (const Lit l : lits) {
-      const LBool val = value(l);
-      if (val == LBool::kTrue) {
-        // ¬kept* ⊢ l: the kept prefix plus l is an implied subset.
-        kept.push_back(l);
-        root_satisfied = decision_level() == 0;
-        shortened = kept.size() < lits.size();
-        break;
-      }
-      if (val == LBool::kFalse) {
-        if (decision_level() == 0) {
-          shortened = true;  // root-false literal: always droppable
-          continue;
-        }
-        // ¬kept* ⊢ ¬l: l is redundant in this clause.
-        shortened = true;
-        continue;
-      }
-      new_decision_level();
-      enqueue(~l, kNoReason);
-      if (propagate() != kNoReason) {
-        // ¬kept* ∧ ¬l is contradictory ⟹ (kept ∨ l) is implied.
-        kept.push_back(l);
-        shortened = kept.size() < lits.size();
-        break;
-      }
-      kept.push_back(l);
-    }
-    cancel_until(0);
-    if (root_satisfied) {
-      remove_clause(cref);  // already detached; mark + account only
-      continue;
-    }
-    if (!shortened) {
-      attach_watches(cref);
-      continue;
-    }
-    stats_.vivified_literals += lits.size() - kept.size();
-    rebuild_clause(cref, kept);
-  }
-  return ok_;
-}
-
-bool Solver::inprocess(const InprocessOptions& options) {
-  assert(decision_level() == 0);
-  if (!ok_) return false;
-  ++stats_.inprocess_runs;
-  inprocess_stopped_ = false;
-  if (!simplify_root()) return false;
-  lit_mark_.assign(2 * static_cast<std::size_t>(internal_vars()), 0);
-  build_occ_lists();
-  for (std::uint32_t round = 0; round < options.max_rounds; ++round) {
-    const std::size_t trail_before = trail_.size();
-    if (options.subsume && !subsumption_pass(options)) return false;
-    if (options.eliminate && !eliminate_pass(options)) return false;
-    if (inprocess_stopped_ || trail_.size() == trail_before) break;
-    // New root units: re-clean the database and run another round.
-    if (!simplify_root()) return false;
-    build_occ_lists();
-  }
-  if (!inprocess_stopped_ && options.vivify && !vivify_pass(options)) {
-    return false;
-  }
-  // In-pass propagation recorded clause reasons for new root facts;
-  // clear them (root reasons are never traversed) so records removed
-  // above can never dangle as reasons at the next GC.
-  for (const Lit l : trail_) {
-    var_data_[static_cast<std::size_t>(l.var())].reason = kNoReason;
-  }
-  occ_.clear();
-  occ_.shrink_to_fit();
-  guarded_records_.clear();
-  maybe_garbage_collect();
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Variable compaction
-// ---------------------------------------------------------------------------
-
-std::size_t Solver::compact() {
-  assert(decision_level() == 0);
-  if (!ok_) return 0;
-  if (!simplify_root()) return 0;
-  // Sweep removed records and stale list/index entries so the occurrence
-  // scan below sees only live records. (Root reasons were cleared by
-  // simplify_root, so nothing dangles.)
-  garbage_collect();
-  const Var n_old = internal_vars();
-  std::vector<std::uint8_t> occurs(static_cast<std::size_t>(n_old), 0);
-  const auto scan = [&](const std::vector<ClauseRef>& list) {
-    for (const ClauseRef cref : list) {
-      const std::uint32_t size = clause_size(cref);
-      const std::uint32_t base = lit_base(cref);
-      for (std::uint32_t i = 0; i < size; ++i) {
-        occurs[static_cast<std::size_t>(arena_[base + i] >> 1)] = 1;
-      }
-    }
-  };
-  scan(problem_clauses_);
-  scan(learnt_clauses_);
-  // After simplify_root, no live clause mentions a root-assigned
-  // variable, so the drop taxonomy is exact: assigned → kFixed (value
-  // recorded), unused → kFree, orphaned eliminated slots → gone.
-  remap_.materialize(n_old);
-  std::vector<Var> old2new(static_cast<std::size_t>(n_old), cnf::kNoVar);
-  Var n_new = 0;
-  for (Var v = 0; v < n_old; ++v) {
-    const Var ev = remap_.to_external(v);
-    if (value(v) != LBool::kUndef) {
-      assert(level(v) == 0);
-      if (ev != cnf::kNoVar) {
-        remap_.drop(ev, Remapper::DropKind::kFixed, value(v));
-      }
-      continue;
-    }
-    if (occurs[static_cast<std::size_t>(v)] == 0) {
-      if (ev != cnf::kNoVar) remap_.drop(ev, Remapper::DropKind::kFree);
-      continue;
-    }
-    old2new[static_cast<std::size_t>(v)] = n_new++;
-  }
-  const auto reclaimed = static_cast<std::size_t>(n_old - n_new);
-  if (reclaimed == 0) return 0;
-  remap_.remapped_vars_ += reclaimed;
-  // Rebind the external maps onto the new numbering.
-  std::vector<Var> int2ext_new(static_cast<std::size_t>(n_new), cnf::kNoVar);
-  for (Var v = 0; v < n_old; ++v) {
-    const Var nv = old2new[static_cast<std::size_t>(v)];
-    if (nv == cnf::kNoVar) continue;
-    const Var ev = remap_.int2ext_[static_cast<std::size_t>(v)];
-    int2ext_new[static_cast<std::size_t>(nv)] = ev;
-    if (ev != cnf::kNoVar) remap_.ext2int_[static_cast<std::size_t>(ev)] = nv;
-  }
-  remap_.int2ext_ = std::move(int2ext_new);
-  // Rewrite every literal word in the live records.
-  const auto rewrite = [&](const std::vector<ClauseRef>& list) {
-    for (const ClauseRef cref : list) {
-      const std::uint32_t size = clause_size(cref);
-      const std::uint32_t base = lit_base(cref);
-      for (std::uint32_t i = 0; i < size; ++i) {
-        const std::uint32_t code = arena_[base + i];
-        arena_[base + i] =
-            2 * static_cast<std::uint32_t>(
-                    old2new[static_cast<std::size_t>(code >> 1)]) |
-            (code & 1u);
-      }
-    }
-  };
-  rewrite(problem_clauses_);
-  rewrite(learnt_clauses_);
-  // The guarded index is keyed by internal variable ids. A surviving
-  // entry's activation variable occurs in its live records, so it maps.
-  std::unordered_map<Var, std::vector<ClauseRef>> activation_new;
-  activation_new.reserve(activation_clauses_.size());
-  for (auto& entry : activation_clauses_) {
-    if (entry.second.empty()) continue;
-    activation_new[old2new[static_cast<std::size_t>(entry.first)]] =
-        std::move(entry.second);
-  }
-  activation_clauses_ = std::move(activation_new);
-  // Rebuild the per-variable state in the new numbering. old2new is
-  // monotone over kept variables, so in-place compression is safe.
-  for (Var v = 0; v < n_old; ++v) {
-    const Var nv = old2new[static_cast<std::size_t>(v)];
-    if (nv == cnf::kNoVar) continue;
-    saved_phase_[static_cast<std::size_t>(nv)] =
-        saved_phase_[static_cast<std::size_t>(v)];
-    activity_[static_cast<std::size_t>(nv)] =
-        activity_[static_cast<std::size_t>(v)];
-  }
-  saved_phase_.resize(static_cast<std::size_t>(n_new));
-  activity_.resize(static_cast<std::size_t>(n_new));
-  assigns_.assign(static_cast<std::size_t>(n_new), LBool::kUndef);
-  var_data_.assign(static_cast<std::size_t>(n_new), {});
-  seen_.assign(static_cast<std::size_t>(n_new), 0);
-  // Root facts now live in the remapper's kFixed records.
-  trail_.clear();
-  propagate_head_ = 0;
-  watches_.assign(2 * static_cast<std::size_t>(n_new), {});
-  for (const ClauseRef cref : problem_clauses_) attach_watches(cref);
-  for (const ClauseRef cref : learnt_clauses_) attach_watches(cref);
-  order_.reset(n_new);
-  for (Var v = 0; v < n_new; ++v) order_.insert(v);
-  enum_order_.clear();
-  enum_cursor_ = 0;
-  return reclaimed;
 }
 
 // ---------------------------------------------------------------------------
@@ -1628,40 +860,16 @@ Result Solver::enumerate(const ModelSink& sink,
   return solve_entry(assumptions, deadline, &sink);
 }
 
-// Public solve boundary: translates assumptions into internal numbering
-// (reviving dropped variables), runs the search, and maps the core back.
+// Public solve boundary: allocates any variable the assumptions mention
+// and keeps the solver at the root level if the search throws.
 Result Solver::solve_entry(const std::vector<Lit>& assumptions,
                            const util::Deadline* deadline,
                            const ModelSink* sink) {
   core_.clear();
   if (!ok_) return Result::kUnsat;
   for (const Lit a : assumptions) ensure_vars(a.var() + 1);
-  const std::vector<Lit>* use = &assumptions;
-  if (!remap_.identity()) {
-    assump_tmp_.clear();
-    for (const Lit a : assumptions) {
-      switch (remap_.drop_kind(a.var())) {
-        case Remapper::DropKind::kLive:
-          assump_tmp_.push_back(remap_.to_internal(a));
-          break;
-        case Remapper::DropKind::kFixed:
-          // A root-fixed assumption is vacuous or immediately refutable.
-          if ((remap_.fixed_value(a.var()) ^ a.negated()) == LBool::kFalse) {
-            core_.assign(1, a);
-            return Result::kUnsat;
-          }
-          break;
-        case Remapper::DropKind::kFree:
-        case Remapper::DropKind::kEliminated:
-          assump_tmp_.push_back(Lit(revive(a.var()), a.negated()));
-          break;
-      }
-    }
-    use = &assump_tmp_;
-  }
-  Result result;
   try {
-    result = search_loop(*use, deadline, sink);
+    return search_loop(assumptions, deadline, sink);
   } catch (...) {
     // OutOfBudgetError from arena growth unwinds mid-search; restore the
     // root level so the solver object stays consistent for callers that
@@ -1669,10 +877,6 @@ Result Solver::solve_entry(const std::vector<Lit>& assumptions,
     cancel_until(0);
     throw;
   }
-  if (result == Result::kUnsat && !remap_.identity()) {
-    for (Lit& l : core_) l = remap_.to_external(l);
-  }
-  return result;
 }
 
 Result Solver::search_loop(const std::vector<Lit>& assumptions,
@@ -1828,69 +1032,18 @@ Result Solver::search_loop(const std::vector<Lit>& assumptions,
 }
 
 void Solver::extract_model() {
-  const Var n_ext = remap_.num_external();
-  model_.resize(static_cast<std::size_t>(n_ext));
-  if (remap_.identity()) {
-    for (Var v = 0; v < n_ext; ++v) {
-      // Unassigned vars (disconnected) default to their saved phase.
-      const LBool val = value(v);
-      model_.set(v, val == LBool::kUndef
-                        ? saved_phase_[static_cast<std::size_t>(v)]
-                        : val == LBool::kTrue);
-    }
-    return;
-  }
-  for (Var ev = 0; ev < n_ext; ++ev) {
-    bool bit = false;
-    const Var iv = remap_.to_internal(ev);
-    if (iv != cnf::kNoVar) {
-      const LBool val = value(iv);
-      bit = val == LBool::kUndef ? saved_phase_[static_cast<std::size_t>(iv)]
-                                 : val == LBool::kTrue;
-    } else if (remap_.drop_kind(ev) == Remapper::DropKind::kFixed) {
-      bit = remap_.fixed_value(ev) == LBool::kTrue;
-    }
-    // kFree defaults to false; kEliminated is filled in below.
-    model_.set(ev, bit);
-  }
-  // Extend eliminated variables in reverse elimination order (each
-  // group's defining clauses mention, besides the variable itself, only
-  // variables that were never eliminated or were eliminated later — both
-  // have values by the time the group is reached). Default makes the
-  // stored literal p false; flip it iff some defining clause would
-  // otherwise be falsified.
-  for (auto it = elim_groups_.rbegin(); it != elim_groups_.rend(); ++it) {
-    if (it->revived) continue;
-    const Lit p = it->lit;
-    bool need_p = false;
-    for (const Clause& c : it->clauses) {
-      bool satisfied = false;
-      for (const Lit l : c) {
-        if (l.var() == p.var()) continue;
-        if (model_.value(l)) {
-          satisfied = true;
-          break;
-        }
-      }
-      if (!satisfied) {
-        need_p = true;
-        break;
-      }
-    }
-    model_.set(p.var(), need_p ? !p.negated() : p.negated());
+  const Var n = num_vars();
+  model_.resize(static_cast<std::size_t>(n));
+  for (Var v = 0; v < n; ++v) {
+    // Unassigned vars (disconnected) default to their saved phase.
+    const LBool val = value(v);
+    model_.set(v, val == LBool::kUndef
+                      ? saved_phase_[static_cast<std::size_t>(v)]
+                      : val == LBool::kTrue);
   }
 }
 
 LBool Solver::fixed_value(Lit l) const {
-  if (!remap_.identity()) {
-    const Lit il = remap_.to_internal(l);
-    if (!il.valid()) {
-      // Dropped: kFixed carries its recorded root value; free/eliminated
-      // variables are unconstrained.
-      return remap_.fixed_value(l.var()) ^ l.negated();
-    }
-    l = il;
-  }
   const auto v = static_cast<std::size_t>(l.var());
   if (var_data_[v].level != 0) return LBool::kUndef;
   return value(l);
@@ -1901,7 +1054,6 @@ const SolverStats& Solver::stats() const {
   stats_.wasted_bytes = wasted_ * sizeof(std::uint32_t);
   stats_.max_learnts = max_learnts_;
   stats_.vars_allocated = static_cast<std::uint64_t>(num_vars());
-  stats_.remapped_vars = remap_.remapped_vars();
   stats_.peak_rss_bytes = obs::peak_rss_bytes();
   return stats_;
 }

@@ -58,23 +58,9 @@
 // rest of the run. This is how the synthesis pipeline swaps per-candidate
 // cone encodings and per-counterexample MaxSAT machinery in and out of
 // one persistent solver.
-// Inter-solve inprocessing (PR-6): between solve() calls the solver can
-// simplify its own clause database — occurrence-list subsumption and
-// self-subsuming resolution, bounded variable elimination (SatELite /
-// MiniSat-SimpSolver style, with a stored extension stack so models stay
-// complete), and clause vivification (propagation-based clause
-// shortening). Activation-guarded clauses are never touched: their
-// variables are protected from elimination and the records are excluded
-// from subsumption/vivification, so retirement semantics are preserved.
-//
-// compact() pairs with inprocessing: it renumbers the live variables
-// densely and records what happened to every dropped variable in a
-// sat::Remapper, while the public API keeps speaking the original
-// ("external") numbering — clients never renumber anything. Dropped
-// variables that are mentioned again (recycled MaxSAT round variables,
-// cached Tseitin node ids) are transparently revived; eliminated
-// variables are revived by re-adding their stored defining clauses,
-// which restores full logical equivalence.
+// Variables keep the ids new_var() handed them for the solver's lifetime:
+// there is no renumbering, so models, cores and assumptions all use the
+// caller's ids directly.
 #pragma once
 
 #include <cstdint>
@@ -83,8 +69,6 @@
 #include <vector>
 
 #include "cnf/cnf.hpp"
-#include "sat/remapper.hpp"
-#include "util/cancel.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -117,33 +101,6 @@ struct SolverOptions {
   std::uint64_t seed = 0x123456789abcdefULL;
   /// Restart interval base (conflicts); scaled by the Luby sequence.
   int restart_base = 100;
-};
-
-/// Knobs for one inprocess() call. Defaults follow MiniSat-SimpSolver's
-/// bounds, scaled down since inprocessing runs repeatedly.
-struct InprocessOptions {
-  bool subsume = true;    ///< subsumption + self-subsuming resolution
-  bool eliminate = true;  ///< bounded variable elimination
-  bool vivify = true;     ///< propagation-based clause shortening
-  /// A variable is eliminated only if the number of non-tautological
-  /// resolvents does not exceed #pos + #neg occurrences plus this slack.
-  std::uint32_t elim_grow = 0;
-  /// Elimination is abandoned if any resolvent would be longer than this.
-  std::uint32_t elim_clause_limit = 24;
-  /// Literals with longer occurrence lists are skipped as subsumption
-  /// pivots and their variables are not eliminated (density guard).
-  std::size_t occ_limit = 400;
-  /// Propagation budget for the vivification pass.
-  std::uint64_t vivify_budget = 200000;
-  /// Maximum simplification rounds (a strengthening that produces new
-  /// units triggers another round).
-  std::uint32_t max_rounds = 3;
-  /// Cooperative stop, polled between per-item steps of every pass
-  /// (subsumption pivots, elimination candidates, vivification clauses).
-  /// When cancelled the remaining work is skipped — sound, because the
-  /// clause database is valid after any prefix of simplifications — and
-  /// inprocess() still returns true. Null = not cancellable.
-  const util::CancelToken* cancel = nullptr;
 };
 
 struct SolverStats {
@@ -180,19 +137,6 @@ struct SolverStats {
   std::uint64_t retired_activations = 0;
   /// Models harvested by enumerate() sessions (one per descent).
   std::uint64_t enumerated_models = 0;
-  // --- inprocessing (cumulative) -----------------------------------------
-  /// inprocess() invocations that actually ran (root level, ok).
-  std::uint64_t inprocess_runs = 0;
-  /// Variables removed by bounded variable elimination.
-  std::uint64_t eliminated_vars = 0;
-  /// Clauses deleted because another clause subsumes them.
-  std::uint64_t subsumed_clauses = 0;
-  /// Literals removed by self-subsuming resolution (strengthening).
-  std::uint64_t strengthened_literals = 0;
-  /// Literals removed by clause vivification.
-  std::uint64_t vivified_literals = 0;
-  /// Internal variable slots reclaimed by compact() (snapshot).
-  std::uint64_t remapped_vars = 0;
   // --- process memory (snapshot refreshed by stats()) --------------------
   /// Process-wide peak resident set size in bytes at the time of the
   /// stats() call. Process-global, not per-solver: useful for reporting,
@@ -225,9 +169,8 @@ class Solver {
   Var reserve_vars(Var count);
   /// Grow to at least `n` variables.
   void ensure_vars(Var n);
-  /// Variables handed out so far, in the stable external numbering. The
-  /// internal (post-compaction) variable count may be smaller.
-  Var num_vars() const { return remap_.num_external(); }
+  /// Variables handed out so far.
+  Var num_vars() const { return static_cast<Var>(assigns_.size()); }
 
   /// Restart the decision RNG from `seed`. A persistent solver reseeds
   /// between rounds so a stuck client sees a different search trajectory
@@ -300,43 +243,6 @@ class Solver {
   /// Truth value of `l` in the current root-level assignment (kUndef if
   /// unassigned at level 0). Useful after unit propagation.
   LBool fixed_value(Lit l) const;
-
-  /// Protect variable `v` (external numbering) from bounded variable
-  /// elimination. Interface variables whose models/assumptions the client
-  /// reads for the lifetime of the session (e.g. a DQBF matrix block)
-  /// should be frozen so inprocessing does not churn them through
-  /// eliminate/revive cycles. Fixing or freeing by compact() is still
-  /// possible — both are transparent to the client.
-  void freeze(Var v);
-  /// Freeze the `count` variables starting at `first`.
-  void freeze_range(Var first, Var count);
-  bool is_frozen(Var v) const {
-    return static_cast<std::size_t>(v) < frozen_.size() &&
-           frozen_[static_cast<std::size_t>(v)] != 0;
-  }
-
-  /// Inter-solve simplification of the clause database: root-level
-  /// cleanup (satisfied clauses removed, false literals stripped),
-  /// occurrence-list subsumption + self-subsuming resolution, bounded
-  /// variable elimination, and clause vivification, per `options`.
-  /// Must be called between solves (root decision level, no active
-  /// enumeration). Returns false iff the formula was proven
-  /// unsatisfiable. Learnt clauses are kept (swept only when they mention
-  /// an eliminated variable); activation-guarded clauses and their
-  /// variables are never touched.
-  bool inprocess(const InprocessOptions& options = {});
-
-  /// Renumber the live internal variables densely, dropping root-fixed
-  /// and unused slots (see sat::Remapper for the drop taxonomy). Every
-  /// public API keeps speaking the original external numbering; dropped
-  /// variables mentioned again are transparently revived. Returns the
-  /// number of internal variable slots reclaimed. Must be called between
-  /// solves. Invalidates model()/core() until the next solve.
-  std::size_t compact();
-
-  /// External↔internal variable bookkeeping (identity until the first
-  /// elimination or compaction).
-  const Remapper& remapper() const { return remap_; }
 
   const SolverStats& stats() const;
   SolverOptions& options() { return options_; }
@@ -416,11 +322,6 @@ class Solver {
     void update(Var v);  // activity of v increased
     Var remove_max();
     void grow(Var n) { index_.resize(n, -1); }
-    /// Empty the heap and resize for `n` variables (compaction rebuild).
-    void reset(Var n) {
-      heap_.clear();
-      index_.assign(static_cast<std::size_t>(n), -1);
-    }
 
    private:
     void sift_up(std::size_t i);
@@ -486,90 +387,16 @@ class Solver {
   void extract_model();
   static std::int64_t luby(std::int64_t i);
 
-  // --- external/internal numbering ---------------------------------------
-  Var internal_vars() const { return static_cast<Var>(assigns_.size()); }
-  /// Allocate an internal variable slot (arrays + heap); no external id.
-  Var new_internal_var();
-  /// Internal slot with no external binding (eliminated, pre-compaction).
-  bool is_orphan(Var internal) const {
-    return !remap_.identity() && remap_.to_external(internal) == cnf::kNoVar;
-  }
-  /// Give a dropped external variable a fresh internal slot; eliminated
-  /// variables additionally re-add their stored defining clauses.
-  Var revive(Var external);
-  /// Map an external clause to internal literals. Returns false if the
-  /// clause is satisfied by a fixed drop; fixed-false literals are
-  /// skipped; free/eliminated variables are revived.
-  bool translate_clause_in(const Clause& clause, std::vector<Lit>& out);
-  /// Assert an internal literal at the root and propagate; updates ok_.
+  /// Assert `p` at the root and propagate; updates ok_.
   bool enqueue_root_unit(Lit p);
-
-  // --- inprocessing -------------------------------------------------------
-  /// Root-level database cleanup: clear root reasons, remove satisfied
-  /// clauses, strip false literals. Requires decision level 0.
-  bool simplify_root();
-  /// Replace a (detached or attached) record's literals with `lits`
-  /// (a subset), handling root-assigned literals, unit/empty collapse,
-  /// and watch maintenance. Returns true iff the record is still live.
-  bool rebuild_clause(ClauseRef cref, std::vector<Lit>& lits);
-  bool subsumption_pass(const InprocessOptions& options);
-  bool eliminate_pass(const InprocessOptions& options);
-  bool vivify_pass(const InprocessOptions& options);
-  /// Sticky per-inprocess() cancellation poll (options.cancel + the
-  /// sat.inprocess.step fault site); passes break at item boundaries.
-  bool inprocess_should_stop(const InprocessOptions& options);
-  /// Occurrence lists over unguarded problem clauses, rebuilt per
-  /// inprocess() call; entries are lazily stale (membership re-verified).
-  void build_occ_lists();
-  void occ_push(ClauseRef cref);
-  bool clause_contains(ClauseRef cref, Lit l) const;
-  bool is_guarded_record(ClauseRef cref) const;
 
   SolverOptions options_;
   util::Rng rng_;
-
-  Remapper remap_;
-  /// Frozen external variables (never eliminated); see freeze().
-  std::vector<std::uint8_t> frozen_;
-  /// Internal variables occurring in activation-guarded records; never
-  /// eliminated and excluded from occurrence lists. Rebuilt per
-  /// inprocess() call.
-  std::vector<std::uint8_t> guarded_var_;
-  /// Defining clauses of one eliminated variable (external literals):
-  /// the stored side's clauses all contain `lit`. Model extension walks
-  /// groups in reverse order; revival re-adds `clauses` and marks the
-  /// group dead.
-  // One bounded-variable-elimination record, in EXTERNAL literals.
-  // `clauses` is the smaller occurrence side (the side of `lit`): model
-  // extension only needs one side (if no clause of it forces `lit`, the
-  // default ~lit satisfies the other side through the resolvents).
-  // Revival is different: restoring logical equivalence requires *all*
-  // original clauses of the variable, so `other` keeps the opposite side
-  // too — one side alone does not entail the other given the resolvents.
-  struct ElimGroup {
-    Lit lit;
-    std::vector<Clause> clauses;  // extension + revival
-    std::vector<Clause> other;    // revival only
-    bool revived = false;
-  };
-  std::vector<ElimGroup> elim_groups_;
-  std::unordered_map<Var, std::size_t> elim_group_of_;  // external var
-  /// Occurrence lists (indexed by internal lit code) over unguarded
-  /// problem clauses; valid only during inprocess().
-  std::vector<std::vector<ClauseRef>> occ_;
-  /// Activation-guarded records (sorted crefs) for the current
-  /// inprocess() call; excluded from occurrence lists, subsumption, and
-  /// vivification.
-  std::vector<ClauseRef> guarded_records_;
-  /// Literal marks for subset tests (indexed by internal lit code).
-  std::vector<std::uint8_t> lit_mark_;
 
   /// Flat clause arena; every ClauseRef is a word offset into it.
   std::vector<std::uint32_t> arena_;
   /// Words occupied by removed (marked) clause records; drives the GC.
   std::size_t wasted_ = 0;
-  /// Sticky stop flag for the current inprocess() call.
-  bool inprocess_stopped_ = false;
   /// Conflicts already reported to the thread's ResourceBudget (charged
   /// as deltas at the deadline-poll cadence).
   std::uint64_t budget_conflicts_reported_ = 0;
@@ -601,11 +428,6 @@ class Solver {
   // Scratch buffer for add_clause normalization (avoids a heap
   // allocation per added clause — MaxSAT relaxation adds thousands).
   std::vector<Lit> add_tmp_;
-  // Scratch for external→internal clause/assumption translation. Never
-  // aliased with add_tmp_: translation feeds add_clause_impl, which
-  // normalizes into add_tmp_.
-  std::vector<Lit> map_tmp_;
-  std::vector<Lit> assump_tmp_;
   // Scratch stamps for LBD computation, indexed by decision level.
   std::vector<std::uint64_t> lbd_stamp_;
   std::uint64_t lbd_stamp_counter_ = 0;

@@ -15,9 +15,8 @@ namespace {
 constexpr std::size_t kNumSites = static_cast<std::size_t>(Site::kCount);
 
 constexpr const char* kSiteNames[kNumSites] = {
-    "sat.arena.grow",    "sat.inprocess.step", "sample_matrix.grow",
-    "aig.node.alloc",    "service.job",        "daemon.read",
-    "daemon.write",
+    "sat.arena.grow", "sample_matrix.grow", "aig.node.alloc",
+    "service.job",    "daemon.read",        "daemon.write",
 };
 
 constexpr const char* kKindNames[] = {"none", "alloc", "io", "stall",

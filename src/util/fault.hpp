@@ -21,8 +21,8 @@
 //   spec  := entry (';' entry)*
 //   entry := "seed=" N | rule
 //   rule  := site ':' kind (':' key '=' value)*
-//   site  := sat.arena.grow | sat.inprocess.step | sample_matrix.grow |
-//            aig.node.alloc | service.job | daemon.read | daemon.write
+//   site  := sat.arena.grow | sample_matrix.grow | aig.node.alloc |
+//            service.job | daemon.read | daemon.write
 //   kind  := alloc | io | stall | cancel
 //   keys  := after (first eligible 1-based poll index, default 1)
 //            every (also fire each Nth poll after `after`; 0 = once)
@@ -44,7 +44,6 @@ namespace manthan::util::fault {
 
 enum class Site : std::uint8_t {
   kSatArenaGrow,      // sat::Solver clause-arena capacity growth
-  kSatInprocessStep,  // per-item step inside Solver::inprocess passes
   kSampleMatrixGrow,  // cnf::SampleMatrix column growth
   kAigNodeAlloc,      // aig::Aig node-table / strash growth
   kServiceJob,        // engine::Service worker at job start

@@ -293,52 +293,6 @@ TEST(Manthan3, SampleReuseStaysSoundAndCertified) {
   EXPECT_EQ(baseline.stats.refit_rounds, 0u);
 }
 
-TEST(Manthan3, SolverMaintenanceFiresAndStaysCertified) {
-  // Inprocessing + compaction of the persistent verify/φ solvers on a
-  // per-counterexample cadence: the engine answer must be unchanged and
-  // certified, and the maintenance counters must move.
-  workloads::PlantedParams params{12, 6, 4, 6, 80, 7};
-  params.nested_deps = true;
-  params.dep_size_max = 10;
-  const dqbf::DqbfFormula f = workloads::gen_planted(params);
-  Manthan3Options options;
-  options.time_limit_seconds = 30.0;
-  options.inprocess = true;
-  options.inprocess_interval = 1;  // fire on every counterexample
-  // Starve the learner so the first candidates are wrong and the
-  // verify/repair loop actually runs.
-  options.sampler.num_samples = 4;
-  options.sampler.probe_samples = 4;
-  options.use_unique_extraction = false;
-  aig::Aig manager;
-  const SynthesisResult result = run(f, manager, options);
-  if (result.status == SynthesisStatus::kRealizable) {
-    expect_certified(f, manager, result);
-  }
-  // Deterministic at this seed: the nested-dependency instance drives
-  // the repair loop, so maintenance must actually have fired.
-  ASSERT_GT(result.stats.counterexamples, 0u);
-  EXPECT_GT(result.stats.inprocess_runs, 0u);
-
-  // Maintenance off: counters stay zero, answer still sound.
-  Manthan3Options off = options;
-  off.inprocess = false;
-  aig::Aig manager2;
-  const SynthesisResult baseline = run(f, manager2, off);
-  if (baseline.status == SynthesisStatus::kRealizable) {
-    expect_certified(f, manager2, baseline);
-  }
-  EXPECT_EQ(baseline.stats.inprocess_runs, 0u);
-  EXPECT_EQ(baseline.stats.eliminated_vars, 0u);
-  EXPECT_EQ(baseline.stats.remapped_vars, 0u);
-  // Sanitizer builds can blow the wall-clock budget; only compare
-  // verdicts when both runs finished within it.
-  if (result.status != SynthesisStatus::kTimeout &&
-      baseline.status != SynthesisStatus::kTimeout) {
-    EXPECT_EQ(result.status, baseline.status);
-  }
-}
-
 /// An instance of the standard suite, by name.
 dqbf::DqbfFormula suite_instance(const std::string& name) {
   for (workloads::Instance& instance :

@@ -368,35 +368,6 @@ TEST(SolverCancel, TokenCancelledMidEnumerationStopsSession) {
   EXPECT_NE(s.solve(), Result::kUnknown);
 }
 
-TEST(SolverCancel, TokenCancelledMidInprocessSkipsRemainingWork) {
-  // A pre-cancelled token makes every pass skip its per-item work:
-  // inprocess() still succeeds (any prefix of simplifications is sound)
-  // but must not simplify anything, and the solver stays usable.
-  CnfFormula f(4);
-  f.add_clause({pos(0), pos(1)});
-  f.add_clause({pos(0), pos(1), pos(2)});
-  f.add_clause({neg(1), pos(2)});
-  f.add_clause({neg(1), pos(3)});
-  Solver s;
-  ASSERT_TRUE(s.add_formula(f));
-  util::CancelToken token;
-  token.cancel();
-  InprocessOptions opts;
-  opts.cancel = &token;
-  ASSERT_TRUE(s.inprocess(opts));
-  EXPECT_EQ(s.stats().subsumed_clauses, 0u);
-  EXPECT_EQ(s.stats().eliminated_vars, 0u);
-  EXPECT_EQ(s.stats().vivified_literals, 0u);
-  ASSERT_EQ(s.solve(), Result::kSat);
-  EXPECT_TRUE(f.satisfied_by(s.model()));
-
-  // Uncancelled, the same solver simplifies: proof the skip above came
-  // from the token, not from having nothing to do.
-  token.reset();
-  ASSERT_TRUE(s.inprocess(opts));
-  EXPECT_GT(s.stats().subsumed_clauses + s.stats().eliminated_vars, 0u);
-}
-
 TEST(Solver, ReserveVarsAllocatesContiguousBlock) {
   Solver s;
   EXPECT_EQ(s.reserve_vars(10), 0);
@@ -501,222 +472,6 @@ TEST(Solver, ReseedChangesSearchNotVerdict) {
   s.options().random_branch_freq = 0.2;
   s.options().random_polarity = true;
   EXPECT_EQ(s.solve(), first);
-}
-
-// ---------------------------------------------------------------------------
-// Inter-solve inprocessing and variable remapping
-// ---------------------------------------------------------------------------
-
-TEST(SolverInprocess, SubsumptionRemovesSupersets) {
-  Solver s;
-  s.add_clause({pos(0), pos(1)});
-  s.add_clause({pos(0), pos(1), pos(2)});
-  s.add_clause({pos(0), pos(1), neg(3)});
-  InprocessOptions opts;
-  opts.eliminate = false;
-  opts.vivify = false;
-  ASSERT_TRUE(s.inprocess(opts));
-  EXPECT_GE(s.stats().subsumed_clauses, 2u);
-  ASSERT_EQ(s.solve(), Result::kSat);
-  EXPECT_TRUE(s.model().value(0) || s.model().value(1));
-}
-
-TEST(SolverInprocess, SelfSubsumptionStrengthens) {
-  Solver s;
-  // (0 ∨ 1) resolved with (¬0 ∨ 1 ∨ 2) on var 0 gives (1 ∨ 2), which
-  // subsumes the latter: strengthening removes ¬0 from it.
-  s.add_clause({pos(0), pos(1)});
-  s.add_clause({neg(0), pos(1), pos(2)});
-  InprocessOptions opts;
-  opts.eliminate = false;
-  opts.vivify = false;
-  ASSERT_TRUE(s.inprocess(opts));
-  EXPECT_GE(s.stats().strengthened_literals, 1u);
-  EXPECT_EQ(s.solve(), Result::kSat);
-}
-
-TEST(SolverInprocess, EliminationExtendsModelsSoundly) {
-  // Var 1 occurs 1 pos / 2 neg: a classic elimination candidate. The
-  // model must still be reported over the original variables and satisfy
-  // the original clauses.
-  CnfFormula f(4);
-  f.add_clause({pos(0), pos(1)});
-  f.add_clause({neg(1), pos(2)});
-  f.add_clause({neg(1), pos(3)});
-  f.add_clause({neg(2), neg(3)});
-  Solver s;
-  ASSERT_TRUE(s.add_formula(f));
-  ASSERT_TRUE(s.inprocess());
-  EXPECT_GE(s.stats().eliminated_vars, 1u);
-  ASSERT_EQ(s.solve(), Result::kSat);
-  EXPECT_TRUE(f.satisfied_by(s.model()));
-}
-
-TEST(SolverInprocess, FrozenVariablesAreNeverEliminated) {
-  CnfFormula f(4);
-  f.add_clause({pos(0), pos(1)});
-  f.add_clause({neg(1), pos(2)});
-  f.add_clause({neg(1), pos(3)});
-  Solver s;
-  ASSERT_TRUE(s.add_formula(f));
-  s.freeze_range(0, 4);
-  ASSERT_TRUE(s.inprocess());
-  EXPECT_EQ(s.stats().eliminated_vars, 0u);
-  for (Var v = 0; v < 4; ++v) {
-    EXPECT_TRUE(s.remapper().is_live(v)) << v;
-  }
-}
-
-TEST(SolverInprocess, RootRefutationReportsUnsat) {
-  Solver s;
-  s.add_clause({pos(0), pos(1)});
-  s.add_clause({pos(0), neg(1)});
-  s.add_clause({neg(0), pos(1)});
-  s.add_clause({neg(0), neg(1)});
-  // Self-subsumption strengthens these to units and derives the empty
-  // clause at the root.
-  EXPECT_FALSE(s.inprocess());
-  EXPECT_EQ(s.solve(), Result::kUnsat);
-}
-
-TEST(SolverInprocess, VivificationShortensImpliedClauses) {
-  Solver s;
-  s.add_clause({pos(0), pos(1)});
-  // Assuming ¬0 propagates 1 through the clause above, so (0 ∨ 1 ∨ 2)
-  // vivifies to (0 ∨ 1).
-  s.add_clause({pos(0), pos(1), pos(2)});
-  InprocessOptions opts;
-  opts.subsume = false;
-  opts.eliminate = false;
-  ASSERT_TRUE(s.inprocess(opts));
-  EXPECT_GE(s.stats().vivified_literals, 1u);
-  EXPECT_EQ(s.solve(), Result::kSat);
-}
-
-TEST(SolverInprocess, GuardedClausesSurviveInprocessing) {
-  Solver s;
-  s.ensure_vars(2);
-  const Lit act = pos(s.new_var());
-  s.add_clause_activated({pos(0)}, act);
-  s.add_clause_activated({pos(1)}, act);
-  // A subsuming unguarded clause must not remove the guarded records.
-  s.add_clause({pos(0), pos(1)});
-  ASSERT_TRUE(s.inprocess());
-  ASSERT_EQ(s.solve({act}), Result::kSat);
-  EXPECT_TRUE(s.model().value(0));
-  EXPECT_TRUE(s.model().value(1));
-  // Retirement still works after the pass: without the guard only the
-  // unguarded (0 ∨ 1) constrains the variables.
-  s.retire({act});
-  ASSERT_EQ(s.solve({neg(0)}), Result::kSat);
-  EXPECT_TRUE(s.model().value(1));
-}
-
-TEST(SolverCompact, ReclaimsRetiredVariableRange) {
-  Solver s;
-  s.ensure_vars(4);
-  s.add_clause({pos(0), pos(1)});
-  // A pile of retired activation scopes leaves dead variables behind.
-  std::vector<Lit> acts;
-  for (int i = 0; i < 50; ++i) {
-    const Lit act = pos(s.new_var());
-    s.add_clause_activated({pos(2), pos(3)}, act);
-    acts.push_back(act);
-  }
-  s.retire(acts);
-  const Var before = s.num_vars();
-  ASSERT_TRUE(s.inprocess());
-  EXPECT_GT(s.compact(), 0u);
-  // External numbering is stable: num_vars() never shrinks...
-  EXPECT_EQ(s.num_vars(), before);
-  EXPECT_GT(s.stats().remapped_vars, 0u);
-  // ...and solving still works, with models over the full external range.
-  ASSERT_EQ(s.solve(), Result::kSat);
-  EXPECT_EQ(s.model().size(), static_cast<std::size_t>(before));
-  EXPECT_TRUE(s.model().value(0) || s.model().value(1));
-}
-
-TEST(SolverCompact, FixedVariablesKeepTheirValue) {
-  Solver s;
-  s.ensure_vars(3);
-  s.add_clause({pos(0)});
-  s.add_clause({neg(0), pos(1)});
-  ASSERT_TRUE(s.inprocess());
-  s.compact();
-  // Vars 0 and 1 are root facts; after compaction they are kFixed drops
-  // whose recorded value feeds models, fixed_value(), and translation.
-  EXPECT_EQ(s.fixed_value(pos(0)), cnf::LBool::kTrue);
-  EXPECT_EQ(s.fixed_value(pos(1)), cnf::LBool::kTrue);
-  ASSERT_EQ(s.solve(), Result::kSat);
-  EXPECT_TRUE(s.model().value(0));
-  EXPECT_TRUE(s.model().value(1));
-  // Assuming against a fixed value is UNSAT with the assumption as core.
-  ASSERT_EQ(s.solve({neg(0)}), Result::kUnsat);
-  ASSERT_EQ(s.core().size(), 1u);
-  EXPECT_EQ(s.core()[0], neg(0));
-}
-
-TEST(SolverCompact, FreeVariablesReviveOnReuse) {
-  Solver s;
-  s.ensure_vars(3);
-  s.add_clause({pos(0), pos(1)});
-  // Var 2 occurs nowhere: compaction drops it as a free variable.
-  ASSERT_TRUE(s.inprocess());
-  s.compact();
-  EXPECT_EQ(s.remapper().drop_kind(2), Remapper::DropKind::kFree);
-  // Mentioning it again revives it as a fresh internal variable.
-  s.add_clause({pos(2)});
-  ASSERT_EQ(s.solve(), Result::kSat);
-  EXPECT_TRUE(s.model().value(2));
-  EXPECT_TRUE(s.remapper().is_live(2));
-}
-
-TEST(SolverCompact, EliminatedVariablesReviveWithDefinitions) {
-  // Eliminate var 1 by BVE, then constrain it again: revival re-adds the
-  // stored defining clauses, so the new constraint composes with the old
-  // semantics instead of a fresh unconstrained variable.
-  CnfFormula f(4);
-  f.add_clause({pos(0), pos(1)});
-  f.add_clause({neg(1), pos(2)});
-  f.add_clause({neg(1), pos(3)});
-  Solver s;
-  ASSERT_TRUE(s.add_formula(f));
-  s.freeze(0);
-  s.freeze(2);
-  s.freeze(3);
-  ASSERT_TRUE(s.inprocess());
-  ASSERT_TRUE(s.remapper().is_eliminated(1));
-  s.add_clause({neg(2), neg(3)});
-  // Assuming 1 itself forces revival; the re-added definitions
-  // (¬1 ∨ 2), (¬1 ∨ 3) make 1 → 2 ∧ 3, conflicting with (¬2 ∨ ¬3). The
-  // resolvents alone would NOT refute this — only full revival does.
-  ASSERT_EQ(s.solve({pos(1)}), Result::kUnsat);
-  ASSERT_EQ(s.core().size(), 1u);
-  EXPECT_EQ(s.core()[0], pos(1));
-  // ¬0 → 1 → 2 ∧ 3 likewise conflicts; 0 = true is the only way out.
-  ASSERT_EQ(s.solve({neg(0)}), Result::kUnsat);
-  ASSERT_EQ(s.solve(), Result::kSat);
-  EXPECT_TRUE(s.model().value(0));
-}
-
-TEST(SolverInprocess, RepeatedMaintenanceStaysSound) {
-  // A small incremental session: rounds of new clauses, retirement, and
-  // maintenance; the final verdicts must stay consistent throughout.
-  Solver s;
-  s.ensure_vars(6);
-  s.add_clause({pos(0), pos(1), pos(2)});
-  s.add_clause({neg(0), pos(3)});
-  for (int round = 0; round < 10; ++round) {
-    const Lit act = pos(s.new_var());
-    s.add_clause_activated({pos(4), pos(5)}, act);
-    ASSERT_EQ(s.solve({act}), Result::kSat);
-    EXPECT_TRUE(s.model().value(4) || s.model().value(5));
-    s.retire({act});
-    ASSERT_TRUE(s.inprocess());
-    s.compact();
-  }
-  EXPECT_GE(s.stats().inprocess_runs, 10u);
-  ASSERT_EQ(s.solve({neg(4), neg(5)}), Result::kSat);
 }
 
 }  // namespace

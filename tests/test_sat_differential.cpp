@@ -184,112 +184,11 @@ TEST(SolverDifferential, DenseInstancesStayConsistent) {
   (void)unsat;
 }
 
-/// Inprocessing must not change verdicts or model validity: the same
-/// random CNFs as the plain sweep, but simplified (subsumption + bounded
-/// variable elimination + vivification) before solving and compacted
-/// between solves. Models come back in external numbering, so validity is
-/// checked against the *original* formula.
-TEST(SolverDifferential, InprocessingAgreesOnRandomCnfs) {
-  util::Rng rng(0x1337f00d);
-  int inprocessed = 0;
-  for (int round = 0; round < 150; ++round) {
-    const Var num_vars = static_cast<Var>(4 + rng.next_below(9));  // 4..12
-    const std::size_t num_clauses =
-        3 + rng.next_below(static_cast<std::uint64_t>(6 * num_vars));
-    const CnfFormula f = random_cnf(num_vars, num_clauses, 4, rng);
-    const bool expected = brute_force_model(f).has_value();
-    Solver s;
-    if (!s.add_formula(f)) {
-      EXPECT_FALSE(expected);
-      continue;
-    }
-    if (!s.inprocess()) {
-      // Root-level refutation during simplification is an UNSAT verdict.
-      EXPECT_FALSE(expected) << f.to_string();
-      EXPECT_EQ(s.solve(), Result::kUnsat);
-      continue;
-    }
-    ++inprocessed;
-    const Result r = s.solve();
-    ASSERT_NE(r, Result::kUnknown);
-    EXPECT_EQ(r == Result::kSat, expected) << f.to_string();
-    if (r == Result::kSat) {
-      EXPECT_TRUE(f.satisfied_by(s.model())) << f.to_string();
-    }
-    // Compacting the variable range must not change the verdict either,
-    // and models must still be reported in the original numbering.
-    s.compact();
-    const Result r2 = s.solve();
-    EXPECT_EQ(r2, r) << f.to_string();
-    if (r2 == Result::kSat) {
-      EXPECT_TRUE(f.satisfied_by(s.model())) << f.to_string();
-    }
-  }
-  EXPECT_GT(inprocessed, 30);
-}
-
-/// Assumption solving after inprocessing: verdicts match brute force of
-/// formula + assumption units, models satisfy the assumptions, and cores
-/// are subsets of the assumptions (in original numbering) that are
-/// genuinely unsatisfiable — even when the assumed variables were
-/// eliminated or compacted away and had to be revived.
-TEST(SolverDifferential, InprocessingAssumptionVerdictsAndCores) {
-  util::Rng rng(0xd1ffe7e5);
-  int unsat_cores_checked = 0;
-  for (int round = 0; round < 150; ++round) {
-    const Var num_vars = static_cast<Var>(4 + rng.next_below(8));  // 4..11
-    const std::size_t num_clauses =
-        4 + rng.next_below(static_cast<std::uint64_t>(5 * num_vars));
-    const CnfFormula f = random_cnf(num_vars, num_clauses, 3, rng);
-    std::vector<Lit> assumptions;
-    const std::size_t num_assumptions = 1 + rng.next_below(4);
-    for (std::size_t i = 0; i < num_assumptions; ++i) {
-      assumptions.push_back(
-          Lit(static_cast<Var>(
-                  rng.next_below(static_cast<std::uint64_t>(num_vars))),
-              rng.flip()));
-    }
-    CnfFormula with_units = f;
-    for (const Lit a : assumptions) with_units.add_clause({a});
-    const bool expected = brute_force_model(with_units).has_value();
-
-    Solver s;
-    if (!s.add_formula(f)) {
-      EXPECT_FALSE(expected);
-      continue;
-    }
-    if (!s.inprocess()) {
-      EXPECT_FALSE(expected) << with_units.to_string();
-      continue;
-    }
-    if (round % 2 == 0) s.compact();
-    const Result r = s.solve(assumptions);
-    ASSERT_NE(r, Result::kUnknown);
-    EXPECT_EQ(r == Result::kSat, expected) << with_units.to_string();
-    if (r == Result::kSat) {
-      const Assignment& m = s.model();
-      EXPECT_TRUE(f.satisfied_by(m));
-      for (const Lit a : assumptions) EXPECT_TRUE(m.value(a));
-    } else {
-      for (const Lit l : s.core()) {
-        EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), l),
-                  assumptions.end());
-      }
-      CnfFormula with_core = f;
-      for (const Lit l : s.core()) with_core.add_clause({l});
-      EXPECT_FALSE(brute_force_model(with_core).has_value())
-          << with_core.to_string();
-      ++unsat_cores_checked;
-    }
-  }
-  EXPECT_GT(unsat_cores_checked, 10);
-}
-
 /// Incremental sessions with activation-literal retirement interleaved
-/// with inprocessing + compaction rounds: after every step the verdict
-/// under the live guards must match brute force over the permanent
-/// clauses plus the bodies of the still-active guarded groups.
-TEST(SolverDifferential, RetireInterleavedWithInprocessingRounds) {
+/// between solves: after every step the verdict under the live guards
+/// must match brute force over the permanent clauses plus the bodies of
+/// the still-active guarded groups.
+TEST(SolverDifferential, RetireInterleavedAcrossSessions) {
   util::Rng rng(0xfeedbeef);
   const auto random_clause = [&rng](Var num_vars) {
     Clause c;
@@ -337,10 +236,6 @@ TEST(SolverDifferential, RetireInterleavedWithInprocessingRounds) {
           active[i] = false;
         }
       }
-      if (ok && rng.flip()) {
-        ok = s.inprocess();
-        if (ok && rng.flip()) s.compact();
-      }
       // Reference: permanent clauses plus every active group's bodies.
       CnfFormula reference = permanent;
       for (std::size_t i = 0; i < guarded.size(); ++i) {
@@ -349,7 +244,7 @@ TEST(SolverDifferential, RetireInterleavedWithInprocessingRounds) {
       }
       const bool expected = brute_force_model(reference).has_value();
       if (!ok) {
-        // Loading or simplification refuted the permanent part.
+        // Loading refuted the permanent part.
         EXPECT_FALSE(brute_force_model(permanent).has_value());
         break;
       }

@@ -57,11 +57,6 @@ void expect_same_counters(const core::SynthesisStats& a,
   EXPECT_EQ(a.verify_clauses_retired, b.verify_clauses_retired);
   EXPECT_EQ(a.phi_vars, b.phi_vars);
   EXPECT_EQ(a.phi_clauses_retired, b.phi_clauses_retired);
-  EXPECT_EQ(a.inprocess_runs, b.inprocess_runs);
-  EXPECT_EQ(a.eliminated_vars, b.eliminated_vars);
-  EXPECT_EQ(a.subsumed_clauses, b.subsumed_clauses);
-  EXPECT_EQ(a.vivified_literals, b.vivified_literals);
-  EXPECT_EQ(a.remapped_vars, b.remapped_vars);
   EXPECT_EQ(a.samples_appended, b.samples_appended);
   EXPECT_EQ(a.refit_rounds, b.refit_rounds);
   EXPECT_EQ(a.refit_candidates, b.refit_candidates);

@@ -1,5 +1,6 @@
 #include "baselines/pedant_lite.hpp"
 
+#include <map>
 #include <vector>
 
 #include "core/arbiter.hpp"
@@ -54,9 +55,10 @@ SynthesisResult PedantLite::synthesize(const dqbf::DqbfFormula& formula,
   }
 
   // Phase 2: arbiter tables for the undefined outputs. Each table maps an
-  // H_i valuation (packed bits over the sorted dependency set) to the
-  // output value; the function is default-false overridden by entries.
-  std::vector<core::CubeTable> table(m);
+  // H_i valuation (bits over the sorted dependency set) to the output
+  // value; the function is default-false overridden by entries, one
+  // full-cube premise each (so they are disjoint).
+  std::vector<std::map<std::vector<bool>, bool>> table(m);
   std::size_t total_entries = 0;
   std::size_t flips = 0;
 
@@ -121,8 +123,12 @@ SynthesisResult PedantLite::synthesize(const dqbf::DqbfFormula& formula,
           return finish(SynthesisStatus::kIncomplete);
         }
       }
-      f[i] = core::decision_list(manager, ex[i].deps, table[i],
-                                 aig::kFalseRef);
+      std::vector<core::DecisionEntry> entries;
+      entries.reserve(table[i].size());
+      for (const auto& [entry_cube, value] : table[i]) {
+        entries.push_back({core::cube_premise(ex[i].deps, entry_cube), value});
+      }
+      f[i] = core::decision_list(manager, entries, aig::kFalseRef);
       changed = true;
     }
     if (!changed) {

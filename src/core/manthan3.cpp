@@ -616,11 +616,11 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
   }
   maxsat::IncrementalMaxSat repair_maxsat(phi_solver);
 
-  // Repair of last resort: the decision-list entries (H_k-cube → value)
-  // this attempt prepended from the arbiter expansion, and the arbiters
+  // Repair of last resort: the decision-list entries this attempt
+  // prepended from the arbiter expansion, oldest first, and the arbiters
   // whose cubes it has recorded. Entries mention only H_k, so they are
   // always admissible and record no dependency edge.
-  std::vector<CubeTable> entries(m);
+  std::vector<std::vector<DecisionEntry>> entries(m);
   std::vector<bool> recorded;
 
   // Cross-round sample reuse, refit side: batch-evaluate live candidates
@@ -732,8 +732,9 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
         }
       }
       if (!admissible) continue;
-      // The attempt's arbiter entries stay on top of the new tree.
-      f[i] = decision_list(manager, ex[i].deps, entries[i], refit_f);
+      // The attempt's arbiter entries stay on top of the new tree, the
+      // newest one topmost.
+      f[i] = decision_list(manager, entries[i], refit_f);
       ++stats.refit_candidates;
       for (const std::int32_t id : manager.support(f[i])) {
         if (!formula.is_existential(static_cast<Var>(id))) continue;
@@ -986,7 +987,8 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     // engine's documented incompleteness (§5). Repair of last resort:
     // add π[X] to the arbiter expansion. UNSAT proves the DQBF False;
     // otherwise its model patches the candidates through decision-list
-    // entries over H_k (Pedant's rule insertion).
+    // entries over H_k (Pedant's rule insertion) whose premises
+    // generalise the arbiter's cube over the expansion's other arbiters.
     std::size_t patches = 0;
     if (repairs_this_cex == 0) {
       obs::Span span("expansion", "phase", trace_id);
@@ -1003,16 +1005,19 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
       recorded.resize(expansion.num_arbiters(), false);
       const std::vector<std::size_t>& point = expansion.point_arbiters();
       const auto patch = [&](std::size_t id) {
-        const ArbiterExpansion::Arbiter& a = expansion.arbiter(id);
-        const std::size_t k = a.existential;
-        const bool value = expansion.value(id);
-        entries[k][a.cube] = value;
-        f[k] = prepend_entry(manager, ex[k].deps, a.cube, value, f[k]);
-        if (id == point[k]) sigma_yp[k] = value;  // δ lies in the cube
+        const std::size_t k = expansion.arbiter(id).existential;
+        DecisionEntry entry{expansion.generalize(id), expansion.value(id)};
+        f[k] = prepend_entry(manager, entry, f[k]);
+        if (std::all_of(entry.premise.begin(), entry.premise.end(),
+                        [&](Lit l) { return pi.value(l); })) {
+          sigma_yp[k] = entry.value;  // δ lies inside the premise
+        }
+        entries[k].push_back(std::move(entry));
         ++patches;
       };
       // Cubes recorded earlier in this attempt whose arbiter changed
-      // value, then this point's cubes where the candidate disagrees.
+      // value (re-patched with a fresh premise), then this point's cubes
+      // where the candidate disagrees.
       for (const std::size_t id : expansion.flipped()) {
         if (recorded[id]) patch(id);
       }

@@ -22,15 +22,21 @@
 // proves the DQBF False, which catches the False formulas whose every
 // X-assignment extends to a model (the extension check never fires on
 // them). Otherwise the expansion's model patches the candidates:
-// ite(H_k = c, a_{k,c}, f_k) is prepended for this point's cubes where the
+// ite(p, a_{k,c}, f_k) is prepended for this point's cubes c where the
 // candidate disagrees and for the attempt's earlier cubes whose arbiter
-// flipped. The entries mention only H_k, so they are always admissible,
-// and a refit keeps them on top of the new tree. A patch counts as
-// progress. The expansion's X-points are seed-independent, so all
-// attempts of a call share it. A round with a repair never touches it.
-// kUnrealizable therefore has exactly three sources: an unsatisfiable
-// matrix, a counterexample whose X-assignment does not extend (Algorithm
-// 1, line 13), and an UNSAT expansion.
+// flipped. The premise p is ArbiterExpansion::generalize(): the least
+// general generalisation of c over y_k's arbiters with the same value
+// that covers no arbiter of y_k with the other value, so the entry agrees
+// with every arbiter it covers. Premises overlap, so the attempt keeps
+// its entries as an ordered list; a flipped arbiter gets a fresh entry on
+// top. The entries mention only H_k, so they are always admissible, and a
+// refit layers the list over the new tree oldest first, keeping the
+// newest entry on top. A patch counts as progress. The expansion's
+// X-points are seed-independent, so all attempts of a call share it. A
+// round with a repair never touches it. kUnrealizable therefore has
+// exactly three sources: an unsatisfiable matrix, a counterexample whose
+// X-assignment does not extend (Algorithm 1, line 13), and an UNSAT
+// expansion.
 //
 // synthesize() runs the pipeline as a sequence of attempts. An attempt
 // ends when it answers, when 12 consecutive counterexamples allow neither

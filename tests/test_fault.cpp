@@ -57,16 +57,6 @@ ServiceOptions single_manthan3(std::size_t workers = 1) {
   return options;
 }
 
-/// Nested-dependency planted instance that Manthan3 chews on for many
-/// seconds — long enough that any budget trips before the verdict.
-dqbf::DqbfFormula slow_formula() {
-  workloads::PlantedParams params{20, 8, 6, 8, 300, 3};
-  params.xor_functions = false;
-  params.nested_deps = true;
-  params.dep_size_max = 16;
-  return workloads::gen_planted(params);
-}
-
 dqbf::DqbfFormula unrealizable_formula() {
   workloads::UnrealizableParams params;
   params.num_constraints = 1;
@@ -418,7 +408,7 @@ TEST(ServiceBudget, MemoryBudgetTripsAndIsNotCached) {
   const std::uint64_t trips_before =
       counter_value("budget_trips_total_memory");
   Service service(single_manthan3());
-  const dqbf::DqbfFormula f = slow_formula();
+  const dqbf::DqbfFormula f = testutil::slow_planted();
 
   SolveOptions tiny;
   tiny.budget = ResourceBudget::Limits{};
@@ -442,7 +432,7 @@ TEST(ServiceBudget, ConflictBudgetTrips) {
   options.budget = ResourceBudget::Limits{};
   options.budget->conflicts = 1;
   const ServiceResponse response =
-      service.submit(slow_formula(), options).get();
+      service.submit(testutil::slow_planted(), options).get();
   EXPECT_EQ(response.status, core::SynthesisStatus::kOutOfBudget);
   EXPECT_EQ(response.budget_trip, ResourceBudget::Trip::kConflicts);
 }
@@ -455,10 +445,11 @@ TEST(ServiceBudget, WallClockWatchdogTrips) {
   options.budget = ResourceBudget::Limits{};
   options.budget->wall_seconds = 0.2;
   const ServiceResponse response =
-      service.submit(slow_formula(), options).get();
+      service.submit(testutil::slow_planted(), options).get();
   EXPECT_EQ(response.status, core::SynthesisStatus::kOutOfBudget);
   EXPECT_EQ(response.budget_trip, ResourceBudget::Trip::kTime);
-  // The watchdog must interrupt a ~10 s solve well before it finishes.
+  // The watchdog must interrupt a multi-second solve well before it
+  // finishes.
   EXPECT_LT(response.solve_seconds, 8.0);
 }
 

@@ -376,6 +376,35 @@ TEST(Manthan3, ExpansionDecidesStalledSuiteRuns) {
   }
 }
 
+TEST(Manthan3, GeneralizedPatchesCertifyWideDependencySets) {
+  // plantedhard_18x6_s0 is True with |H_k| up to 13, and almost every
+  // counterexample stalls repair at a new X-point. Full-cube patches
+  // spent the whole counterexample budget on it; generalised premises
+  // certify it quickly at every paper seed.
+  const dqbf::DqbfFormula f = suite_instance("plantedhard_18x6_s0");
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    Manthan3Options options;
+    options.seed = paper_seed("plantedhard_18x6_s0", k);
+    aig::Aig manager;
+    const SynthesisResult result = run(f, manager, options);
+    expect_certified(f, manager, result);
+    EXPECT_LE(result.stats.counterexamples, 200u) << "seed " << k;
+    EXPECT_GT(result.stats.arbiter_patches, 0u) << "seed " << k;
+  }
+}
+
+TEST(Manthan3, SlowPlantedStaysSlow) {
+  // The suites that stop a solve in flight (service shutdown, the budget
+  // watchdog, a daemon stop) rely on testutil::slow_planted() keeping a
+  // default run busy: it must not be answered within 1 s.
+  Manthan3Options options;
+  options.time_limit_seconds = 1.0;
+  aig::Aig manager;
+  const SynthesisResult result =
+      run(testutil::slow_planted(), manager, options);
+  EXPECT_EQ(result.status, SynthesisStatus::kTimeout);
+}
+
 TEST(Manthan3, RunWithinFirstCapDoesNotRestart) {
   // A starved learner makes the first candidates wrong, so the repair
   // loop runs, but it certifies well inside the first Luby cap (32).

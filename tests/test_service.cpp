@@ -27,16 +27,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Nested-dependency planted instance Manthan3 chews on for ~10 s —
-/// long enough that a mid-run stop is guaranteed to interrupt it.
-dqbf::DqbfFormula slow_for_manthan3() {
-  workloads::PlantedParams params{20, 8, 6, 8, 300, 3};
-  params.xor_functions = false;
-  params.nested_deps = true;
-  params.dep_size_max = 16;
-  return workloads::gen_planted(params);
-}
-
 /// All deterministic counters of a run (wall-clock fields excluded; the
 /// tier-2 hit counters are compared separately because warm runs skip
 /// the work the counters count).
@@ -334,7 +324,7 @@ TEST(Service, PreCancelledRequestIsNotCached) {
 TEST(Service, ShutdownStopsInFlightRequest) {
   Service service(single_engine_service());
   const std::shared_future<ServiceResponse> future =
-      service.submit(slow_for_manthan3());
+      service.submit(testutil::slow_planted());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   service.shutdown();
   const ServiceResponse response = future.get();  // must not hang
@@ -356,7 +346,7 @@ TEST(Service, DestructorDrainsQueuedRequests) {
   {
     Service service(single_engine_service());
     for (int i = 0; i < 4; ++i) {
-      futures.push_back(service.submit(slow_for_manthan3()));
+      futures.push_back(service.submit(testutil::slow_planted()));
     }
     service.shutdown();
   }
@@ -370,7 +360,7 @@ TEST(Service, ConcurrentDuplicatesCoalesce) {
   ServiceOptions options = single_engine_service();
   options.default_time_limit_seconds = 0.5;
   Service service(options);
-  const dqbf::DqbfFormula f = slow_for_manthan3();
+  const dqbf::DqbfFormula f = testutil::slow_planted();
   const auto first = service.submit(f);
   const auto second = service.submit(f);
   const ServiceStats mid = service.stats();
@@ -387,7 +377,7 @@ TEST(Service, RequestsWithTokensDoNotCoalesce) {
   ServiceOptions options = single_engine_service();
   options.default_time_limit_seconds = 0.5;
   Service service(options);
-  const dqbf::DqbfFormula f = slow_for_manthan3();
+  const dqbf::DqbfFormula f = testutil::slow_planted();
   util::CancelToken token_a;
   util::CancelToken token_b;
   SolveOptions sa;
@@ -549,7 +539,7 @@ TEST_F(DaemonQueue, MidRequestStopLeavesNoResultBehind) {
   // request must come back cancelled, write no result file (so a later
   // drain retries it), and the drain must report stopping early.
   write_request("slow.dqdimacs",
-                dqbf::to_dqdimacs_string(slow_for_manthan3()));
+                dqbf::to_dqdimacs_string(testutil::slow_planted()));
   Service service(single_engine_service());
   util::CancelToken stop;
   DaemonOptions options;

@@ -83,6 +83,18 @@ inline dqbf::DqbfFormula hard_planted(std::uint64_t seed) {
   return workloads::gen_planted({14, 8, 7, 8, 80, seed});
 }
 
+/// 32 universals / 16 existentials with XOR functions over a nested
+/// dependency chain of up to 28 universals: a True instance that a
+/// default Manthan3 run works on for seconds (Manthan3.SlowPlantedStaysSlow
+/// guards this). Suites that must interrupt a solve in flight use it.
+inline dqbf::DqbfFormula slow_planted() {
+  workloads::PlantedParams params{32, 16, 8, 12, 800, 3};
+  params.xor_functions = true;
+  params.nested_deps = true;
+  params.dep_size_max = 28;
+  return workloads::gen_planted(params);
+}
+
 // --- ground truth ------------------------------------------------------------
 
 /// Exhaustive ground-truth DQBF check for tiny instances: enumerate all

@@ -260,7 +260,8 @@ int main(int argc, char** argv) {
             << result.stats.repairs << " repairs, "
             << result.stats.restarts << " restarts, "
             << result.stats.arbiter_points << " arbiter points, "
-            << result.stats.arbiter_patches << " arbiter patches)\n";
+            << result.stats.arbiter_patches << " arbiter patches, "
+            << result.stats.repeated_repairs << " repeated repairs)\n";
   if (cli.engine == "manthan3") {
     // Incremental-pipeline accounting: how much encoding work the
     // persistent solvers avoided and reclaimed across the run.

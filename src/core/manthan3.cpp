@@ -6,6 +6,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -80,7 +81,7 @@ std::size_t luby(std::size_t i) {
 void merge_stats(SynthesisStats& into, const SynthesisStats& from) {
   // A new SynthesisStats field must be merged here (sum or max).
   // inprocess_runs is the one exception: it is always 0.
-  static_assert(sizeof(SynthesisStats) == 27 * sizeof(std::size_t) +
+  static_assert(sizeof(SynthesisStats) == 28 * sizeof(std::size_t) +
                                             5 * sizeof(double) +
                                             6 * sizeof(std::uint64_t),
                 "merge_stats does not cover every SynthesisStats field");
@@ -98,6 +99,7 @@ void merge_stats(SynthesisStats& into, const SynthesisStats& from) {
   sum(&SynthesisStats::restarts);
   sum(&SynthesisStats::arbiter_points);
   sum(&SynthesisStats::arbiter_patches);
+  sum(&SynthesisStats::repeated_repairs);
   sum(&SynthesisStats::sampling_seconds);
   sum(&SynthesisStats::learning_seconds);
   sum(&SynthesisStats::verify_seconds);
@@ -136,6 +138,8 @@ void publish(const SynthesisStats& stats) {
   static obs::Counter& repairs = registry.counter("core_repairs_total");
   static obs::Counter& arbiter_patches =
       registry.counter("core_arbiter_patches_total");
+  static obs::Counter& repeated_repairs =
+      registry.counter("core_repeated_repairs_total");
   static obs::Counter& maxsat_calls =
       registry.counter("core_maxsat_calls_total");
   static obs::Counter& refits = registry.counter("core_refit_rounds_total");
@@ -154,6 +158,7 @@ void publish(const SynthesisStats& stats) {
   cex.add(stats.counterexamples);
   repairs.add(stats.repairs);
   arbiter_patches.add(stats.arbiter_patches);
+  repeated_repairs.add(stats.repeated_repairs);
   maxsat_calls.add(stats.maxsat_calls);
   refits.add(stats.refit_rounds);
   streamed.add(stats.gk_streamed_samples);
@@ -623,6 +628,12 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
   std::vector<std::vector<DecisionEntry>> entries(m);
   std::vector<bool> recorded;
 
+  // The RepairHkF repairs applied to each f_k since a refit last replaced
+  // it: the direction (true = strengthen) and β's sorted core literals.
+  // With Ŷ fixed two repairs can undo each other and cycle, so a repeat
+  // is skipped.
+  std::vector<std::set<std::pair<bool, std::vector<Lit>>>> applied(m);
+
   // Cross-round sample reuse, refit side: batch-evaluate live candidates
   // over the packed matrix with the 64-way AIG simulator and refit exactly
   // those that now disagree with the data. Each candidate tracks the row
@@ -735,6 +746,7 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
       // The attempt's arbiter entries stay on top of the new tree, the
       // newest one topmost.
       f[i] = decision_list(manager, entries[i], refit_f);
+      applied[i].clear();
       ++stats.refit_candidates;
       for (const std::int32_t id : manager.support(f[i])) {
         if (!formula.is_existential(static_cast<Var>(id))) continue;
@@ -937,15 +949,23 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
       }
       if (gk_result == sat::Result::kUnsat) {
         // Build β from the unit clauses in the UNSAT core (lines 11-12).
+        std::vector<Lit> core;
         std::vector<aig::Ref> beta_lits;
         for (const Lit l : phi_solver.core()) {
           if (l.var() == ex[k].var) continue;
+          core.push_back(l);
           const aig::Ref in = manager.input(l.var());
           beta_lits.push_back(l.negated() ? aig::ref_not(in) : in);
         }
         if (beta_lits.empty()) {
           // β is empty: the documented repair failure mode (§5); nothing
           // to strengthen or weaken with.
+          continue;
+        }
+        std::sort(core.begin(), core.end());
+        if (!applied[k].emplace(sigma_yp[k], std::move(core)).second) {
+          // f_k already took this repair: skip it like an empty β.
+          ++stats.repeated_repairs;
           continue;
         }
         const aig::Ref beta = manager.and_all(beta_lits);
@@ -983,8 +1003,9 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     }
     repair_span.reset();
 
-    // No candidate could be repaired for this counterexample: the
-    // engine's documented incompleteness (§5). Repair of last resort:
+    // No candidate could be repaired for this counterexample, or every
+    // repair found was a repeat: the engine's documented incompleteness
+    // (§5). Either way σ[Y'] is still δ[Y']. Repair of last resort:
     // add π[X] to the arbiter expansion. UNSAT proves the DQBF False;
     // otherwise its model patches the candidates through decision-list
     // entries over H_k (Pedant's rule insertion) whose premises

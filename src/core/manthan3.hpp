@@ -11,6 +11,18 @@
 //                        UNSAT-core-guided strengthening/weakening.
 //   5. Substitute      — expand candidates so each f_i mentions only H_i.
 //
+// The repair loop applies a repair to f_k at most once between refits.
+// With Ŷ fixed in G_k (§5), two repairs of one f_k can undo each other:
+// β strengthens f_k, β' weakens it, and β strengthens it again on the
+// next counterexample, for as long as the attempt runs. So each attempt
+// keeps, per y_k, the repairs applied to f_k since a refit last replaced
+// it, each as β's sorted core literals plus its direction, and skips a
+// repeat exactly like an empty β: f_k and σ[y'_k] stay as they are and
+// the queue goes on (SynthesisStats::repeated_repairs). A counterexample
+// left with no repair goes to the arbiter expansion below, whose entries
+// break the cycle. Skipping is always sound: only a verify-UNSAT
+// certifies. A restart starts with an empty record.
+//
 // The engine is sound (returns only certified vectors) but not complete:
 // repair can get stuck on a candidate set (paper §5), and whether it does
 // depends on the seed.
@@ -50,11 +62,13 @@
 // once per call, and an unsatisfiable matrix is answered by attempt 0.
 // When the budget runs out the call reports kIncomplete if every attempt
 // that ran to its own end gave up, and kLimit if any spent its whole cap;
-// an expired deadline is kTimeout. kIncomplete is rare: a stalled
-// counterexample's candidate outputs falsify φ at π[X] while the arbiter
-// model satisfies it there, so some arbiter disagrees with some
-// undefined candidate and a patch lands (unique definitions agree with
-// every model). Attempts end on their cap instead, and the call on kLimit.
+// an expired deadline is kTimeout. kIncomplete is rare. A counterexample
+// stalls when every G_k it reached was SAT, had an empty β or repeated an
+// applied repair; none of these moves σ, so σ[Y'] is still δ[Y']. The
+// candidate outputs therefore falsify φ at π[X] while the arbiter model
+// satisfies it there, so some arbiter disagrees with some undefined
+// candidate and a patch lands (unique definitions agree with every
+// model). Attempts end on their cap instead, and the call on kLimit.
 //
 // Each attempt owns its incremental SAT solvers for its whole life: the φ
 // solver that the MaxSAT and G_k queries share and, when `incremental` is
@@ -176,6 +190,9 @@ struct SynthesisStats {
   std::size_t arbiter_points = 0;
   /// Decision-list entries prepended from the expansion's model.
   std::size_t arbiter_patches = 0;
+  /// RepairHkF repairs skipped because f_k had already taken the same
+  /// (β, direction) since its last refit.
+  std::size_t repeated_repairs = 0;
   double sampling_seconds = 0.0;
   double learning_seconds = 0.0;
   double verify_seconds = 0.0;

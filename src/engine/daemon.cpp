@@ -103,7 +103,8 @@ std::string result_json(const std::string& request_name,
       << ",\n";
   out << "    \"restarts\": " << st.restarts << ",\n";
   out << "    \"arbiter_points\": " << st.arbiter_points << ",\n";
-  out << "    \"arbiter_patches\": " << st.arbiter_patches << "\n";
+  out << "    \"arbiter_patches\": " << st.arbiter_patches << ",\n";
+  out << "    \"repeated_repairs\": " << st.repeated_repairs << "\n";
   out << "  }";
   if (with_certificate && response.solved() &&
       response.functions != nullptr) {

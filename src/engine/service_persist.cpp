@@ -96,6 +96,7 @@ const SizeField kSizeFields[] = {
     {"restarts", &core::SynthesisStats::restarts},
     {"arbiter_points", &core::SynthesisStats::arbiter_points},
     {"arbiter_patches", &core::SynthesisStats::arbiter_patches},
+    {"repeated_repairs", &core::SynthesisStats::repeated_repairs},
 };
 
 const U64Field kU64Fields[] = {

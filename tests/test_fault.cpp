@@ -602,6 +602,42 @@ TEST_F(PersistedCache, RetiredStatKeysStillLoad) {
             dqbf::CertificateStatus::kValid);
 }
 
+TEST_F(PersistedCache, EntryWithoutNewerStatKeyLoadsWithZero) {
+  // Files from writers that predate a counter lack its stat line; the
+  // entry must still load, with that counter 0.
+  const dqbf::DqbfFormula f = testutil::paper_example();
+  ServiceResponse cold;
+  {
+    Service service(cached_options());
+    cold = service.submit(f).get();
+    ASSERT_TRUE(cold.solved());
+  }
+  ASSERT_EQ(cache_file_count(), 1u);
+  fs::path file;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    if (entry.path().extension() == ".m3c") file = entry.path();
+  }
+  std::string contents = read_file(file);
+  const std::size_t line = contents.find("\nstat repeated_repairs ");
+  ASSERT_NE(line, std::string::npos);
+  contents.erase(line + 1, contents.find('\n', line + 1) - line);
+  ASSERT_EQ(contents.find("repeated_repairs"), std::string::npos);
+  {
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out << contents;
+  }
+
+  Service reborn(cached_options());
+  EXPECT_EQ(reborn.stats().persisted_entries, 1u);
+  EXPECT_EQ(reborn.stats().persisted_corrupt, 0u);
+  const ServiceResponse warm = reborn.submit(f).get();
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.status, cold.status);
+  EXPECT_EQ(warm.certified, cold.certified);
+  EXPECT_EQ(warm.stats.counterexamples, cold.stats.counterexamples);
+  EXPECT_EQ(warm.stats.repeated_repairs, 0u);
+}
+
 TEST_F(PersistedCache, UnrealizableVerdictPersists) {
   const dqbf::DqbfFormula f = unrealizable_formula();
   {

@@ -19,6 +19,8 @@ using cnf::neg;
 using cnf::pos;
 using cnf::Var;
 using testutil::expect_certified;
+using testutil::suite_instance;
+using testutil::suite_run_seed;
 
 SynthesisResult run(const dqbf::DqbfFormula& f, aig::Aig& manager,
                     Manthan3Options options = {}) {
@@ -293,41 +295,32 @@ TEST(Manthan3, SampleReuseStaysSoundAndCertified) {
   EXPECT_EQ(baseline.stats.refit_rounds, 0u);
 }
 
-/// An instance of the standard suite, by name.
-dqbf::DqbfFormula suite_instance(const std::string& name) {
-  for (workloads::Instance& instance :
-       workloads::standard_suite(workloads::SuiteParams{})) {
-    if (instance.name == name) return std::move(instance.formula);
-  }
-  ADD_FAILURE() << "no suite instance " << name;
-  return {};
-}
-
-/// Manthan3 seed of paper-suite run k, as portfolio::Runner derives it
-/// (suite seed 42 + k, engine index 0).
+/// Manthan3 seed of paper-suite run k (suite seed 42 + k).
 std::uint64_t paper_seed(const std::string& name, std::uint64_t k) {
-  return util::derive_seed(42 + k, util::hash64(name), 0);
+  return suite_run_seed(name, 42 + k);
 }
 
 TEST(Manthan3, RestartsCertifyWhereOneAttemptGivesUp) {
-  // plantedhard_16x6_s0 is True, but the first attempt spends its Luby
-  // cap without certifying at every paper seed; a later attempt on a
+  // plantedhard_18x4_s1 is True, but on these seed streams the first
+  // attempt spends its Luby cap without certifying; a later attempt on a
   // fresh seed stream certifies it.
-  const dqbf::DqbfFormula f = suite_instance("plantedhard_16x6_s0");
-  for (std::uint64_t k = 0; k < 3; ++k) {
+  const std::string name = "plantedhard_18x4_s1";
+  const dqbf::DqbfFormula f = suite_instance(name);
+  for (const std::uint64_t stream : testutil::kRestartingStreams) {
     aig::Aig manager;
     Manthan3Options options;
-    options.seed = paper_seed("plantedhard_16x6_s0", k);
+    options.seed = suite_run_seed(name, stream);
     const SynthesisResult result = run(f, manager, options);
     expect_certified(f, manager, result);
-    EXPECT_GE(result.stats.restarts, 1u) << "seed " << k;
+    EXPECT_GE(result.stats.restarts, 1u) << "stream " << stream;
   }
 }
 
 TEST(Manthan3, RestartScheduleIsDeterministic) {
-  const dqbf::DqbfFormula f = suite_instance("plantedhard_16x6_s0");
+  const std::string name = "plantedhard_18x4_s1";
+  const dqbf::DqbfFormula f = suite_instance(name);
   Manthan3Options options;
-  options.seed = paper_seed("plantedhard_16x6_s0", 0);
+  options.seed = suite_run_seed(name, testutil::kRestartingStreams[0]);
   obs::Counter& runs = obs::Registry::global().counter("core_runs_total");
   obs::Counter& restarts =
       obs::Registry::global().counter("core_restarts_total");
@@ -351,6 +344,36 @@ TEST(Manthan3, RestartScheduleIsDeterministic) {
   EXPECT_EQ(runs.value() - runs_before, 2u);
   EXPECT_EQ(restarts.value() - restarts_before, 2 * a.stats.restarts);
   EXPECT_EQ(patches.value() - patches_before, 2 * a.stats.arbiter_patches);
+}
+
+TEST(Manthan3, RepeatedRepairsDoNotCycle) {
+  // With Ŷ fixed, plantedhard_16x6_s0's repairs of one f_k undo each
+  // other: one β strengthens it, another weakens it, and the first
+  // strengthens it again. Skipping the repeat sends the counterexample to
+  // the arbiter expansion, and the run certifies in its first attempt at
+  // every paper seed. Without Ŷ no such cycle forms.
+  const std::string name = "plantedhard_16x6_s0";
+  const dqbf::DqbfFormula f = suite_instance(name);
+  obs::Counter& repeated =
+      obs::Registry::global().counter("core_repeated_repairs_total");
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    Manthan3Options options;
+    options.seed = paper_seed(name, k);
+    aig::Aig manager;
+    const std::uint64_t repeated_before = repeated.value();
+    const SynthesisResult result = run(f, manager, options);
+    expect_certified(f, manager, result);
+    EXPECT_EQ(result.stats.restarts, 0u) << "seed " << k;
+    EXPECT_LE(result.stats.counterexamples, 32u) << "seed " << k;
+    EXPECT_GT(result.stats.repeated_repairs, 0u) << "seed " << k;
+    EXPECT_EQ(repeated.value() - repeated_before,
+              result.stats.repeated_repairs);
+
+    options.use_yhat_in_repair = false;
+    aig::Aig no_yhat_manager;
+    const SynthesisResult no_yhat = run(f, no_yhat_manager, options);
+    EXPECT_EQ(no_yhat.stats.repeated_repairs, 0u) << "seed " << k;
+  }
 }
 
 TEST(Manthan3, ExpansionDecidesStalledSuiteRuns) {

@@ -20,6 +20,7 @@
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 namespace manthan::obs {
@@ -338,11 +339,19 @@ core::SynthesisResult traced_run(std::uint64_t seed, std::size_t workers,
 }
 
 TEST(Trace, ChromeTraceIsWellFormedAndNested) {
+  // A default suite run that goes through repair rounds and restarts
+  // before it certifies.
+  const std::string name = "plantedhard_18x4_s1";
+  const dqbf::DqbfFormula formula = testutil::suite_instance(name);
+  core::Manthan3Options options;
+  options.seed =
+      testutil::suite_run_seed(name, testutil::kRestartingStreams[0]);
+  options.trace_id = 0x5eedf00d;
+  aig::Aig manager;
   start_tracing();
-  const core::SynthesisResult result = traced_run(42, 1, 0x5eedf00d);
+  const core::SynthesisResult result =
+      core::Manthan3(options).synthesize(formula, manager);
   stop_tracing();
-  // The planted-hard family is not guaranteed to converge within the
-  // budget; the trace only needs a run that went through repair rounds.
   ASSERT_GT(result.stats.counterexamples, 0u);
 
   std::ostringstream out;

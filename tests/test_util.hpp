@@ -1,6 +1,7 @@
 // Shared helpers for the test suites: canonical DQBF fixtures, tiny
-// DQDIMACS text fixtures, planted-formula builders, a brute-force
-// ground-truth check, and a certificate-check matcher. Everything is
+// DQDIMACS text fixtures, planted-formula builders, standard-suite
+// instances and their run seeds, a brute-force ground-truth check, and
+// a certificate-check matcher. Everything is
 // inline and header-only; a suite only pays the link dependencies of the
 // helpers it actually calls.
 #pragma once
@@ -13,6 +14,7 @@
 #include "core/manthan3.hpp"
 #include "dqbf/certificate.hpp"
 #include "dqbf/dqbf.hpp"
+#include "util/rng.hpp"
 #include "workloads/workloads.hpp"
 
 namespace manthan::testutil {
@@ -94,6 +96,28 @@ inline dqbf::DqbfFormula slow_planted() {
   params.dep_size_max = 28;
   return workloads::gen_planted(params);
 }
+
+/// An instance of the standard suite, by name.
+inline dqbf::DqbfFormula suite_instance(const std::string& name) {
+  for (workloads::Instance& instance :
+       workloads::standard_suite(workloads::SuiteParams{})) {
+    if (instance.name == name) return std::move(instance.formula);
+  }
+  ADD_FAILURE() << "no suite instance " << name;
+  return {};
+}
+
+/// Manthan3 seed of `name`'s run on suite seed stream `stream`, as
+/// portfolio::Runner derives it (engine index 0).
+inline std::uint64_t suite_run_seed(const std::string& name,
+                                    std::uint64_t stream) {
+  return util::derive_seed(stream, util::hash64(name), 0);
+}
+
+/// Suite seed streams on which a default Manthan3 run of
+/// plantedhard_18x4_s1 certifies only after a restart (33–38
+/// counterexamples). Tests that need a restarting run use them.
+inline constexpr std::uint64_t kRestartingStreams[] = {1004, 1020, 1025};
 
 // --- ground truth ------------------------------------------------------------
 

@@ -1,10 +1,19 @@
 // Component micro-benchmark: BDD engine throughput — CNF conjunction
-// builds, quantification, and composition on structured formulas.
+// builds, quantification, and composition on structured formulas — and
+// the two BDD steps of Manthan3's unique-definition pass on standard-suite
+// matrices: the matrix build (BM_BddSuiteMatrix) and one definition's
+// extraction (BM_BddExtractDefinition).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <string>
 
 #include "bdd/bdd.hpp"
 #include "cnf/cnf.hpp"
+#include "core/unique_def.hpp"
+#include "dqbf/dqbf.hpp"
 #include "util/rng.hpp"
+#include "workloads/workloads.hpp"
 
 namespace {
 
@@ -70,6 +79,72 @@ void BM_BddSatCount(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddSatCount);
+
+// Suite specs whose matrix BDDs dominate the unique-definition pass.
+const char* const kSuiteMatrices[] = {"pec_7x2_s0", "controller_4x3_s0"};
+
+const manthan::dqbf::DqbfFormula& suite_formula(const std::string& name) {
+  static const std::vector<manthan::workloads::Instance> suite =
+      manthan::workloads::standard_suite(manthan::workloads::SuiteParams{});
+  const auto it =
+      std::find_if(suite.begin(), suite.end(),
+                   [&](const auto& instance) { return instance.name == name; });
+  return it->formula;
+}
+
+// Arg: index into kSuiteMatrices.
+void BM_BddSuiteMatrix(benchmark::State& state) {
+  const std::string name = kSuiteMatrices[state.range(0)];
+  const CnfFormula& matrix = suite_formula(name).matrix();
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    Bdd b;
+    benchmark::DoNotOptimize(b.from_cnf(matrix));
+    nodes = b.num_nodes();
+  }
+  state.SetLabel(name);
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_BddSuiteMatrix)->Arg(0)->Arg(1);
+
+// exists + restrict_var for the first existential of the spec that is
+// uniquely defined, as UniqueDefExtractor::extract does it right after the
+// build: each iteration works on an untimed copy of the freshly built
+// manager, so no iteration sees another's results in the computed table.
+void BM_BddExtractDefinition(benchmark::State& state) {
+  const std::string name = kSuiteMatrices[state.range(0)];
+  const manthan::dqbf::DqbfFormula& formula = suite_formula(name);
+  manthan::core::UniqueDefExtractor padoa(formula);
+  std::size_t index = 0;
+  while (index < formula.existentials().size() &&
+         padoa.is_defined(index) !=
+             manthan::core::UniqueDefExtractor::Defined::kYes) {
+    ++index;
+  }
+  if (index == formula.existentials().size()) {
+    state.SkipWithError("no uniquely defined existential");
+    return;
+  }
+  const manthan::dqbf::Existential& e = formula.existentials()[index];
+  std::vector<std::int32_t> eliminate;
+  for (Var v = 0; v < formula.matrix().num_vars(); ++v) {
+    if (v != e.var &&
+        !std::binary_search(e.deps.begin(), e.deps.end(), v)) {
+      eliminate.push_back(v);
+    }
+  }
+  Bdd built;
+  const NodeId matrix = built.from_cnf(formula.matrix());
+  for (auto _ : state) {
+    state.PauseTiming();
+    Bdd b = built;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        b.restrict_var(b.exists(matrix, eliminate), e.var, true));
+  }
+  state.SetLabel(name + " y=" + std::to_string(e.var));
+}
+BENCHMARK(BM_BddExtractDefinition)->Arg(0)->Arg(1);
 
 }  // namespace
 

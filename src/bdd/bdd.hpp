@@ -8,6 +8,25 @@
 // Nodes are immutable and hash-consed; ids 0/1 are the false/true
 // terminals. Variables are external integer ids mapped to levels in
 // declaration order (declare_order can impose a custom order up front).
+//
+// Tables. Both are flat open-addressing arrays with linear probing that
+// double at 50% load. The unique table holds NodeIds (slot 0 = empty, as
+// terminals are never inserted) and compares keys through the node array.
+// The computed table holds {f, g, h, result} entries of ite (f == 0 =
+// empty, as ite returns before caching when f is a terminal); it is exact
+// and unbounded, never a lossy cache. A node's id is the size of the node
+// array when it is created. Per-call memos (quantify, restrict, support,
+// AIG export, counting) are dense vectors indexed by NodeId, sized to the
+// node array on entry.
+//
+// CNF schedule. from_cnf_limited builds every clause's BDD first, stable-
+// sorts them by top level, deepest first, and conjoins them left to right:
+// each conjunction then only grows the graph near its top, where an
+// in-order schedule rebuilds whole intermediate graphs. ROBDDs are
+// canonical, so the result is the same node as for any other schedule.
+// The `max_nodes` cap counts every node the manager has allocated, the
+// clause BDDs and all intermediate conjunctions included, not just the
+// nodes reachable from the result.
 #pragma once
 
 #include <cstdint>
@@ -81,11 +100,13 @@ class Bdd {
   NodeId compose(NodeId f, std::int32_t var, NodeId g);
 
   /// Build the conjunction of a CNF formula (variable i of the formula is
-  /// external id i).
+  /// external id i): from_cnf_limited without a cap.
   NodeId from_cnf(const cnf::CnfFormula& formula);
 
-  /// Like from_cnf but aborts (returns nullopt) once the manager exceeds
-  /// `max_nodes` — used to bound definition-extraction effort.
+  /// Like from_cnf but aborts (returns nullopt) once the manager holds more
+  /// than `max_nodes` nodes after a conjunction — used to bound
+  /// definition-extraction effort. Clauses are conjoined deepest top level
+  /// first (see the file comment).
   std::optional<NodeId> from_cnf_limited(const cnf::CnfFormula& formula,
                                          std::size_t max_nodes);
 
@@ -121,37 +142,30 @@ class Bdd {
     NodeId hi;
   };
 
-  /// Exact (collision-free) 3-word hash key for the unique and computed
-  /// tables.
-  struct TripleKey {
-    std::uint32_t a, b, c;
-    bool operator==(const TripleKey& o) const {
-      return a == o.a && b == o.b && c == o.c;
-    }
-  };
-  struct TripleKeyHash {
-    std::size_t operator()(const TripleKey& k) const {
-      std::uint64_t h = k.a;
-      h = h * 0x9e3779b97f4a7c15ULL + k.b;
-      h = h * 0x9e3779b97f4a7c15ULL + k.c;
-      h ^= h >> 29;
-      return static_cast<std::size_t>(h);
-    }
+  /// Computed-table entry: ite(f, g, h) == result.
+  struct IteEntry {
+    NodeId f, g, h, result;
   };
 
   static constexpr std::uint32_t kTerminalLevel = 0x7fffffff;
+  /// "Not computed yet" in a per-call memo.
+  static constexpr NodeId kNoNode = 0xffffffff;
 
   std::uint32_t level_of(std::int32_t var);
+  std::vector<std::uint32_t> sorted_levels(
+      const std::vector<std::int32_t>& vars);
   NodeId mk(std::uint32_t level, NodeId lo, NodeId hi);
+  void grow_unique();
+  void insert_ite(const IteEntry& entry);
   NodeId quantify(NodeId f, const std::vector<std::uint32_t>& levels,
-                  bool existential,
-                  std::unordered_map<NodeId, NodeId>& cache);
+                  bool existential, std::vector<NodeId>& memo);
   NodeId restrict_level(NodeId f, std::uint32_t level, bool value,
-                        std::unordered_map<NodeId, NodeId>& cache);
+                        std::vector<NodeId>& memo);
 
   std::vector<Node> nodes_;
-  std::unordered_map<TripleKey, NodeId, TripleKeyHash> unique_;
-  std::unordered_map<TripleKey, NodeId, TripleKeyHash> ite_cache_;
+  std::vector<NodeId> unique_;
+  std::vector<IteEntry> ite_cache_;
+  std::size_t ite_entries_ = 0;
   std::unordered_map<std::int32_t, std::uint32_t> level_of_var_;
   std::vector<std::int32_t> var_of_level_;
   std::function<bool()> abort_check_;

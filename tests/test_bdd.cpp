@@ -1,10 +1,12 @@
 // ROBDD engine: canonicity, operation semantics vs truth tables,
-// quantification, composition, counting, and the AIG bridge.
+// quantification, composition, counting, the AIG bridge, the CNF build
+// schedule and the tables across growth.
 #include <gtest/gtest.h>
 
 #include "aig/aig.hpp"
 #include "bdd/bdd.hpp"
 #include "cnf/cnf.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace manthan::bdd {
@@ -152,6 +154,103 @@ TEST(Bdd, FromCnfLimitedAborts) {
   EXPECT_TRUE(b2.from_cnf_limited(f, 100000).has_value());
 }
 
+/// The conjunction of `formula`'s clauses in input order, each clause the
+/// disjunction of its literals in input order.
+NodeId in_order_conjunction(Bdd& b, const cnf::CnfFormula& formula) {
+  NodeId acc = kTrueNode;
+  for (const cnf::Clause& clause : formula.clauses()) {
+    NodeId c = kFalseNode;
+    for (const cnf::Lit l : clause) {
+      c = b.or_op(c, b.literal(l.var(), !l.negated()));
+    }
+    acc = b.and_op(acc, c);
+  }
+  return acc;
+}
+
+TEST(Bdd, BottomUpBuildIsSameRobdd) {
+  util::Rng rng(4242);
+  std::vector<cnf::CnfFormula> formulas;
+  for (int round = 0; round < 30; ++round) {
+    const cnf::Var n = 6 + static_cast<cnf::Var>(rng.next_below(10));
+    cnf::CnfFormula f(n);
+    const std::size_t clauses = 2 + rng.next_below(4 * n);
+    for (std::size_t c = 0; c < clauses; ++c) {
+      cnf::Clause clause;
+      const std::size_t width = 1 + rng.next_below(4);
+      for (std::size_t k = 0; k < width; ++k) {
+        clause.push_back(cnf::Lit(
+            static_cast<cnf::Var>(rng.next_below(n)), rng.flip()));
+      }
+      f.add_clause(clause);
+    }
+    formulas.push_back(std::move(f));
+  }
+  formulas.push_back(testutil::suite_instance("pec_7x2_s0").matrix());
+  formulas.push_back(testutil::suite_instance("controller_4x3_s0").matrix());
+  for (const cnf::CnfFormula& f : formulas) {
+    Bdd b;
+    const std::optional<NodeId> bottom_up =
+        b.from_cnf_limited(f, std::size_t{1} << 30);
+    ASSERT_TRUE(bottom_up.has_value());
+    EXPECT_EQ(*bottom_up, in_order_conjunction(b, f));
+  }
+}
+
+TEST(Bdd, TablesStayCanonicalAcrossGrowth) {
+  // OR_i (x_i & x_{n+i}) under the order x_0..x_{2n-1} has about 2^(n+1)
+  // nodes: enough to double both tables many times over. x_{2n} is
+  // declared below them and is not in the support.
+  constexpr std::int32_t n = 16;
+  Bdd b;
+  std::vector<std::int32_t> order;
+  for (std::int32_t v = 0; v <= 2 * n; ++v) order.push_back(v);
+  b.declare_order(order);
+  const auto pairs = [&](std::int32_t count) {
+    NodeId acc = kFalseNode;
+    for (std::int32_t i = 0; i < count; ++i) {
+      acc = b.or_op(acc, b.and_op(b.var_node(i), b.var_node(n + i)));
+    }
+    return acc;
+  };
+  const NodeId f = pairs(n);
+  ASSERT_GE(b.num_nodes(), 100000u);
+  const std::size_t grown = b.num_nodes();
+  // The rebuild is answered by the computed table; these walks call mk on
+  // every node of f again and must find each one in the unique table.
+  EXPECT_EQ(pairs(n), f);
+  EXPECT_EQ(b.restrict_var(f, 2 * n, true), f);
+  EXPECT_EQ(b.exists(f, {2 * n}), f);
+  EXPECT_EQ(b.num_nodes(), grown);
+
+  // Cofactor x_2..x_{n-1} away: (x_0 & x_n) | (x_1 & x_{n+1}) is left,
+  // the same node as building it directly.
+  NodeId g = f;
+  for (std::int32_t i = 2; i < n; ++i) g = b.restrict_var(g, i, false);
+  EXPECT_EQ(g, pairs(2));
+  EXPECT_EQ(b.support(g), (std::vector<std::int32_t>{0, 1, n, n + 1}));
+
+  // exists/forall/restrict against truth tables over g's support.
+  const NodeId ex = b.exists(g, {0});
+  const NodeId all = b.forall(g, {0});
+  const NodeId pos = b.restrict_var(g, n, true);
+  for (int bits = 0; bits < 16; ++bits) {
+    std::unordered_map<std::int32_t, bool> in{{0, (bits & 1) != 0},
+                                              {1, (bits & 2) != 0},
+                                              {n, (bits & 4) != 0},
+                                              {n + 1, (bits & 8) != 0}};
+    const auto g_at = [&](bool x0, bool xn) {
+      std::unordered_map<std::int32_t, bool> at = in;
+      at[0] = x0;
+      at[n] = xn;
+      return b.evaluate(g, at);
+    };
+    EXPECT_EQ(b.evaluate(ex, in), g_at(false, in[n]) || g_at(true, in[n]));
+    EXPECT_EQ(b.evaluate(all, in), g_at(false, in[n]) && g_at(true, in[n]));
+    EXPECT_EQ(b.evaluate(pos, in), g_at(in[0], true));
+  }
+}
+
 TEST(Bdd, DagSizeCountsNodes) {
   Bdd b;
   const NodeId x = b.var_node(0);
@@ -233,6 +332,16 @@ TEST(BddProperty, RandomExpressionAgreement) {
       EXPECT_EQ(b.evaluate(bp.back(), in), m.evaluate(ap.back(), in));
     }
   }
+}
+
+// Regression guard on the clause schedule: deepest-clause-first keeps the
+// manager at 9,027 nodes on this matrix, where an in-order build
+// allocates 30,952.
+TEST(UniqueDef, MatrixBddStaysSmall) {
+  const dqbf::DqbfFormula f = testutil::suite_instance("pec_7x2_s0");
+  Bdd b;
+  ASSERT_TRUE(b.from_cnf_limited(f.matrix(), 200000).has_value());
+  EXPECT_LE(b.num_nodes(), 12000u);
 }
 
 }  // namespace

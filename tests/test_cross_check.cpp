@@ -1,15 +1,20 @@
 // Cross-substrate consistency: the CDCL solver, the BDD engine, brute
 // force, and the AIG simulator must agree on satisfiability, model
 // counts, and function semantics — these checks catch bugs in any one
-// engine by majority.
+// engine by majority. The two baselines built on the BDD engine must
+// answer soundly on every standard-suite spec.
 #include <gtest/gtest.h>
 
 #include "aig/aig_cnf.hpp"
 #include "aig/aig_sim.hpp"
+#include "baselines/hqs_lite.hpp"
+#include "baselines/pedant_lite.hpp"
 #include "bdd/bdd.hpp"
+#include "dqbf/certificate.hpp"
 #include "sampler/sampler.hpp"
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
+#include "workloads/workloads.hpp"
 
 namespace manthan {
 namespace {
@@ -164,6 +169,53 @@ TEST(CrossCheck, SamplerModelsVerifiedBySolverAndBdd) {
     EXPECT_TRUE(b.evaluate(node, in));
   }
 }
+
+// HqsLite and PedantLite share the BDD engine; HqsLite's node budget
+// decides whether it answers at all, so a cheaper matrix build turns
+// budget aborts into answers. On every standard-suite spec neither may
+// declare a True-by-construction spec False, and every kRealizable must
+// pass the certificate check. One test per spec, so they run in parallel.
+class SuiteBaselineSoundness : public ::testing::TestWithParam<int> {};
+
+TEST_P(SuiteBaselineSoundness, HqsAndPedantAnswersAreSound) {
+  static const std::vector<workloads::Instance> suite =
+      workloads::standard_suite(workloads::SuiteParams{});
+  ASSERT_LT(static_cast<std::size_t>(GetParam()), suite.size());
+  const workloads::Instance& instance = suite[GetParam()];
+  const bool true_by_construction =
+      instance.family == "planted" || instance.family == "planted_hard" ||
+      instance.family == "pec" || instance.family == "succinct_sat" ||
+      instance.family == "xor_chain";
+  constexpr double kBudgetSeconds = 5.0;
+  for (const bool hqs : {true, false}) {
+    SCOPED_TRACE(instance.name + (hqs ? " HqsLite" : " PedantLite"));
+    aig::Aig manager;
+    core::SynthesisResult result;
+    if (hqs) {
+      baselines::HqsLiteOptions options;
+      options.time_limit_seconds = kBudgetSeconds;
+      result = baselines::HqsLite(options).synthesize(instance.formula,
+                                                      manager);
+    } else {
+      baselines::PedantLiteOptions options;
+      options.time_limit_seconds = kBudgetSeconds;
+      result = baselines::PedantLite(options).synthesize(instance.formula,
+                                                         manager);
+    }
+    if (true_by_construction) {
+      EXPECT_NE(result.status, core::SynthesisStatus::kUnrealizable);
+    }
+    if (result.status == core::SynthesisStatus::kRealizable) {
+      EXPECT_EQ(dqbf::check_certificate(instance.formula, manager,
+                                        result.vector)
+                    .status,
+                dqbf::CertificateStatus::kValid);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(StandardSuite, SuiteBaselineSoundness,
+                         ::testing::Range(0, 50));
 
 }  // namespace
 }  // namespace manthan

@@ -288,6 +288,39 @@ void BM_SamplingEnumerate(benchmark::State& state) {
 }
 BENCHMARK(BM_SamplingEnumerate)->Unit(benchmark::kMillisecond);
 
+// GetSamples on a paper-suite spec, exactly as a default Manthan3 run
+// draws it at the first paper seed (derive_seed(42, hash64(name), 0)):
+// 500 samples, Y biased. pec_7x2_s0 (304 models) and controller_4x3_s0
+// (288) have fewer models than requested, so the draw ends by exhausting
+// the space; plantedhard_18x6_s0 has far more and ends on the count.
+void BM_SamplerSuiteSpec(benchmark::State& state, const char* name) {
+  manthan::dqbf::DqbfFormula formula;
+  for (auto& instance : manthan::workloads::standard_suite({})) {
+    if (instance.name == name) formula = std::move(instance.formula);
+  }
+  const auto y_vars = existential_vars(formula);
+  manthan::sampler::SamplerOptions options;
+  options.seed = manthan::util::derive_seed(42, manthan::util::hash64(name), 0);
+  manthan::sampler::SamplerStats stats;
+  std::size_t samples = 0;
+  for (auto _ : state) {
+    manthan::sampler::Sampler sampler(options);
+    samples = sampler.sample_packed(formula.matrix(), y_vars).num_samples();
+    stats = sampler.stats();
+    benchmark::DoNotOptimize(samples);
+  }
+  state.counters["samples"] = static_cast<double>(samples);
+  state.counters["duplicates"] = static_cast<double>(stats.duplicates);
+}
+BENCHMARK_CAPTURE(BM_SamplerSuiteSpec, pec_7x2_s0, "pec_7x2_s0")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SamplerSuiteSpec, controller_4x3_s0,
+                  "controller_4x3_s0")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SamplerSuiteSpec, plantedhard_18x6_s0,
+                  "plantedhard_18x6_s0")
+    ->Unit(benchmark::kMillisecond);
+
 // Whole front half of Algorithm 1 (GetSamples + CandidateSkF), isolated:
 // per-existential features are the Henkin dependencies plus every earlier
 // existential, as in Manthan3's pre-committed feature sets.

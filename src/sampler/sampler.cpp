@@ -9,6 +9,11 @@ namespace manthan::sampler {
 
 namespace {
 
+/// Duplicates in a row after which the random draw counts as stalled: the
+/// model space is (nearly) used up, and the rest of the call enumerates
+/// the remaining models exactly.
+constexpr std::size_t kStallRun = 16;
+
 /// Population count of variable `v`'s packed column (tail bits are zero by
 /// construction, so no masking is needed).
 std::size_t column_popcount(const cnf::SampleMatrix& m, Var v) {
@@ -32,31 +37,46 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
   // Randomized branching can rediscover the same model; the training set
   // must contain distinct assignments, so repeats are dropped (by 64-bit
   // model fingerprint — see cnf::fingerprint on the collision odds) and
-  // the draw loop tops itself up. A duplicate budget bounds the extra
-  // descents when the formula has fewer models than requested.
+  // the draw loop tops itself up. Once kStallRun duplicates come in a row
+  // the session switches to distinct mode for the rest of the call, which
+  // reports each remaining model once and ends when none is left.
   std::unordered_set<std::uint64_t> seen;
+  bool distinct = false;
 
   const auto draw = [&](sat::Solver& solver, std::size_t count) {
     if (count == 0) return;
-    std::size_t duplicates = 0;
-    const std::size_t max_duplicates = 16 + 4 * count;
     if (options_.enumerate) {
-      // Persistent enumerating session: the deadline/duplicate budget is
+      // Persistent enumerating session: the deadline and the stall are
       // polled inside the harvest loop, one check per descent.
+      std::size_t run = 0;
       const sat::ModelSink sink = [&](const Assignment& model) {
         if (deadline != nullptr && deadline->expired()) return false;
         if (seen.insert(cnf::fingerprint(model, matrix.num_vars()))
                 .second) {
           matrix.append(model);
+          run = 0;
           return --count > 0;
         }
         ++stats_.duplicates;
-        return ++duplicates < max_duplicates;
+        return distinct || ++run < kStallRun;
       };
-      solver.enumerate(sink, {}, deadline);
+      sat::Result result = solver.enumerate(
+          sink, {}, deadline,
+          distinct ? sat::EnumerateMode::kDistinct
+                   : sat::EnumerateMode::kRandom);
+      if (run >= kStallRun) {
+        distinct = true;
+        result = solver.enumerate(sink, {}, deadline,
+                                  sat::EnumerateMode::kDistinct);
+      }
+      stats_.exhausted = result == sat::Result::kUnsat;
       return;
     }
-    // Legacy loop: one full CDCL solve per model (distribution oracle).
+    // Legacy loop: one full CDCL solve per model (distribution oracle). A
+    // duplicate budget bounds the extra solves when the formula has fewer
+    // models than requested.
+    std::size_t duplicates = 0;
+    const std::size_t max_duplicates = 16 + 4 * count;
     while (count > 0) {
       if (deadline != nullptr && deadline->expired()) break;
       const sat::Result result =
@@ -94,7 +114,8 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
   // of the probe draw only to spin up (and immediately abandon) the
   // main-round solver.
   if (deadline != nullptr && deadline->expired()) return matrix;
-  if (!options_.adaptive || matrix.num_samples() >= options_.num_samples) {
+  if (!options_.adaptive || stats_.exhausted ||
+      matrix.num_samples() >= options_.num_samples) {
     return matrix;
   }
 

@@ -15,6 +15,14 @@
 // one-solve-per-model loop is kept behind `enumerate = false` as the
 // distribution oracle and benchmark baseline.
 //
+// Small model spaces: once the random draw sees 16 duplicates in a row,
+// the same solver finishes the call in distinct mode
+// (sat::EnumerateMode::kDistinct): each remaining model is reported once
+// and the session ends when none is left, as UniGen enumerates small
+// cells exactly. A formula with fewer models than requested therefore
+// yields all of its models (SamplerStats::exhausted), and no duplicate
+// budget is needed.
+//
 // Adaptive weighting (as in Manthan): a small probe round with unbiased
 // polarities measures, for each output variable, the fraction of models in
 // which it is true (a popcount over the packed column); variables with a
@@ -71,6 +79,9 @@ struct SamplerStats {
   bool main_round = false;
   /// Rediscovered models dropped by fingerprint.
   std::size_t duplicates = 0;
+  /// The draw ran out of models: the matrix holds every model of the
+  /// formula. Enumerating front end only.
+  bool exhausted = false;
 };
 
 class Sampler {
@@ -82,9 +93,12 @@ class Sampler {
   /// subject to adaptive weighting (the Y variables in Manthan3). Returns
   /// an empty matrix iff the formula is UNSAT (or the deadline expired
   /// before the first model). Samples are pairwise distinct: repeated
-  /// models are dropped by fingerprint and the draw loop tops itself up,
-  /// bounded by a duplicate budget when the formula has fewer models than
-  /// requested.
+  /// models are dropped by fingerprint and the draw loop tops itself up.
+  /// A formula with fewer models than requested is returned whole, with
+  /// stats().exhausted set (a probe round that exhausts skips the main
+  /// round); only the deadline can cut such a draw short. The legacy
+  /// `enumerate = false` loop instead stops after a duplicate budget of
+  /// 16 + 4·count.
   cnf::SampleMatrix sample_packed(const CnfFormula& formula,
                                   const std::vector<Var>& bias_vars,
                                   const util::Deadline* deadline = nullptr);

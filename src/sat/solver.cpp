@@ -856,20 +856,22 @@ Result Solver::solve(const std::vector<Lit>& assumptions,
 
 Result Solver::enumerate(const ModelSink& sink,
                          const std::vector<Lit>& assumptions,
-                         const util::Deadline* deadline) {
-  return solve_entry(assumptions, deadline, &sink);
+                         const util::Deadline* deadline,
+                         EnumerateMode mode) {
+  assert(mode == EnumerateMode::kRandom || assumptions.empty());
+  return solve_entry(assumptions, deadline, &sink, mode);
 }
 
 // Public solve boundary: allocates any variable the assumptions mention
 // and keeps the solver at the root level if the search throws.
 Result Solver::solve_entry(const std::vector<Lit>& assumptions,
                            const util::Deadline* deadline,
-                           const ModelSink* sink) {
+                           const ModelSink* sink, EnumerateMode mode) {
   core_.clear();
   if (!ok_) return Result::kUnsat;
   for (const Lit a : assumptions) ensure_vars(a.var() + 1);
   try {
-    return search_loop(assumptions, deadline, sink);
+    return search_loop(assumptions, deadline, sink, mode);
   } catch (...) {
     // OutOfBudgetError from arena growth unwinds mid-search; restore the
     // root level so the solver object stays consistent for callers that
@@ -881,7 +883,7 @@ Result Solver::solve_entry(const std::vector<Lit>& assumptions,
 
 Result Solver::search_loop(const std::vector<Lit>& assumptions,
                            const util::Deadline* deadline,
-                           const ModelSink* sink) {
+                           const ModelSink* sink, EnumerateMode mode) {
   if (!ok_) return Result::kUnsat;
   cancel_until(0);
   if (sink != nullptr) scramble_for_descent();
@@ -993,7 +995,23 @@ Result Solver::search_loop(const std::vector<Lit>& assumptions,
         extract_model();
         if (sink != nullptr) {
           ++stats_.enumerated_models;
-          if (!(*sink)(model_)) {
+          const bool more = (*sink)(model_);
+          if (mode == EnumerateMode::kDistinct) {
+            if (!block_decisions()) {
+              return more ? Result::kUnsat : Result::kSat;
+            }
+            if (more) {
+              // The backjump unassigned variables the cursor passed; the
+              // next descent propagates ¬dk and branches from there.
+              enum_cursor_ = 0;
+              continue;
+            }
+            // Settle a root-level ¬d1 before handing the solver back.
+            cancel_until(0);
+            if (propagate() != kNoReason) ok_ = false;
+            return Result::kSat;
+          }
+          if (!more) {
             cancel_until(0);
             return Result::kSat;
           }
@@ -1029,6 +1047,28 @@ Result Solver::search_loop(const std::vector<Lit>& assumptions,
       enqueue(next, kNoReason);
     }
   }
+}
+
+bool Solver::block_decisions() {
+  const std::int32_t k = decision_level();
+  if (k == 0) {
+    ok_ = false;
+    return false;
+  }
+  // ¬dk first (the literal the clause asserts after the backjump), then
+  // ¬d(k-1), the other watch, which stays false at level k-1.
+  block_tmp_.clear();
+  for (std::size_t i = trail_lim_.size(); i-- > 0;) {
+    block_tmp_.push_back(~trail_[static_cast<std::size_t>(trail_lim_[i])]);
+  }
+  cancel_until(k - 1);
+  if (k == 1) {
+    enqueue(block_tmp_[0], kNoReason);
+  } else {
+    enqueue(block_tmp_[0],
+            attach_new_clause(block_tmp_, /*learnt=*/false, /*lbd=*/0));
+  }
+  return true;
 }
 
 void Solver::extract_model() {

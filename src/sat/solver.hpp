@@ -148,6 +148,15 @@ struct SolverStats {
 /// assignment with the solver's model; return true to keep harvesting.
 using ModelSink = std::function<bool(const Assignment&)>;
 
+/// How an enumerate() session moves on after a model.
+enum class EnumerateMode {
+  /// Random backjump and rescrambled descent; models can repeat.
+  kRandom,
+  /// Block the model's decisions and backjump one level: every model is
+  /// reported at most once, and the session ends kUnsat when none is left.
+  kDistinct,
+};
+
 /// Incremental CDCL solver with assumptions and UNSAT-core extraction.
 class Solver {
  public:
@@ -212,25 +221,38 @@ class Solver {
                const util::Deadline& deadline);
 
   /// Enumerating session (the sampler's harvest loop): one persistent
-  /// search that hands every satisfying total assignment to `sink` and —
-  /// if it returns true — performs a phase-scrambled rapid restart and
-  /// keeps descending, instead of the caller paying one full solve() per
-  /// model. Decisions use a per-descent random permutation of the
-  /// variables (CMSGen-style scrambled branching) rather than the VSIDS
-  /// heap, so a restart costs O(vars) instead of O(vars log vars) heap
-  /// churn; conflicts still run the full CDCL machinery (learnt clauses
-  /// steer later descents away from dead subspaces). Decision polarities
-  /// follow SolverOptions (random_polarity / polarity_bias / saved
-  /// phases; saved phases are re-scrambled after each model).
+  /// search that hands every satisfying total assignment to `sink` and
+  /// keeps descending while it returns true, instead of the caller paying
+  /// one full solve() per model. Decisions use a per-descent random
+  /// permutation of the variables (CMSGen-style scrambled branching)
+  /// rather than the VSIDS heap, so a restart costs O(vars) instead of
+  /// O(vars log vars) heap churn; conflicts still run the full CDCL
+  /// machinery (learnt clauses steer later descents away from dead
+  /// subspaces). Decision polarities follow SolverOptions (random_polarity
+  /// / polarity_bias / saved phases).
   ///
-  /// Returns kUnsat if no model exists, kSat once `sink` stops the
-  /// session, kUnknown when the deadline expires (models may already have
-  /// been harvested — the sink has seen them). No blocking clauses are
-  /// added, so the session can revisit a model; callers deduplicate by
-  /// fingerprint (cnf::fingerprint) and budget the repeats.
+  /// kRandom: after each model, a rapid restart to a random level with
+  /// the decision order and saved phases re-scrambled. No blocking clauses
+  /// are added, so the session can revisit a model; callers deduplicate
+  /// by fingerprint (cnf::fingerprint).
+  ///
+  /// kDistinct: after each model with decisions d1..dk, the session adds
+  /// the problem clause (¬d1 ∨ … ∨ ¬dk), backjumps one level and asserts
+  /// ¬dk. That clause excludes exactly the reported model (unit
+  /// propagation fixed the rest of it), so no model is reported twice —
+  /// also not by a later kDistinct session on this solver, since the
+  /// clause stays when the sink stops. Once every model has been reported
+  /// the session returns kUnsat and the solver stays UNSAT for good.
+  /// Takes no assumptions (asserted): the backjump relies on every
+  /// decision level holding one branching decision.
+  ///
+  /// Returns kUnsat if no (further) model exists, kSat once `sink` stops
+  /// the session, kUnknown when the deadline expires (models may already
+  /// have been harvested — the sink has seen them).
   Result enumerate(const ModelSink& sink,
                    const std::vector<Lit>& assumptions = {},
-                   const util::Deadline* deadline = nullptr);
+                   const util::Deadline* deadline = nullptr,
+                   EnumerateMode mode = EnumerateMode::kRandom);
 
   /// Complete satisfying assignment; valid after solve() returned kSat.
   const Assignment& model() const { return model_; }
@@ -380,10 +402,16 @@ class Solver {
   void clause_bump_activity(ClauseRef cref);
   void clause_decay_activity();
   Result search_loop(const std::vector<Lit>& assumptions,
-                     const util::Deadline* deadline,
-                     const ModelSink* sink = nullptr);
+                     const util::Deadline* deadline, const ModelSink* sink,
+                     EnumerateMode mode);
   Result solve_entry(const std::vector<Lit>& assumptions,
-                     const util::Deadline* deadline, const ModelSink* sink);
+                     const util::Deadline* deadline, const ModelSink* sink,
+                     EnumerateMode mode = EnumerateMode::kRandom);
+  /// kDistinct step after a model: add (¬d1 ∨ … ∨ ¬dk) over the current
+  /// decisions, backjump to level k-1 and assert ¬dk (unpropagated).
+  /// Returns false, leaving the solver UNSAT, when k = 0: the model was
+  /// implied at the root, so it was the last one.
+  bool block_decisions();
   void extract_model();
   static std::int64_t luby(std::int64_t i);
 
@@ -428,6 +456,8 @@ class Solver {
   // Scratch buffer for add_clause normalization (avoids a heap
   // allocation per added clause — MaxSAT relaxation adds thousands).
   std::vector<Lit> add_tmp_;
+  // Scratch buffer for block_decisions().
+  std::vector<Lit> block_tmp_;
   // Scratch stamps for LBD computation, indexed by decision level.
   std::vector<std::uint64_t> lbd_stamp_;
   std::uint64_t lbd_stamp_counter_ = 0;

@@ -1,11 +1,15 @@
 // Constrained sampler: all samples are models, diversity, adaptive bias,
-// and UNSAT handling.
+// UNSAT handling, and small model spaces returned whole.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "cnf/cnf.hpp"
 #include "sampler/sampler.hpp"
+#include "sat/solver.hpp"
+#include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace manthan::sampler {
 namespace {
@@ -213,6 +217,8 @@ TEST(SamplerEnumerate, ExhaustsSmallModelSpacesLikeLegacy) {
     Sampler sampler(options);
     const std::vector<Assignment> samples = sampler.sample(f, {2});
     EXPECT_EQ(samples.size(), 4u) << "enumerate " << enumerate;
+    // Only the enumerating session proves it has them all.
+    EXPECT_EQ(sampler.stats().exhausted, enumerate);
   }
 }
 
@@ -259,8 +265,9 @@ TEST(SamplerEnumerate, UnsatYieldsEmptyMatrix) {
 TEST(Sampler, ExpiredDeadlineShortCircuitsBeforeMainRound) {
   // The fix under test: a deadline that expires during the probe round
   // must return the probe data directly instead of spinning up the
-  // main-round solver (whose draw would immediately abandon).
-  CnfFormula f(10);
+  // main-round solver (whose draw would immediately abandon). 40 free
+  // variables: the space cannot be exhausted before the deadline.
+  CnfFormula f(40);
   f.add_clause({pos(0), pos(1)});
   for (const bool enumerate : {true, false}) {
     SamplerOptions options;
@@ -281,7 +288,8 @@ TEST(Sampler, ExpiredDeadlineShortCircuitsBeforeMainRound) {
 }
 
 TEST(Sampler, DeadlineReturnsPartialData) {
-  CnfFormula f(10);
+  // 40 free variables: the space cannot be exhausted before the deadline.
+  CnfFormula f(40);
   f.add_clause({pos(0), pos(1)});
   SamplerOptions options;
   // A fast solver draws ~100k trivial models in under 50ms, so the request
@@ -293,6 +301,92 @@ TEST(Sampler, DeadlineReturnsPartialData) {
   EXPECT_TRUE(deadline.expired());
   EXPECT_LT(samples.size(), options.num_samples);
   EXPECT_FALSE(samples.empty());
+}
+
+// --- small model spaces are returned whole -----------------------------------
+
+/// Every model of `f`, by fingerprint, from a blocking-clause all-SAT loop
+/// independent of the sampler (one solve() per model).
+std::set<std::uint64_t> all_models(const CnfFormula& f) {
+  std::set<std::uint64_t> models;
+  sat::Solver solver;
+  if (!solver.add_formula(f)) return models;
+  const auto n = static_cast<std::size_t>(f.num_vars());
+  while (solver.solve() == sat::Result::kSat) {
+    const Assignment& model = solver.model();
+    EXPECT_TRUE(models.insert(cnf::fingerprint(model, n)).second);
+    cnf::Clause block;
+    for (Var v = 0; v < f.num_vars(); ++v) {
+      block.push_back(cnf::Lit(v, model.value(v)));
+    }
+    if (!solver.add_clause(block)) break;
+  }
+  return models;
+}
+
+std::vector<Var> existential_vars(const dqbf::DqbfFormula& formula) {
+  std::vector<Var> y_vars;
+  for (const auto& e : formula.existentials()) y_vars.push_back(e.var);
+  return y_vars;
+}
+
+struct Draw {
+  cnf::SampleMatrix matrix;
+  SamplerStats stats;
+};
+
+/// The sampler draw Manthan3 makes on suite instance `name` (`formula`)
+/// at the paper seed of suite seed stream `stream`: default options, Y
+/// biased.
+Draw paper_draw(const std::string& name, const dqbf::DqbfFormula& formula,
+                std::uint64_t stream) {
+  SamplerOptions options;
+  options.seed = testutil::suite_run_seed(name, stream);
+  Sampler sampler(options);
+  cnf::SampleMatrix matrix =
+      sampler.sample_packed(formula.matrix(), existential_vars(formula));
+  return {std::move(matrix), sampler.stats()};
+}
+
+TEST(SamplerContract, SmallSuiteSpacesAreReturnedWhole) {
+  // Suite specs whose matrix has fewer models than the 500 requested,
+  // from 4 (unreal_1x1_s0) to 304 (pec_7x2_s0): at every paper seed the
+  // matrix must be exactly the full model set.
+  for (const std::string name : {"unreal_1x1_s0", "xoreq_1x2_s0",
+                                 "controller_3x3_s1", "pec_5x2_s1",
+                                 "pec_7x2_s0"}) {
+    const dqbf::DqbfFormula formula = testutil::suite_instance(name);
+    const std::set<std::uint64_t> expected = all_models(formula.matrix());
+    ASSERT_FALSE(expected.empty()) << name;
+    ASSERT_LT(expected.size(), SamplerOptions{}.num_samples) << name;
+    for (const std::uint64_t stream : {42u, 43u, 44u}) {
+      const Draw draw = paper_draw(name, formula, stream);
+      std::set<std::uint64_t> drawn;
+      for (std::size_t s = 0; s < draw.matrix.num_samples(); ++s) {
+        drawn.insert(draw.matrix.row_fingerprint(s));
+      }
+      EXPECT_EQ(drawn.size(), draw.matrix.num_samples())
+          << name << " " << stream;
+      EXPECT_EQ(drawn, expected) << name << " " << stream;
+      EXPECT_TRUE(draw.stats.exhausted) << name << " " << stream;
+    }
+  }
+}
+
+TEST(SamplerContract, LargeSpaceDrawIsUnchanged) {
+  // plantedhard_18x6_s0 has far more models than requested and its draw
+  // never stalls, so exact completion must not touch it: the 500 rows are
+  // the ones the random draw produced before exact completion existed.
+  const std::string name = "plantedhard_18x6_s0";
+  const Draw draw = paper_draw(name, testutil::suite_instance(name), 42);
+  ASSERT_EQ(draw.matrix.num_samples(), 500u);
+  std::uint64_t fingerprint = draw.matrix.num_samples();
+  for (std::size_t s = 0; s < draw.matrix.num_samples(); ++s) {
+    fingerprint =
+        util::splitmix64(fingerprint ^ draw.matrix.row_fingerprint(s));
+  }
+  EXPECT_EQ(fingerprint, 0x75105d33f64d4499ULL);
+  EXPECT_FALSE(draw.stats.exhausted);
 }
 
 }  // namespace

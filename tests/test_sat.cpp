@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "cnf/cnf.hpp"
+#include "cnf/sample_matrix.hpp"
 #include "sat/solver.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
@@ -367,6 +369,132 @@ TEST(SolverCancel, TokenCancelledMidEnumerationStopsSession) {
   token.reset();
   EXPECT_NE(s.solve(), Result::kUnknown);
 }
+
+// ---------------------------------------------------------------------------
+// Distinct enumeration: every model exactly once, then UNSAT.
+// ---------------------------------------------------------------------------
+
+/// Fingerprints of every model of `f` (brute force, up to 14 variables).
+std::set<std::uint64_t> brute_force_models(const CnfFormula& f) {
+  std::set<std::uint64_t> models;
+  const Var n = f.num_vars();
+  for (std::uint64_t bits = 0; bits < (1ULL << n); ++bits) {
+    cnf::Assignment a(static_cast<std::size_t>(n));
+    for (Var v = 0; v < n; ++v) a.set(v, ((bits >> v) & 1) != 0);
+    if (f.satisfied_by(a)) models.insert(cnf::fingerprint(a));
+  }
+  return models;
+}
+
+TEST(SolverDistinct, ReportsEveryModelOnceThenUnsat) {
+  // 60 seeded random 3-CNFs of 6–14 variables at 2–5 clauses per
+  // variable. Each one is enumerated by two distinct sessions on one
+  // solver: the first sink stops halfway (kSat), the second finishes
+  // (kUnsat). Together they must report the brute-force model set, each
+  // model once, and leave the solver UNSAT.
+  util::Rng rng(0xd157);
+  std::size_t total_models = 0;
+  for (int round = 0; round < 60; ++round) {
+    const auto n = static_cast<Var>(6 + round % 9);
+    const CnfFormula f = random_cnf(
+        {n, static_cast<std::size_t>(n) * (2 + round % 4), 3}, rng);
+    const std::set<std::uint64_t> expected = brute_force_models(f);
+    total_models += expected.size();
+    SolverOptions options;
+    options.random_polarity = true;
+    options.seed = static_cast<std::uint64_t>(round);
+    Solver s(options);
+    if (!s.add_formula(f)) {
+      EXPECT_TRUE(expected.empty());
+      continue;
+    }
+    std::set<std::uint64_t> reported;
+    const std::size_t stop_after = expected.size() / 2;
+    const auto sink = [&](const cnf::Assignment& model) {
+      EXPECT_TRUE(f.satisfied_by(model));
+      EXPECT_TRUE(reported.insert(cnf::fingerprint(model)).second)
+          << "model reported twice, round " << round;
+      return reported.size() != stop_after;
+    };
+    if (stop_after > 0) {
+      EXPECT_EQ(s.enumerate(sink, {}, nullptr, EnumerateMode::kDistinct),
+                Result::kSat)
+          << "round " << round;
+      EXPECT_EQ(reported.size(), stop_after);
+    }
+    EXPECT_EQ(s.enumerate(sink, {}, nullptr, EnumerateMode::kDistinct),
+              Result::kUnsat)
+        << "round " << round;
+    EXPECT_EQ(reported, expected) << "round " << round;
+    EXPECT_EQ(s.solve(), Result::kUnsat) << "round " << round;
+  }
+  EXPECT_GT(total_models, 1000u);
+}
+
+TEST(SolverDistinct, TakesOverFromRandomSessionWithoutRepeats) {
+  // The sampler's switch: a random session that revisits models, then a
+  // distinct session on the same solver that reports each model once.
+  util::Rng rng(0x5eed);
+  const CnfFormula f = random_cnf({12, 30, 3}, rng);
+  const std::set<std::uint64_t> expected = brute_force_models(f);
+  ASSERT_GT(expected.size(), 20u);
+  SolverOptions options;
+  options.random_polarity = true;
+  Solver s(options);
+  ASSERT_TRUE(s.add_formula(f));
+  std::size_t random_models = 0;
+  EXPECT_EQ(s.enumerate([&](const cnf::Assignment&) {
+              return ++random_models < 2 * expected.size();
+            }),
+            Result::kSat);
+  std::set<std::uint64_t> reported;
+  EXPECT_EQ(s.enumerate(
+                [&](const cnf::Assignment& model) {
+                  EXPECT_TRUE(
+                      reported.insert(cnf::fingerprint(model)).second);
+                  return true;
+                },
+                {}, nullptr, EnumerateMode::kDistinct),
+            Result::kUnsat);
+  EXPECT_EQ(reported, expected);
+}
+
+TEST(SolverDistinct, TokenCancelledMidSessionGivesUnknown) {
+  // 30 variables: far more models than one poll interval can report, so
+  // only the token can end the session.
+  util::Rng rng(11);
+  Solver s;
+  const CnfFormula f = random_cnf({30, 60, 3}, rng);
+  if (!s.add_formula(f)) GTEST_SKIP() << "root-level conflict";
+  util::CancelToken token;
+  const util::Deadline deadline(0.0, &token);
+  std::set<std::uint64_t> reported;
+  const Result r = s.enumerate(
+      [&](const cnf::Assignment& model) {
+        EXPECT_TRUE(f.satisfied_by(model));
+        EXPECT_TRUE(reported.insert(cnf::fingerprint(model)).second);
+        if (reported.size() == 3) token.cancel();
+        return true;
+      },
+      {}, &deadline, EnumerateMode::kDistinct);
+  EXPECT_EQ(r, Result::kUnknown);
+  EXPECT_GE(reported.size(), 3u);
+  EXPECT_LT(reported.size(), 100000u);
+  // Reusable, and the models already reported stay blocked.
+  token.reset();
+  ASSERT_EQ(s.solve(), Result::kSat);
+  EXPECT_EQ(reported.count(cnf::fingerprint(s.model())), 0u);
+}
+
+#if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
+TEST(SolverDistinct, RejectsAssumptions) {
+  Solver s;
+  s.add_clause({pos(0), pos(1)});
+  EXPECT_DEATH(s.enumerate([](const cnf::Assignment&) { return true; },
+                           {pos(0)}, nullptr, EnumerateMode::kDistinct),
+               "");
+}
+#endif
 
 TEST(Solver, ReserveVarsAllocatesContiguousBlock) {
   Solver s;

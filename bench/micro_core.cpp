@@ -4,8 +4,7 @@
 // (Manthan3Options::incremental = false — the pre-refactor *cost
 // structure*: fresh solvers and full re-encoding per round; seeding now
 // flows through derive_seed streams on both sides), the incremental
-// MaxSAT round against a fresh Fu-Malik solver per counterexample, and
-// candidate-learning scaling across scheduler workers.
+// MaxSAT round against a fresh Fu-Malik solver per counterexample.
 //
 // The headline series is BM_Pipeline*: the same multi-round planted/pec
 // instances run through both pipelines — the incremental one re-encodes
@@ -15,7 +14,6 @@
 // instance (7-9x on the counterexample-heavy ones).
 #include <benchmark/benchmark.h>
 
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -33,11 +31,6 @@ namespace {
 using manthan::core::Manthan3;
 using manthan::core::Manthan3Options;
 using manthan::core::SynthesisResult;
-
-double host_cores() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1.0 : static_cast<double>(n);
-}
 
 /// Nested-dependency planted instance that drives a long verify/repair
 /// loop (hundreds of counterexamples at the capped budget).
@@ -235,13 +228,6 @@ void BM_MaxSatRoundsRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxSatRoundsRebuild)->Unit(benchmark::kMillisecond);
 
-// --- parallel candidate learning --------------------------------------------
-// Learning-dominated instance (many existentials, verify passes quickly):
-// decision-tree fitting fans across the scheduler; results are identical
-// at every worker count, so only wall-clock moves. CPU-bound — the
-// speedup follows physical cores (`cores` counter), as with the engine
-// benchmarks.
-
 // --- bit-packed sampling + learning front end --------------------------------
 // The data path: enumerating solver session -> packed SampleMatrix ->
 // popcount decision trees. BM_SamplingEnumerate isolates the model harvest
@@ -404,36 +390,6 @@ void BM_ReuseRefitOff(benchmark::State& state) {
   run_reuse(state, /*reuse=*/false);
 }
 BENCHMARK(BM_ReuseRefitOff)->Unit(benchmark::kMillisecond);
-
-void BM_LearnWorkers(benchmark::State& state) {
-  manthan::workloads::PlantedParams params;
-  params.num_universals = 20;
-  params.num_existentials = 16;
-  params.dep_size = 10;
-  params.function_gates = 6;
-  params.num_clauses = 120;
-  params.seed = 9;
-  params.xor_functions = false;
-  const auto formula = manthan::workloads::gen_planted(params);
-  SynthesisResult last;
-  for (auto _ : state) {
-    manthan::aig::Aig manager;
-    Manthan3Options options;
-    options.time_limit_seconds = 120.0;
-    options.learn_workers = static_cast<std::size_t>(state.range(0));
-    options.sampler.num_samples = 4096;
-    options.seed = 42;
-    last = Manthan3(options).synthesize(formula, manager);
-    benchmark::DoNotOptimize(last.status);
-  }
-  state.counters["workers"] = static_cast<double>(state.range(0));
-  state.counters["cores"] = host_cores();
-  state.counters["learning_ms"] = last.stats.learning_seconds * 1e3;
-}
-BENCHMARK(BM_LearnWorkers)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

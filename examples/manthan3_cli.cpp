@@ -258,7 +258,6 @@ int main(int argc, char** argv) {
             << result.stats.total_seconds << " s, "
             << result.stats.counterexamples << " counterexamples, "
             << result.stats.repairs << " repairs, "
-            << result.stats.restarts << " restarts, "
             << result.stats.arbiter_points << " arbiter points, "
             << result.stats.arbiter_patches << " arbiter patches, "
             << result.stats.repeated_repairs << " repeated repairs)\n";
@@ -278,8 +277,7 @@ int main(int argc, char** argv) {
               << "reuse: " << result.stats.samples_appended
               << " counterexample samples appended ("
               << result.stats.gk_streamed_samples << " streamed from G_k), "
-              << result.stats.refit_rounds << " refit rounds ("
-              << result.stats.adaptive_refits << " adaptive) / "
+              << result.stats.refit_rounds << " refit rounds / "
               << result.stats.refit_candidates << " candidates refit\n";
     std::cout << "memory: peak RSS "
               << result.stats.peak_rss_bytes / (1024 * 1024) << " MiB, "

@@ -1,9 +1,9 @@
 #include "core/manthan3.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <set>
@@ -25,7 +25,6 @@
 #include "util/budget.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
-#include "util/scheduler.hpp"
 
 namespace manthan::core {
 
@@ -44,19 +43,9 @@ Lit unit_lit(Var v, bool value) {
 // streams and per-round verify-solver reseeds must never collide.
 // Learning salts are offset by the refit generation (kLearnSalt + g), so
 // generation 0 reproduces the pre-reuse stream exactly and every refit
-// pass draws a fresh — but worker-invariant — stream per existential.
-// Attempt r > 0 of the restart schedule replaces the call seed by
-// derive_seed(seed, kRestartSalt, r) in all three of its streams.
+// pass draws a fresh stream per existential.
 constexpr std::uint64_t kLearnSalt = 0x4c4541524eULL;   // "LEARN"
 constexpr std::uint64_t kVerifySalt = 0x564552494659ULL;  // "VERIFY"
-constexpr std::uint64_t kRestartSalt = 0x52455354415254ULL;  // "RESTART"
-
-// Stopping rules of one attempt. It gives up after kMaxNoProgressRounds
-// consecutive counterexamples for which no candidate could be repaired or
-// patched from the arbiter expansion, and attempt r restarts once it has
-// spent kRestartUnit * luby(r + 1) counterexamples.
-constexpr std::size_t kMaxNoProgressRounds = 12;
-constexpr std::size_t kRestartUnit = 32;
 
 // Refit trigger of cross-round sample reuse: a candidate's error rate over
 // the rows appended since its last fit is measured once at least
@@ -64,76 +53,11 @@ constexpr std::size_t kRestartUnit = 32;
 constexpr std::size_t kRefitMinFreshRows = 16;
 constexpr double kRefitErrorRate = 0.05;
 
-/// The Luby, Sinclair & Zuckerman sequence 1, 1, 2, 1, 1, 2, 4, 1, ...
-/// (1-based): the restart schedule that is within a log factor of the
-/// optimal one for any run-time distribution of a Las Vegas algorithm.
-std::size_t luby(std::size_t i) {
-  for (std::size_t k = 1;; ++k) {
-    const std::size_t full = (std::size_t{1} << k) - 1;
-    if (i == full) return std::size_t{1} << (k - 1);
-    if (i < full) return luby(i - (full >> 1));
-  }
-}
-
-/// Fold one attempt's stats into the call's: additive counters and phase
-/// seconds sum; solver sizes, learn_workers and byte snapshots take the
-/// max. total_seconds is set once for the whole call by the caller.
-void merge_stats(SynthesisStats& into, const SynthesisStats& from) {
-  // A new SynthesisStats field must be merged here (sum or max).
-  // inprocess_runs is the one exception: it is always 0.
-  static_assert(sizeof(SynthesisStats) == 28 * sizeof(std::size_t) +
-                                            5 * sizeof(double) +
-                                            6 * sizeof(std::uint64_t),
-                "merge_stats does not cover every SynthesisStats field");
-  const auto sum = [&](auto field) { into.*field += from.*field; };
-  const auto max = [&](auto field) {
-    into.*field = std::max(into.*field, from.*field);
-  };
-  sum(&SynthesisStats::samples);
-  sum(&SynthesisStats::unique_defined);
-  sum(&SynthesisStats::learned_candidates);
-  sum(&SynthesisStats::counterexamples);
-  sum(&SynthesisStats::repairs);
-  sum(&SynthesisStats::repair_checks);
-  sum(&SynthesisStats::maxsat_calls);
-  sum(&SynthesisStats::restarts);
-  sum(&SynthesisStats::arbiter_points);
-  sum(&SynthesisStats::arbiter_patches);
-  sum(&SynthesisStats::repeated_repairs);
-  sum(&SynthesisStats::sampling_seconds);
-  sum(&SynthesisStats::learning_seconds);
-  sum(&SynthesisStats::verify_seconds);
-  sum(&SynthesisStats::repair_seconds);
-  max(&SynthesisStats::learn_workers);
-  sum(&SynthesisStats::cones_encoded);
-  sum(&SynthesisStats::cones_reused);
-  sum(&SynthesisStats::aig_nodes_encoded);
-  sum(&SynthesisStats::activations_retired);
-  max(&SynthesisStats::verify_vars);
-  sum(&SynthesisStats::verify_clauses_retired);
-  max(&SynthesisStats::phi_vars);
-  sum(&SynthesisStats::phi_clauses_retired);
-  sum(&SynthesisStats::samples_appended);
-  sum(&SynthesisStats::refit_rounds);
-  sum(&SynthesisStats::refit_candidates);
-  sum(&SynthesisStats::gk_streamed_samples);
-  sum(&SynthesisStats::adaptive_refits);
-  sum(&SynthesisStats::analysis_unique_hits);
-  sum(&SynthesisStats::analysis_dependency_hits);
-  max(&SynthesisStats::peak_rss_bytes);
-  max(&SynthesisStats::sample_matrix_bytes);
-  max(&SynthesisStats::verify_arena_bytes);
-  max(&SynthesisStats::phi_arena_bytes);
-  max(&SynthesisStats::aig_nodes);
-  max(&SynthesisStats::aig_bytes);
-}
-
 /// Publish one call's counters into the global registry (core_* series).
 /// Instrument references are cached after the first call.
 void publish(const SynthesisStats& stats) {
   auto& registry = obs::Registry::global();
   static obs::Counter& runs = registry.counter("core_runs_total");
-  static obs::Counter& restarts = registry.counter("core_restarts_total");
   static obs::Counter& cex = registry.counter("core_counterexamples_total");
   static obs::Counter& repairs = registry.counter("core_repairs_total");
   static obs::Counter& arbiter_patches =
@@ -145,8 +69,6 @@ void publish(const SynthesisStats& stats) {
   static obs::Counter& refits = registry.counter("core_refit_rounds_total");
   static obs::Counter& streamed =
       registry.counter("core_streamed_samples_total");
-  static obs::Counter& adaptive =
-      registry.counter("core_adaptive_refits_total");
   static obs::Counter& samples_total = registry.counter("core_samples_total");
   static obs::Histogram& run_seconds =
       registry.histogram("core_synthesize_seconds");
@@ -154,7 +76,6 @@ void publish(const SynthesisStats& stats) {
       registry.gauge("core_sample_matrix_peak_bytes");
   static obs::Gauge& aig_peak = registry.gauge("core_aig_peak_bytes");
   runs.inc();
-  restarts.add(stats.restarts);
   cex.add(stats.counterexamples);
   repairs.add(stats.repairs);
   arbiter_patches.add(stats.arbiter_patches);
@@ -162,7 +83,6 @@ void publish(const SynthesisStats& stats) {
   maxsat_calls.add(stats.maxsat_calls);
   refits.add(stats.refit_rounds);
   streamed.add(stats.gk_streamed_samples);
-  adaptive.add(stats.adaptive_refits);
   samples_total.add(stats.samples + stats.samples_appended);
   run_seconds.observe(stats.total_seconds);
   matrix_peak.update_max(static_cast<double>(stats.sample_matrix_bytes));
@@ -198,15 +118,15 @@ std::size_t packed_mismatches_since(const std::vector<std::uint64_t>& sim,
   return count;
 }
 
-/// Seed-independent analysis of one synthesize() call, shared by all of
-/// its attempts: the dependency ⊆/= relations, the static ordering edges
-/// (Algorithm 1, lines 3-5) and the UNIQUE-style definitions.
-struct SharedAnalysis {
+/// Seed-independent analysis of the formula: the dependency ⊆/=
+/// relations, the static ordering edges (Algorithm 1, lines 3-5) and the
+/// UNIQUE-style definitions.
+struct Analysis {
   const dqbf::DqbfFormula& formula;
   /// Relations answered by the tier-2 cache; null = ask the formula.
   std::shared_ptr<const DependencyRelations> relations;
-  /// Static ordering edges only; every attempt learns on a copy.
-  DependencyManager static_order;
+  /// Static ordering edges; learning and repair record further edges.
+  DependencyManager order;
   /// Extracted definitions, indexed like formula.existentials().
   std::vector<aig::Ref> definitions;
   std::vector<bool> defined;
@@ -221,14 +141,13 @@ struct SharedAnalysis {
   }
 };
 
-SharedAnalysis analyze(const dqbf::DqbfFormula& formula,
-                       const Manthan3Options& options, aig::Aig& manager,
-                       const util::Deadline& deadline,
-                       SynthesisStats& stats) {
+Analysis analyze(const dqbf::DqbfFormula& formula,
+                 const Manthan3Options& options, aig::Aig& manager,
+                 const util::Deadline& deadline, SynthesisStats& stats) {
   const std::size_t m = formula.existentials().size();
-  SharedAnalysis analysis{formula, nullptr, DependencyManager(m),
-                          std::vector<aig::Ref>(m, aig::kFalseRef),
-                          std::vector<bool>(m, false)};
+  Analysis analysis{formula, nullptr, DependencyManager(m),
+                    std::vector<aig::Ref>(m, aig::kFalseRef),
+                    std::vector<bool>(m, false)};
 
   // ---- Tier-2 analysis cache lookups ------------------------------------
   // With a cache attached, the spec is canonicalized once and the static
@@ -257,8 +176,8 @@ SharedAnalysis analyze(const dqbf::DqbfFormula& formula,
       // H_j ⊂ H_i (strict): y_i may come to depend on y_j; pre-commit the
       // ordering edge so learning can never create a cycle.
       if (analysis.deps_subset(j, i) && !analysis.deps_equal(j, i) &&
-          analysis.static_order.can_use(i, j)) {
-        analysis.static_order.record_use(i, j);
+          analysis.order.can_use(i, j)) {
+        analysis.order.record_use(i, j);
       }
     }
   }
@@ -304,50 +223,16 @@ SharedAnalysis analyze(const dqbf::DqbfFormula& formula,
   return analysis;
 }
 
-/// Everything one synthesize() call hands to its attempts.
-struct Call {
-  const Manthan3Options& options;
-  const dqbf::DqbfFormula& formula;
-  aig::Aig& manager;
-  const util::Deadline& deadline;
-  /// Computed by attempt 0 right after its sampling phase — where the
-  /// single-attempt engine ran these analyses — so attempt 0 replays that
-  /// engine's trajectory, fault-site polls included.
-  std::optional<SharedAnalysis> shared;
-  /// X-points of stalled counterexamples. They do not depend on the seed,
-  /// so every attempt adds to (and is refuted by) the same expansion.
-  ArbiterExpansion expansion;
-};
-
-struct AttemptLimits {
-  /// Seed of the attempt's sampler, learning and verify streams.
-  std::uint64_t seed = 0;
-  /// Counterexamples after which the attempt restarts (its Luby cap).
-  std::size_t cap = 0;
-  /// What is left of the call's counterexample and repair-check budgets.
-  std::size_t counterexamples_left = 0;
-  std::size_t repair_checks_left = 0;
-};
-
-/// How an attempt ended. kAnswer: the call is over with the attempt's
-/// status. kGiveUp (the no-progress rule) and kCap (the Luby cap): the
-/// call may restart. kBudget: the call's shared budget is spent.
-enum class AttemptEnd { kAnswer, kGiveUp, kCap, kBudget };
-
-/// One sample → learn → verify/repair run (Algorithms 1-3) with its own φ
-/// solver, verifier, sampler and training matrix. Fills `out` with the
-/// attempt's stats and, on kAnswer, its status and Henkin vector.
-AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
-                       SynthesisResult& out) {
-  const Manthan3Options& options = call.options;
-  const dqbf::DqbfFormula& formula = call.formula;
-  aig::Aig& manager = call.manager;
-  const util::Deadline& deadline = call.deadline;
+/// The sample → learn → verify/repair loop (Algorithms 1-3) of one
+/// synthesize() call. Returns the call's status and fills `out` with its
+/// stats and, on kRealizable, its Henkin vector.
+SynthesisStatus run(const Manthan3Options& options,
+                    const dqbf::DqbfFormula& formula, aig::Aig& manager,
+                    const util::Deadline& deadline, SynthesisResult& out) {
   // Telemetry only: spans tag every phase of this run with the caller's
   // trace id (the service passes the spec fingerprint). When tracing is
   // off each Span costs one relaxed atomic load.
   const std::uint64_t trace_id = options.trace_id;
-  obs::Span attempt_span("attempt", "phase", trace_id);
   SynthesisStats& stats = out.stats;
   const cnf::CnfFormula& matrix = formula.matrix();
   const std::vector<dqbf::Existential>& ex = formula.existentials();
@@ -357,17 +242,19 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
   // line 13), repair queries G_k (Algorithm 3, line 9), and — in the
   // incremental pipeline — the per-counterexample MaxSAT rounds all run
   // on it with assumptions, sharing one matrix encoding and one learnt
-  // clause database across the whole attempt.
+  // clause database across the whole call.
   sat::Solver phi_solver;
   // Persistent verification solver (incremental pipeline): constructed
-  // once before the verify/repair loop, lives in this scope so end()
+  // once before the verify/repair loop, lives in this scope so answer()
   // can snapshot its stats.
   std::optional<dqbf::IncrementalRefutation> verifier;
-  // Training matrix; declared before end() so the exit snapshot can
+  // Training matrix; declared before answer() so the exit snapshot can
   // report its footprint. Filled by the sampling phase below.
   cnf::SampleMatrix samples;
+  // X-points of stalled counterexamples (the repair of last resort).
+  ArbiterExpansion expansion(formula);
 
-  const auto end = [&](AttemptEnd how) {
+  const auto answer = [&](SynthesisStatus status) {
     const sat::SolverStats& phi_stats = phi_solver.stats();
     stats.phi_vars = static_cast<std::size_t>(phi_stats.vars_allocated);
     stats.phi_clauses_retired =
@@ -390,19 +277,15 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     }
     stats.sample_matrix_bytes = samples.bytes();
     stats.phi_arena_bytes = phi_stats.arena_bytes;
-    return how;
-  };
-  const auto answer = [&](SynthesisStatus status) {
-    out.status = status;
-    return end(AttemptEnd::kAnswer);
+    return status;
   };
 
-  // The whole attempt runs inside one try: an OutOfBudgetError thrown by
+  // The whole run executes inside one try: an OutOfBudgetError thrown by
   // any instrumented growth site (memory budget exceeded, real or
   // injected allocation failure) unwinds to the catch at the end of this
   // function and degrades into a kOutOfBudget answer carrying the stats
   // accumulated so far — never process death. The body keeps the
-  // function's base indentation; the catch is ~600 lines down.
+  // function's base indentation; the catch is ~560 lines down.
   try {
 
   if (!phi_solver.add_formula(matrix)) {
@@ -414,7 +297,7 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
   // ---- Data generation (Algorithm 1, line 1) ----------------------------
   util::Timer phase_timer;
   sampler::SamplerOptions sampler_options = options.sampler;
-  sampler_options.seed = limits.seed;
+  sampler_options.seed = options.seed;
   sampler::Sampler sampler(sampler_options);
   std::vector<Var> y_vars;
   y_vars.reserve(m);
@@ -458,29 +341,29 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     return true;
   };
 
-  if (!call.shared.has_value()) {
-    call.shared.emplace(analyze(formula, options, manager, deadline, stats));
-  }
-  const SharedAnalysis& shared = *call.shared;
-  DependencyManager dep = shared.static_order;
-  std::vector<aig::Ref> f = shared.definitions;
-  const std::vector<bool>& fixed = shared.defined;
+  Analysis analysis = analyze(formula, options, manager, deadline, stats);
+  DependencyManager& dep = analysis.order;
+  std::vector<aig::Ref>& f = analysis.definitions;
+  const std::vector<bool>& fixed = analysis.defined;
+
+  // Record the existential features that `ref` (now part of f_k) uses
+  // (Algorithm 2, lines 11-12).
+  const auto record_support = [&](std::size_t k, aig::Ref ref) {
+    for (const std::int32_t id : manager.support(ref)) {
+      if (!formula.is_existential(static_cast<Var>(id))) continue;
+      const std::size_t j = formula.existential_index(static_cast<Var>(id));
+      if (dep.can_use(k, j) && !dep.depends_on(k, j)) dep.record_use(k, j);
+    }
+  };
 
   // ---- Candidate learning (Algorithm 2) ---------------------------------
-  // Feature sets are pre-committed before any fitting so the fits are
-  // mutually independent (parallelizable): y_j is an admissible feature
-  // of y_i iff H_j ⊂ H_i strictly, or H_j == H_i and j < i. The fixed
-  // orientation of equal-dependency pairs keeps the feature relation
-  // acyclic without serializing feature selection on the learnt supports
-  // (the pre-refactor code admitted whichever direction was fitted
-  // first). Fitting itself is pure — rows, labels, and a derive_seed-split
-  // DtreeOptions stream per existential — so any worker count produces
-  // bit-identical trees; AIG construction and support recording stay
-  // serial in index order.
+  // Feature sets are pre-committed before any fitting: y_j is an
+  // admissible feature of y_i iff H_j ⊂ H_i strictly, or H_j == H_i and
+  // j < i. The fixed orientation of equal-dependency pairs keeps the
+  // feature relation acyclic without making feature selection depend on
+  // the learnt supports. Fitting is pure — rows, labels, and a
+  // derive_seed-split DtreeOptions stream per existential.
   phase_timer.reset();
-  const std::size_t learn_workers =
-      std::max<std::size_t>(1, options.learn_workers);
-  stats.learn_workers = learn_workers;
   std::vector<std::vector<Var>> feature_vars(m);
   std::vector<std::vector<aig::Ref>> feature_refs(m);
   std::vector<std::size_t> jobs;
@@ -489,8 +372,8 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     if (fixed[i]) continue;
     feature_vars[i].assign(ex[i].deps.begin(), ex[i].deps.end());
     for (std::size_t j = 0; j < m; ++j) {
-      if (j == i || !shared.deps_subset(j, i)) continue;
-      const bool strict = !shared.deps_equal(j, i);
+      if (j == i || !analysis.deps_subset(j, i)) continue;
+      const bool strict = !analysis.deps_equal(j, i);
       if ((strict || j < i) && dep.can_use(i, j)) {
         feature_vars[i].push_back(ex[j].var);
       }
@@ -502,13 +385,16 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     jobs.push_back(i);
   }
 
-  const auto fit_one = [&](std::size_t i, std::uint64_t generation) {
+  // Fit y_i's tree on the current matrix and extract it to an AIG over
+  // its features.
+  const auto fit = [&](std::size_t i, std::uint64_t generation) {
     dtree::DtreeOptions dt = options.dtree;
-    dt.seed = util::derive_seed(limits.seed, kLearnSalt + generation, i);
+    dt.seed = util::derive_seed(options.seed, kLearnSalt + generation, i);
     if (options.packed_learning) {
       // Popcount path: split statistics straight off the packed columns.
       return dtree::DecisionTree::fit(samples, feature_vars[i], ex[i].var,
-                                      dt);
+                                      dt)
+          .to_aig(manager, feature_refs[i]);
     }
     // Row-wise oracle: unpack the matrix into per-existential rows.
     const std::size_t n = samples.num_samples();
@@ -523,60 +409,16 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
       rows.push_back(std::move(row));
       labels.push_back(samples.value(s, ex[i].var));
     }
-    return dtree::DecisionTree::fit(rows, labels, dt);
-  };
-
-  std::vector<dtree::DecisionTree> trees(m);
-  // One pool for the initial fit and every refit round (created lazily:
-  // serial runs and single-job batches never spawn threads). The pool
-  // class lives in util precisely so this layer can use it; the engine
-  // module (which links against core) re-exports it as engine::Scheduler
-  // for the portfolio-facing clients.
-  std::optional<util::Scheduler> learn_pool;
-  const auto run_fits = [&](const std::vector<std::size_t>& fit_jobs,
-                            std::uint64_t generation) {
-    if (learn_workers > 1 && fit_jobs.size() > 1) {
-      if (!learn_pool.has_value()) learn_pool.emplace(learn_workers);
-      std::vector<std::future<dtree::DecisionTree>> futures;
-      futures.reserve(fit_jobs.size());
-      // The request budget is thread-local; re-install it inside each
-      // worker closure so fits charge the same budget as the main thread
-      // (an OutOfBudgetError rethrows from the future below).
-      util::ResourceBudget* budget = util::current_budget();
-      for (const std::size_t i : fit_jobs) {
-        futures.push_back(
-            learn_pool->submit([&fit_one, i, generation, budget]() {
-              util::BudgetScope scope(budget);
-              return fit_one(i, generation);
-            }));
-      }
-      for (std::size_t k = 0; k < fit_jobs.size(); ++k) {
-        trees[fit_jobs[k]] = futures[k].get();
-      }
-    } else {
-      for (const std::size_t i : fit_jobs) trees[i] = fit_one(i, generation);
-    }
-  };
-
-  // Extract the fitted trees to AIG candidates and record the existential
-  // features they actually use (Algorithm 2, lines 11-12). Serial, in
-  // index order — worker counts never influence the AIG or the
-  // dependency state.
-  const auto adopt_trees = [&](const std::vector<std::size_t>& fit_jobs) {
-    for (const std::size_t i : fit_jobs) {
-      f[i] = trees[i].to_aig(manager, feature_refs[i]);
-      for (const std::int32_t id : manager.support(f[i])) {
-        if (!formula.is_existential(static_cast<Var>(id))) continue;
-        const std::size_t j = formula.existential_index(static_cast<Var>(id));
-        if (dep.can_use(i, j) && !dep.depends_on(i, j)) dep.record_use(i, j);
-      }
-    }
+    return dtree::DecisionTree::fit(rows, labels, dt)
+        .to_aig(manager, feature_refs[i]);
   };
 
   {
     obs::Span span("learn", "phase", trace_id);
-    run_fits(jobs, 0);
-    adopt_trees(jobs);
+    for (const std::size_t i : jobs) {
+      f[i] = fit(i, 0);
+      record_support(i, f[i]);
+    }
   }
   stats.learned_candidates = jobs.size();
   stats.learning_seconds = phase_timer.seconds();
@@ -612,7 +454,7 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
   // verify solver re-encodes only repaired cones (activation literals
   // retire the stale output equivalences), and the MaxSAT rounds run as
   // activation-scoped Fu-Malik sessions on the φ solver, whose matrix
-  // encoding and learnt clauses persist for the whole attempt.
+  // encoding and learnt clauses persist for the whole call.
   if (options.incremental) {
     // Default solver options: the search RNG is reseeded from the round's
     // derived stream before every check(), so a construction seed would
@@ -621,10 +463,10 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
   }
   maxsat::IncrementalMaxSat repair_maxsat(phi_solver);
 
-  // Repair of last resort: the decision-list entries this attempt
-  // prepended from the arbiter expansion, oldest first, and the arbiters
-  // whose cubes it has recorded. Entries mention only H_k, so they are
-  // always admissible and record no dependency edge.
+  // Repair of last resort: the decision-list entries prepended from the
+  // arbiter expansion, oldest first, and the arbiters whose cubes have
+  // been recorded. Entries mention only H_k, so they are always
+  // admissible and record no dependency edge.
   std::vector<std::vector<DecisionEntry>> entries(m);
   std::vector<bool> recorded;
 
@@ -640,66 +482,43 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
   // count of its own last fit; once kRefitMinFreshRows rows arrived since
   // then, its error rate over those fresh rows is measured every round
   // (the batch simulation is cheap), and reaching kRefitErrorRate triggers
-  // a refit of exactly the drifted candidates. A no-progress round forces
-  // a screen of the whole matrix instead.
+  // a refit of exactly the drifted candidates.
   // The refreshed candidates re-enter verification unchanged in soundness
   // terms — only a verify-UNSAT certifies the vector.
   //
-  // Matrix row count at the last forced screen.
-  std::size_t last_fit_samples = samples.num_samples();
   // Per-candidate watermark: matrix row count at the candidate's last
   // (re)fit or last clean screen.
   std::vector<std::size_t> last_fit_rows(m, samples.num_samples());
-  const auto maybe_refit = [&](bool force) {
+  const auto maybe_refit = [&]() {
     if (!options.sample_reuse) return;
     const std::size_t now = samples.num_samples();
-    // A stuck round refits on whatever arrived since the last forced
-    // screen, but only if something did.
-    if (force && now == last_fit_samples) return;
     obs::Span span("refit", "phase", trace_id);
-    // Staleness screen. Periodic refits only touch candidates that
-    // mis-predict rows appended since their last fit: mismatches on older
-    // rows are either inherent (φ has several Y per X, so the matrix is
-    // not a function) or the work of UNSAT-core repairs that a routine
-    // refit must not throw away. A no-progress round inverts the calculus
-    // — repair is stuck by definition, so there the screen widens to the
-    // whole matrix and disagreeing candidates are relearned outright (the
-    // escape hatch that converts budget-exhausting families into
-    // certified ones; see bench/micro_core BM_ReuseRefit*).
+    // Staleness screen. Refits only touch candidates that mis-predict
+    // rows appended since their last fit: mismatches on older rows are
+    // either inherent (φ has several Y per X, so the matrix is not a
+    // function) or the work of UNSAT-core repairs that a routine refit
+    // must not throw away.
     std::vector<std::size_t> refit_jobs;
-    if (!force) {
-      for (const std::size_t i : jobs) {
-        // A screen pass is real work (matrix simulations); keep the PR-3
-        // contract that cancellation/timeout is observed with bounded
-        // extra work by polling between candidates. Bailing out leaves
-        // the watermarks untouched — the loop head reports kTimeout next.
-        if (deadline.expired()) return;
-        const std::size_t fresh = now - last_fit_rows[i];
-        if (fresh < kRefitMinFreshRows) continue;
-        const std::vector<std::uint64_t> sim =
-            aig::simulate_matrix(manager, f[i], samples);
-        const std::size_t mismatches = packed_mismatches_since(
-            sim, samples.column(ex[i].var), samples, last_fit_rows[i]);
-        if (mismatches == 0) {
-          // Clean screen: advance the watermark so the next error rate is
-          // measured only over rows this candidate has not yet absorbed.
-          last_fit_rows[i] = now;
-        } else if (static_cast<double>(mismatches) >=
-                   kRefitErrorRate * static_cast<double>(fresh)) {
-          refit_jobs.push_back(i);
-        }
+    for (const std::size_t i : jobs) {
+      // A screen pass is real work (matrix simulations); keep the PR-3
+      // contract that cancellation/timeout is observed with bounded
+      // extra work by polling between candidates. Bailing out leaves
+      // the watermarks untouched — the loop head reports kTimeout next.
+      if (deadline.expired()) return;
+      const std::size_t fresh = now - last_fit_rows[i];
+      if (fresh < kRefitMinFreshRows) continue;
+      const std::vector<std::uint64_t> sim =
+          aig::simulate_matrix(manager, f[i], samples);
+      const std::size_t mismatches = packed_mismatches_since(
+          sim, samples.column(ex[i].var), samples, last_fit_rows[i]);
+      if (mismatches == 0) {
+        // Clean screen: advance the watermark so the next error rate is
+        // measured only over rows this candidate has not yet absorbed.
+        last_fit_rows[i] = now;
+      } else if (static_cast<double>(mismatches) >=
+                 kRefitErrorRate * static_cast<double>(fresh)) {
+        refit_jobs.push_back(i);
       }
-    } else {
-      for (const std::size_t i : jobs) {
-        if (deadline.expired()) return;
-        const std::vector<std::uint64_t> sim =
-            aig::simulate_matrix(manager, f[i], samples);
-        if (packed_mismatches_since(sim, samples.column(ex[i].var), samples,
-                                    0) != 0) {
-          refit_jobs.push_back(i);
-        }
-      }
-      last_fit_samples = now;
     }
     if (refit_jobs.empty()) return;
     // Repair recorded dependency edges the pre-committed feature relation
@@ -724,15 +543,13 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
       feature_refs[i].resize(keep);
     }
     ++stats.refit_rounds;
-    if (!force) ++stats.adaptive_refits;
-    run_fits(refit_jobs, stats.refit_rounds);
     // Adopt with a cycle guard: edges recorded while adopting earlier
     // batch-mates can invalidate a feature this tree was fitted with; a
     // candidate whose support became unrecordable is rejected (the
     // repaired predecessor stays in place — still sound, the verify
     // loop re-examines everything).
     for (const std::size_t i : refit_jobs) {
-      const aig::Ref refit_f = trees[i].to_aig(manager, feature_refs[i]);
+      const aig::Ref refit_f = fit(i, stats.refit_rounds);
       bool admissible = true;
       for (const std::int32_t id : manager.support(refit_f)) {
         if (!formula.is_existential(static_cast<Var>(id))) continue;
@@ -743,16 +560,12 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
         }
       }
       if (!admissible) continue;
-      // The attempt's arbiter entries stay on top of the new tree, the
-      // newest one topmost.
+      // The arbiter entries stay on top of the new tree, the newest one
+      // topmost.
       f[i] = decision_list(manager, entries[i], refit_f);
       applied[i].clear();
       ++stats.refit_candidates;
-      for (const std::int32_t id : manager.support(f[i])) {
-        if (!formula.is_existential(static_cast<Var>(id))) continue;
-        const std::size_t j = formula.existential_index(static_cast<Var>(id));
-        if (dep.can_use(i, j) && !dep.depends_on(i, j)) dep.record_use(i, j);
-      }
+      record_support(i, f[i]);
     }
     // Every screened-and-refitted candidate starts a fresh error window
     // (watermarks advance whether or not the adoption guard kept the new
@@ -762,35 +575,23 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     refresh_order();
   };
 
-  // Consecutive counterexamples for which no candidate could be repaired;
-  // a fresh verification round may produce a different (repairable)
-  // counterexample, so the attempt only gives up after several fruitless
-  // rounds in a row.
-  std::size_t no_progress_rounds = 0;
   while (true) {
     if (deadline.expired()) return answer(SynthesisStatus::kTimeout);
-    if (stats.counterexamples >= limits.counterexamples_left) {
-      return end(AttemptEnd::kBudget);
+    if (stats.counterexamples >= options.max_counterexamples) {
+      return answer(SynthesisStatus::kLimit);
     }
-    if (stats.counterexamples >= limits.cap) return end(AttemptEnd::kCap);
-    maybe_refit(/*force=*/false);
+    maybe_refit();
 
     phase_timer.reset();
-    // Vary the search seed per round so a stuck repair sees a different
-    // counterexample next time instead of the same one forever.
+    // Each round reseeds the verify search from its own derived stream.
     const std::uint64_t round_seed = util::derive_seed(
-        limits.seed, kVerifySalt, stats.counterexamples + 1);
-    const double round_branch_freq = no_progress_rounds > 0 ? 0.1 : 0.0;
-    const bool round_random_polarity = no_progress_rounds > 0;
+        options.seed, kVerifySalt, stats.counterexamples + 1);
     sat::Result verify_result;
     std::optional<sat::Solver> oneshot_solver;  // oracle mode: owns δ
     {
       obs::Span span("verify.round", "phase", trace_id);
       if (options.incremental) {
-        sat::Solver& verify_solver = verifier->solver();
-        verify_solver.reseed(round_seed);
-        verify_solver.options().random_branch_freq = round_branch_freq;
-        verify_solver.options().random_polarity = round_random_polarity;
+        verifier->solver().reseed(round_seed);
         verify_result = verifier->check(dqbf::HenkinVector{f}, deadline);
       } else {
         const cnf::CnfFormula refutation =
@@ -798,8 +599,6 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
                                        dqbf::HenkinVector{f});
         sat::SolverOptions verify_options;
         verify_options.seed = round_seed;
-        verify_options.random_branch_freq = round_branch_freq;
-        verify_options.random_polarity = round_random_polarity;
         oneshot_solver.emplace(verify_options);
         if (!oneshot_solver->add_formula(refutation)) {
           verify_result = sat::Result::kUnsat;
@@ -910,8 +709,8 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     repair_span.emplace("repair", "phase", trace_id);
     while (!queue.empty()) {
       if (deadline.expired()) return answer(SynthesisStatus::kTimeout);
-      if (stats.repair_checks >= limits.repair_checks_left) {
-        return end(AttemptEnd::kBudget);
+      if (stats.repair_checks >= options.max_repair_iterations) {
+        return answer(SynthesisStatus::kLimit);
       }
       const std::size_t k = queue.front();
       queue.pop_front();
@@ -975,14 +774,7 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
         sigma_yp[k] = !sigma_yp[k];  // output on this counterexample flipped
         ++repairs_this_cex;
         ++stats.repairs;
-        for (const std::int32_t id : manager.support(beta)) {
-          if (!formula.is_existential(static_cast<Var>(id))) continue;
-          const std::size_t j =
-              formula.existential_index(static_cast<Var>(id));
-          if (dep.can_use(k, j) && !dep.depends_on(k, j)) {
-            dep.record_use(k, j);
-          }
-        }
+        record_support(k, beta);
       } else {
         // G_k is SAT: y_k can keep its output; some other candidate must
         // move. Enqueue every y_t whose model value disagrees with its
@@ -1013,7 +805,6 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
     std::size_t patches = 0;
     if (repairs_this_cex == 0) {
       obs::Span span("expansion", "phase", trace_id);
-      ArbiterExpansion& expansion = call.expansion;
       const std::size_t points_before = expansion.num_points();
       const sat::Result expansion_result = expansion.add_point(pi, deadline);
       stats.arbiter_points += expansion.num_points() - points_before;
@@ -1036,9 +827,9 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
         entries[k].push_back(std::move(entry));
         ++patches;
       };
-      // Cubes recorded earlier in this attempt whose arbiter changed
-      // value (re-patched with a fresh premise), then this point's cubes
-      // where the candidate disagrees.
+      // Cubes recorded earlier whose arbiter changed value (re-patched
+      // with a fresh premise), then this point's cubes where the
+      // candidate disagrees.
       for (const std::size_t id : expansion.flipped()) {
         if (recorded[id]) patch(id);
       }
@@ -1050,19 +841,11 @@ AttemptEnd run_attempt(Call& call, const AttemptLimits& limits,
       stats.arbiter_patches += patches;
     }
     stats.repair_seconds += phase_timer.seconds();
-    if (repairs_this_cex > 0 || patches > 0) {
-      no_progress_rounds = 0;
-      continue;
-    }
-    // Nothing to patch: refit from whatever counterexample data
-    // accumulated — a relearned candidate often escapes where
-    // core-guided patching is stuck — then retry a few rounds with
-    // randomized verification in case another counterexample is
-    // repairable, and only then give up.
-    maybe_refit(/*force=*/true);
-    if (++no_progress_rounds >= kMaxNoProgressRounds) {
-      return end(AttemptEnd::kGiveUp);
-    }
+    // Every counterexample moves the candidates: a stalled one leaves
+    // σ[Y'] = δ[Y'], which falsifies φ at π[X] while the expansion's model
+    // satisfies it, so some arbiter disagrees with an undefined candidate
+    // and is patched (see core/manthan3.hpp).
+    assert(repairs_this_cex > 0 || patches > 0);
   }
 
   } catch (const util::OutOfBudgetError&) {
@@ -1079,55 +862,9 @@ SynthesisResult Manthan3::synthesize(const dqbf::DqbfFormula& formula,
   util::Timer total_timer;
   const util::Deadline deadline(options_.time_limit_seconds, options_.cancel);
   obs::Span run_span("synthesize", "phase", options_.trace_id);
-  Call call{options_, formula, manager, deadline, std::nullopt,
-            ArbiterExpansion(formula)};
   SynthesisResult result;
+  result.status = run(options_, formula, manager, deadline, result);
   SynthesisStats& stats = result.stats;
-
-  // Restart schedule: attempt r runs with a fresh seed stream until it
-  // answers, gives up, or spends its Luby cap, all within the call's one
-  // deadline and shared counterexample / repair-check budgets. Attempt 0
-  // keeps the call seed, so a run that answers within the first cap is
-  // exactly the single-attempt engine.
-  bool any_capped = false;  // some attempt spent its whole Luby cap
-  bool any_gave_up = false;
-  for (std::size_t r = 0;; ++r) {
-    AttemptLimits limits;
-    limits.seed = r == 0 ? options_.seed
-                         : util::derive_seed(options_.seed, kRestartSalt, r);
-    limits.cap = kRestartUnit * luby(r + 1);
-    limits.counterexamples_left =
-        options_.max_counterexamples - stats.counterexamples;
-    limits.repair_checks_left =
-        options_.max_repair_iterations - stats.repair_checks;
-    SynthesisResult attempt;
-    const AttemptEnd how = run_attempt(call, limits, attempt);
-    merge_stats(stats, attempt.stats);
-    if (how == AttemptEnd::kAnswer) {
-      result.status = attempt.status;
-      result.vector = std::move(attempt.vector);
-      break;
-    }
-    any_capped |= how == AttemptEnd::kCap;
-    any_gave_up |= how == AttemptEnd::kGiveUp;
-    if (how == AttemptEnd::kBudget ||
-        stats.counterexamples >= options_.max_counterexamples ||
-        stats.repair_checks >= options_.max_repair_iterations) {
-      // Budget spent: incomplete when every attempt that ran to its own
-      // end gave up (the last one may have been cut by the budget), an
-      // iteration limit otherwise.
-      result.status = any_gave_up && !any_capped
-                          ? SynthesisStatus::kIncomplete
-                          : SynthesisStatus::kLimit;
-      break;
-    }
-    if (deadline.expired()) {
-      result.status = SynthesisStatus::kTimeout;
-      break;
-    }
-    ++stats.restarts;
-  }
-
   stats.total_seconds = total_timer.seconds();
   // Memory snapshot (process-global values; see the stats doc).
   stats.peak_rss_bytes = obs::peak_rss_bytes();

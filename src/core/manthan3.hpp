@@ -14,18 +14,18 @@
 // The repair loop applies a repair to f_k at most once between refits.
 // With Ŷ fixed in G_k (§5), two repairs of one f_k can undo each other:
 // β strengthens f_k, β' weakens it, and β strengthens it again on the
-// next counterexample, for as long as the attempt runs. So each attempt
-// keeps, per y_k, the repairs applied to f_k since a refit last replaced
+// next counterexample, for as long as the call runs. So the call keeps,
+// per y_k, the repairs applied to f_k since a refit last replaced
 // it, each as β's sorted core literals plus its direction, and skips a
 // repeat exactly like an empty β: f_k and σ[y'_k] stay as they are and
 // the queue goes on (SynthesisStats::repeated_repairs). A counterexample
 // left with no repair goes to the arbiter expansion below, whose entries
 // break the cycle. Skipping is always sound: only a verify-UNSAT
-// certifies. A restart starts with an empty record.
+// certifies.
 //
 // The engine is sound (returns only certified vectors) but not complete:
-// repair can get stuck on a candidate set (paper §5), and whether it does
-// depends on the seed.
+// a run can spend its counterexample budget without certifying (kLimit),
+// and whether it does depends on the seed.
 //
 // Counterexample-point expansion (core/arbiter.hpp) is the repair of last
 // resort. When a counterexample admits no repair, its X-point π goes into
@@ -35,45 +35,42 @@
 // X-assignment extends to a model (the extension check never fires on
 // them). Otherwise the expansion's model patches the candidates:
 // ite(p, a_{k,c}, f_k) is prepended for this point's cubes c where the
-// candidate disagrees and for the attempt's earlier cubes whose arbiter
+// candidate disagrees and for the call's earlier cubes whose arbiter
 // flipped. The premise p is ArbiterExpansion::generalize(): the least
 // general generalisation of c over y_k's arbiters with the same value
 // that covers no arbiter of y_k with the other value, so the entry agrees
-// with every arbiter it covers. Premises overlap, so the attempt keeps
-// its entries as an ordered list; a flipped arbiter gets a fresh entry on
+// with every arbiter it covers. Premises overlap, so the call keeps its
+// entries as an ordered list; a flipped arbiter gets a fresh entry on
 // top. The entries mention only H_k, so they are always admissible, and a
 // refit layers the list over the new tree oldest first, keeping the
-// newest entry on top. A patch counts as progress. The expansion's
-// X-points are seed-independent, so all attempts of a call share it. A
-// round with a repair never touches it. kUnrealizable therefore has
-// exactly three sources: an unsatisfiable matrix, a counterexample whose
-// X-assignment does not extend (Algorithm 1, line 13), and an UNSAT
-// expansion.
+// newest entry on top. A round with a repair never touches the
+// expansion. kUnrealizable therefore has exactly three sources: an
+// unsatisfiable matrix, a counterexample whose X-assignment does not
+// extend (Algorithm 1, line 13), and an UNSAT expansion.
 //
-// synthesize() runs the pipeline as a sequence of attempts. An attempt
-// ends when it answers, when 12 consecutive counterexamples allow neither
-// a repair nor a patch (the give-up), or when it has spent its cap of
-// 32 · luby(r+1) counterexamples (Luby restarts: caps 32, 32, 64, 32, 32,
-// 64, 128, ...). Attempt 0 uses `seed`; attempt r > 0 draws its sampler,
-// learning and verify streams from derive_seed(seed, salt, r). All
-// attempts share one deadline and the call's max_counterexamples /
-// max_repair_iterations budgets; the seed-independent analyses
-// (dependency relations, static ordering edges, unique definitions) run
-// once per call, and an unsatisfiable matrix is answered by attempt 0.
-// When the budget runs out the call reports kIncomplete if every attempt
-// that ran to its own end gave up, and kLimit if any spent its whole cap;
-// an expired deadline is kTimeout. kIncomplete is rare. A counterexample
-// stalls when every G_k it reached was SAT, had an empty β or repeated an
-// applied repair; none of these moves σ, so σ[Y'] is still δ[Y']. The
-// candidate outputs therefore falsify φ at π[X] while the arbiter model
-// satisfies it there, so some arbiter disagrees with some undefined
-// candidate and a patch lands (unique definitions agree with every
-// model). Attempts end on their cap instead, and the call on kLimit.
+// synthesize() runs the pipeline once: sample, analyse (dependency
+// relations, static ordering edges, unique definitions), learn, then the
+// verify/repair loop until it answers. Every counterexample moves the
+// candidates. A counterexample stalls when every G_k it reached was SAT,
+// had an empty β or repeated an applied repair; none of these moves σ, so
+// σ[Y'] is still δ[Y']. The candidate outputs therefore falsify φ at π[X]
+// while the arbiter model satisfies it there, so some arbiter disagrees
+// with some undefined candidate and a patch lands (unique definitions
+// agree with every model). The status is:
+//   kRealizable    verify-UNSAT; the vector is certified;
+//   kUnrealizable  one of the three sources above;
+//   kLimit         max_counterexamples or max_repair_iterations is spent;
+//   kTimeout       the deadline expired or the call was cancelled;
+//   kOutOfBudget   the request's ResourceBudget tripped;
+//   kIncomplete    only the fail-safe for a MaxSAT round whose hard part
+//                  is UNSAT, which π rules out.
 //
-// Each attempt owns its incremental SAT solvers for its whole life: the φ
+// The call owns its incremental SAT solvers for its whole life: the φ
 // solver that the MaxSAT and G_k queries share and, when `incremental` is
-// set, the verify solver. Neither is simplified between rounds; the next
-// attempt starts with fresh ones, which is what bounds their size.
+// set, the verify solver. Neither is simplified between rounds, so they
+// grow with every counterexample; max_counterexamples is what bounds
+// their size (ph_32x8_s0 of the planted-hard grid in ROADMAP.md, seed
+// 1000, reaches verify_vars 41,053).
 #pragma once
 
 #include <cstdint>
@@ -99,11 +96,10 @@ struct Manthan3Options {
   /// Constrain Ŷ in the repair formula G_k (ablation: abl1_repair_yhat;
   /// §5 argues this is required for many repairs to succeed).
   bool use_yhat_in_repair = true;
-  /// Give up after this many candidate-repair attempts in total, summed
-  /// over all restart attempts of the call.
+  /// Answer kLimit after this many candidate-repair attempts (G_k
+  /// queries).
   std::size_t max_repair_iterations = 20000;
-  /// Give up after this many verification counterexamples, summed over
-  /// all restart attempts of the call.
+  /// Answer kLimit after this many verification counterexamples.
   std::size_t max_counterexamples = 2000;
   /// Wall-clock budget in seconds; 0 = unlimited.
   double time_limit_seconds = 0.0;
@@ -112,11 +108,6 @@ struct Manthan3Options {
   /// engine returns kTimeout within a bounded number of decisions and
   /// propagations. Null = not cancellable; must outlive synthesize().
   const util::CancelToken* cancel = nullptr;
-  /// Workers for per-existential candidate learning: decision-tree
-  /// fitting fans across an engine::Scheduler pool. Fitting is pure and
-  /// each existential draws a util::derive_seed-split stream, so results
-  /// are bit-identical at every worker count. 1 = in-thread.
-  std::size_t learn_workers = 1;
   /// Use the persistent incremental verify/repair pipeline (one
   /// IncrementalRefutation verify solver for the whole run; the φ solver
   /// shared with an activation-scoped MaxSAT). false = re-encode both
@@ -139,10 +130,9 @@ struct Manthan3Options {
   /// session) is appended too, so refits see the repair neighborhood of
   /// the counterexample. Every round, each candidate with at least 16 rows
   /// appended since its own last fit is batch-simulated over them and
-  /// refit when its error rate there reaches 5%; a verification round
-  /// that made no repair progress screens the whole matrix instead. Later
-  /// refits therefore train on counterexample-corrected data instead of
-  /// the stale round-0 samples.
+  /// refit when its error rate there reaches 5%. Later refits therefore
+  /// train on counterexample-corrected data instead of the stale round-0
+  /// samples.
   bool sample_reuse = true;
   /// Cross-instance analysis cache (the service's tier 2): unique-def
   /// Padoa verdicts and the dependency ⊆/= relations are looked up by
@@ -165,7 +155,8 @@ struct Manthan3Options {
 enum class SynthesisStatus {
   kRealizable,    // Henkin vector synthesized and verified
   kUnrealizable,  // the DQBF is False
-  kIncomplete,    // engine's documented incompleteness: repair got stuck
+  kIncomplete,    // the engine cannot decide: PedantLite's incomplete
+                  // search, Manthan3's MaxSAT fail-safe
   kLimit,         // iteration limits exhausted
   kTimeout,       // wall-clock budget exhausted
   kOutOfBudget,   // per-request ResourceBudget tripped (memory/conflicts/
@@ -182,9 +173,6 @@ struct SynthesisStats {
   std::size_t repairs = 0;
   std::size_t repair_checks = 0;   // G_k satisfiability queries
   std::size_t maxsat_calls = 0;
-  /// Attempts after the first: restarts of the CEGIS loop with a fresh
-  /// seed stream. The other counters sum over all attempts of the call.
-  std::size_t restarts = 0;
   /// Distinct X-points added to the arbiter expansion (one per stalled
   /// counterexample with a new X-assignment; 0 when no round stalls).
   std::size_t arbiter_points = 0;
@@ -199,12 +187,9 @@ struct SynthesisStats {
   double repair_seconds = 0.0;
   double total_seconds = 0.0;
   // --- incremental-pipeline counters. The verify-solver block (cones,
-  // aig nodes, verify_*) is zero when incremental = false; learn_workers
-  // and the φ-solver fields are reported for every run — the persistent
-  // φ solver exists in both pipelines (the oracle just never retires
-  // anything on it). -------------------------------------------------------
-  /// Worker count used for candidate learning.
-  std::size_t learn_workers = 1;
+  // aig nodes, verify_*) is zero when incremental = false; the φ-solver
+  // fields are reported for every run — the persistent φ solver exists in
+  // both pipelines (the oracle just never retires anything on it). --------
   /// Candidate output equivalences (re-)encoded into the verify solver.
   std::size_t cones_encoded = 0;
   /// Per-round candidates whose cached cone encoding was reused as-is.
@@ -228,7 +213,7 @@ struct SynthesisStats {
   /// Counterexample-derived samples appended to the training matrix
   /// (π extensions and MaxSAT-corrected σ, deduped by fingerprint).
   std::size_t samples_appended = 0;
-  /// Refit passes triggered by the error-rate screen / no-progress rounds.
+  /// Refit passes triggered by the per-candidate error-rate screen.
   std::size_t refit_rounds = 0;
   /// Refit candidates adopted across all passes. Screened twice: only
   /// candidates whose packed-sim predictions disagree with rows appended
@@ -238,10 +223,6 @@ struct SynthesisStats {
   /// G_k-SAT models streamed into the matrix (subset of
   /// samples_appended).
   std::size_t gk_streamed_samples = 0;
-  /// Refit passes triggered by the adaptive per-candidate error-rate
-  /// policy (subset of refit_rounds; forced no-progress refits are not
-  /// counted here).
-  std::size_t adaptive_refits = 0;
   // --- tier-2 analysis cache (zero when analysis_cache is null) -----------
   /// Padoa verdicts answered from the cache (SAT checks skipped).
   std::size_t analysis_unique_hits = 0;

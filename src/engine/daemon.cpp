@@ -101,7 +101,6 @@ std::string result_json(const std::string& request_name,
   out << "    \"analysis_unique_hits\": " << st.analysis_unique_hits << ",\n";
   out << "    \"analysis_dependency_hits\": " << st.analysis_dependency_hits
       << ",\n";
-  out << "    \"restarts\": " << st.restarts << ",\n";
   out << "    \"arbiter_points\": " << st.arbiter_points << ",\n";
   out << "    \"arbiter_patches\": " << st.arbiter_patches << ",\n";
   out << "    \"repeated_repairs\": " << st.repeated_repairs << "\n";

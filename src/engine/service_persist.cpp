@@ -76,7 +76,6 @@ const SizeField kSizeFields[] = {
     {"repairs", &core::SynthesisStats::repairs},
     {"repair_checks", &core::SynthesisStats::repair_checks},
     {"maxsat_calls", &core::SynthesisStats::maxsat_calls},
-    {"learn_workers", &core::SynthesisStats::learn_workers},
     {"cones_encoded", &core::SynthesisStats::cones_encoded},
     {"cones_reused", &core::SynthesisStats::cones_reused},
     {"aig_nodes_encoded", &core::SynthesisStats::aig_nodes_encoded},
@@ -89,11 +88,9 @@ const SizeField kSizeFields[] = {
     {"refit_rounds", &core::SynthesisStats::refit_rounds},
     {"refit_candidates", &core::SynthesisStats::refit_candidates},
     {"gk_streamed_samples", &core::SynthesisStats::gk_streamed_samples},
-    {"adaptive_refits", &core::SynthesisStats::adaptive_refits},
     {"analysis_unique_hits", &core::SynthesisStats::analysis_unique_hits},
     {"analysis_dependency_hits",
      &core::SynthesisStats::analysis_dependency_hits},
-    {"restarts", &core::SynthesisStats::restarts},
     {"arbiter_points", &core::SynthesisStats::arbiter_points},
     {"arbiter_patches", &core::SynthesisStats::arbiter_patches},
     {"repeated_repairs", &core::SynthesisStats::repeated_repairs},

@@ -574,7 +574,10 @@ TEST_F(PersistedCache, RetiredStatKeysStillLoad) {
                   "stat eliminated_vars 3\n"
                   "stat subsumed_clauses 4\n"
                   "stat vivified_literals 5\n"
-                  "stat remapped_vars 6\n");
+                  "stat remapped_vars 6\n"
+                  "stat restarts 1\n"
+                  "stat learn_workers 4\n"
+                  "stat adaptive_refits 3\n");
   {
     std::ofstream out(file, std::ios::binary | std::ios::trunc);
     out << contents;

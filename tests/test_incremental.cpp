@@ -218,12 +218,10 @@ TEST(IncrementalRefutation, EmptyMatrixCertifiesEverything) {
 // ---------------------------------------------------------------------------
 
 core::SynthesisResult run_engine(const dqbf::DqbfFormula& f, aig::Aig& manager,
-                                 bool incremental, std::size_t workers,
-                                 std::uint64_t seed) {
+                                 bool incremental, std::uint64_t seed) {
   core::Manthan3Options options;
   options.time_limit_seconds = 30.0;
   options.incremental = incremental;
-  options.learn_workers = workers;
   options.seed = seed;
   return core::Manthan3(options).synthesize(f, manager);
 }
@@ -256,47 +254,16 @@ TEST_P(IncrementalPipeline, MatchesFromScratchOracle) {
   for (const std::uint64_t seed : {7ull, 42ull}) {
     aig::Aig inc_manager;
     const core::SynthesisResult inc =
-        run_engine(f, inc_manager, /*incremental=*/true, 1, seed);
+        run_engine(f, inc_manager, /*incremental=*/true, seed);
     aig::Aig oracle_manager;
     const core::SynthesisResult oracle =
-        run_engine(f, oracle_manager, /*incremental=*/false, 1, seed);
+        run_engine(f, oracle_manager, /*incremental=*/false, seed);
     EXPECT_EQ(inc.status, oracle.status) << "seed " << seed;
     if (inc.status == core::SynthesisStatus::kRealizable) {
       EXPECT_TRUE(testutil::is_certified(f, inc_manager, inc));
     }
     if (oracle.status == core::SynthesisStatus::kRealizable) {
       EXPECT_TRUE(testutil::is_certified(f, oracle_manager, oracle));
-    }
-  }
-}
-
-TEST_P(IncrementalPipeline, ParallelLearningMatchesSerialFieldForField) {
-  const dqbf::DqbfFormula f = instance();
-  for (const std::uint64_t seed : {11ull, 42ull}) {
-    aig::Aig serial_manager;
-    const core::SynthesisResult serial =
-        run_engine(f, serial_manager, /*incremental=*/true, 1, seed);
-    for (const std::size_t workers : {2ull, 4ull, 8ull}) {
-      aig::Aig parallel_manager;
-      const core::SynthesisResult parallel =
-          run_engine(f, parallel_manager, /*incremental=*/true, workers,
-                     seed);
-      ASSERT_EQ(parallel.status, serial.status)
-          << "seed " << seed << " workers " << workers;
-      // Same manager construction order on both sides, so the function
-      // edges must be bit-identical, not merely equivalent.
-      EXPECT_EQ(parallel.vector.functions, serial.vector.functions)
-          << "seed " << seed << " workers " << workers;
-      EXPECT_EQ(parallel.stats.samples, serial.stats.samples);
-      EXPECT_EQ(parallel.stats.learned_candidates,
-                serial.stats.learned_candidates);
-      EXPECT_EQ(parallel.stats.counterexamples,
-                serial.stats.counterexamples);
-      EXPECT_EQ(parallel.stats.repairs, serial.stats.repairs);
-      EXPECT_EQ(parallel.stats.repair_checks, serial.stats.repair_checks);
-      EXPECT_EQ(parallel.stats.maxsat_calls, serial.stats.maxsat_calls);
-      EXPECT_EQ(parallel.stats.cones_encoded, serial.stats.cones_encoded);
-      EXPECT_EQ(parallel.stats.cones_reused, serial.stats.cones_reused);
     }
   }
 }
@@ -315,7 +282,7 @@ TEST(IncrementalPipeline, RepairHeavyRunExercisesRetirement) {
   const dqbf::DqbfFormula f = workloads::gen_xor_chain({1, true, 3});
   aig::Aig manager;
   const core::SynthesisResult result =
-      run_engine(f, manager, /*incremental=*/true, 1, 42);
+      run_engine(f, manager, /*incremental=*/true, 42);
   if (result.status == core::SynthesisStatus::kRealizable) {
     EXPECT_TRUE(testutil::is_certified(f, manager, result));
   }
@@ -327,40 +294,22 @@ TEST(IncrementalPipeline, RepairHeavyRunExercisesRetirement) {
   }
 }
 
-TEST(IncrementalPipeline, NestedPlantedFourWorkersMatchSerial) {
+TEST(IncrementalPipeline, NestedPlantedStreamsSamplesAndRefits) {
   // Counterexample-heavy nested-dependency instance, so the streaming
-  // sample-append and adaptive-refit paths run under the learning fan-out
-  // (the TSan job runs this suite). Seed 10 takes 161 counterexamples;
+  // sample-append and refit paths run. Seed 10 takes 15 counterexamples;
   // seed 42 certifies this instance without any.
   workloads::PlantedParams params{12, 6, 4, 6, 80, 7};
   params.nested_deps = true;
   params.dep_size_max = 10;
   const dqbf::DqbfFormula f = workloads::gen_planted(params);
-  aig::Aig serial_manager;
-  const core::SynthesisResult serial =
-      run_engine(f, serial_manager, /*incremental=*/true, 1, 10);
-  EXPECT_GT(serial.stats.gk_streamed_samples, 0u);
-  EXPECT_GT(serial.stats.adaptive_refits, 0u);
-  aig::Aig parallel_manager;
-  const core::SynthesisResult parallel =
-      run_engine(f, parallel_manager, /*incremental=*/true, 4, 10);
-  ASSERT_EQ(parallel.status, serial.status);
-  EXPECT_EQ(parallel.vector.functions, serial.vector.functions);
-  EXPECT_EQ(parallel.stats.samples, serial.stats.samples);
-  EXPECT_EQ(parallel.stats.learned_candidates,
-            serial.stats.learned_candidates);
-  EXPECT_EQ(parallel.stats.counterexamples, serial.stats.counterexamples);
-  EXPECT_EQ(parallel.stats.repairs, serial.stats.repairs);
-  EXPECT_EQ(parallel.stats.repair_checks, serial.stats.repair_checks);
-  EXPECT_EQ(parallel.stats.maxsat_calls, serial.stats.maxsat_calls);
-  EXPECT_EQ(parallel.stats.cones_encoded, serial.stats.cones_encoded);
-  EXPECT_EQ(parallel.stats.cones_reused, serial.stats.cones_reused);
-  EXPECT_EQ(parallel.stats.samples_appended, serial.stats.samples_appended);
-  EXPECT_EQ(parallel.stats.gk_streamed_samples,
-            serial.stats.gk_streamed_samples);
-  EXPECT_EQ(parallel.stats.refit_rounds, serial.stats.refit_rounds);
-  EXPECT_EQ(parallel.stats.refit_candidates, serial.stats.refit_candidates);
-  EXPECT_EQ(parallel.stats.adaptive_refits, serial.stats.adaptive_refits);
+  aig::Aig manager;
+  const core::SynthesisResult result =
+      run_engine(f, manager, /*incremental=*/true, 10);
+  if (result.status == core::SynthesisStatus::kRealizable) {
+    EXPECT_TRUE(testutil::is_certified(f, manager, result));
+  }
+  EXPECT_GT(result.stats.gk_streamed_samples, 0u);
+  EXPECT_GT(result.stats.refit_rounds, 0u);
 }
 
 }  // namespace

@@ -300,34 +300,31 @@ std::uint64_t paper_seed(const std::string& name, std::uint64_t k) {
   return suite_run_seed(name, 42 + k);
 }
 
-TEST(Manthan3, RestartsCertifyWhereOneAttemptGivesUp) {
-  // plantedhard_18x4_s1 is True, but on these seed streams the first
-  // attempt spends its Luby cap without certifying; a later attempt on a
-  // fresh seed stream certifies it.
+TEST(Manthan3, SingleAttemptCertifiesFormerRestartingStreams) {
+  // plantedhard_18x4_s1 is True. On these seed streams the run needs more
+  // than 32 counterexamples, which used to end in a restart; one attempt
+  // keeps its repairs and decision-list entries and certifies.
   const std::string name = "plantedhard_18x4_s1";
   const dqbf::DqbfFormula f = suite_instance(name);
-  for (const std::uint64_t stream : testutil::kRestartingStreams) {
+  for (const std::uint64_t stream : testutil::kFormerRestartingStreams) {
     aig::Aig manager;
     Manthan3Options options;
     options.seed = suite_run_seed(name, stream);
     const SynthesisResult result = run(f, manager, options);
     expect_certified(f, manager, result);
-    EXPECT_GE(result.stats.restarts, 1u) << "stream " << stream;
+    EXPECT_LE(result.stats.counterexamples, 48u) << "stream " << stream;
   }
 }
 
-TEST(Manthan3, RestartScheduleIsDeterministic) {
+TEST(Manthan3, FixedSeedRunIsDeterministic) {
   const std::string name = "plantedhard_18x4_s1";
   const dqbf::DqbfFormula f = suite_instance(name);
   Manthan3Options options;
-  options.seed = suite_run_seed(name, testutil::kRestartingStreams[0]);
+  options.seed = suite_run_seed(name, testutil::kFormerRestartingStreams[0]);
   obs::Counter& runs = obs::Registry::global().counter("core_runs_total");
-  obs::Counter& restarts =
-      obs::Registry::global().counter("core_restarts_total");
   obs::Counter& patches =
       obs::Registry::global().counter("core_arbiter_patches_total");
   const std::uint64_t runs_before = runs.value();
-  const std::uint64_t restarts_before = restarts.value();
   const std::uint64_t patches_before = patches.value();
   aig::Aig manager_a;
   const SynthesisResult a = run(f, manager_a, options);
@@ -336,13 +333,10 @@ TEST(Manthan3, RestartScheduleIsDeterministic) {
   ASSERT_EQ(a.status, b.status);
   EXPECT_EQ(a.vector.functions, b.vector.functions);
   EXPECT_EQ(a.stats.counterexamples, b.stats.counterexamples);
-  EXPECT_EQ(a.stats.restarts, b.stats.restarts);
   EXPECT_EQ(a.stats.arbiter_points, b.stats.arbiter_points);
   EXPECT_EQ(a.stats.arbiter_patches, b.stats.arbiter_patches);
-  EXPECT_GE(a.stats.restarts, 1u);
-  // The registry counts calls, not attempts.
+  // The registry counts calls.
   EXPECT_EQ(runs.value() - runs_before, 2u);
-  EXPECT_EQ(restarts.value() - restarts_before, 2 * a.stats.restarts);
   EXPECT_EQ(patches.value() - patches_before, 2 * a.stats.arbiter_patches);
 }
 
@@ -350,8 +344,8 @@ TEST(Manthan3, RepeatedRepairsDoNotCycle) {
   // With Ŷ fixed, plantedhard_16x6_s0's repairs of one f_k undo each
   // other: one β strengthens it, another weakens it, and the first
   // strengthens it again. Skipping the repeat sends the counterexample to
-  // the arbiter expansion, and the run certifies in its first attempt at
-  // every paper seed. Without Ŷ no such cycle forms.
+  // the arbiter expansion, and the run certifies within 32
+  // counterexamples at every paper seed. Without Ŷ no such cycle forms.
   const std::string name = "plantedhard_16x6_s0";
   const dqbf::DqbfFormula f = suite_instance(name);
   obs::Counter& repeated =
@@ -363,7 +357,6 @@ TEST(Manthan3, RepeatedRepairsDoNotCycle) {
     const std::uint64_t repeated_before = repeated.value();
     const SynthesisResult result = run(f, manager, options);
     expect_certified(f, manager, result);
-    EXPECT_EQ(result.stats.restarts, 0u) << "seed " << k;
     EXPECT_LE(result.stats.counterexamples, 32u) << "seed " << k;
     EXPECT_GT(result.stats.repeated_repairs, 0u) << "seed " << k;
     EXPECT_EQ(repeated.value() - repeated_before,
@@ -430,7 +423,7 @@ TEST(Manthan3, SlowPlantedStaysSlow) {
 
 TEST(Manthan3, RunWithinFirstCapDoesNotRestart) {
   // A starved learner makes the first candidates wrong, so the repair
-  // loop runs, but it certifies well inside the first Luby cap (32).
+  // loop runs, but it certifies within 32 counterexamples.
   const dqbf::DqbfFormula f = testutil::small_planted(11);
   Manthan3Options options;
   options.sampler.num_samples = 4;
@@ -440,7 +433,6 @@ TEST(Manthan3, RunWithinFirstCapDoesNotRestart) {
   expect_certified(f, manager, result);
   ASSERT_GT(result.stats.counterexamples, 0u);
   ASSERT_LE(result.stats.counterexamples, 32u);
-  EXPECT_EQ(result.stats.restarts, 0u);
 }
 
 TEST(Manthan3, RunWithoutStalledRoundLeavesExpansionUnused) {

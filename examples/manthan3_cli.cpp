@@ -1,8 +1,9 @@
 // manthan3_cli — command-line Henkin synthesizer.
 //
 // Reads a DQDIMACS file (or a built-in demo instance with --demo), runs
-// the selected engine, certifies the result, and optionally writes the
-// synthesized functions as a BLIF or Verilog netlist.
+// the selected engine, prints its status and one `name value` line per
+// run counter (core::kStatFields), certifies the result, and optionally
+// writes the synthesized functions as a BLIF or Verilog netlist.
 //
 // Usage:
 //   manthan3_cli [options] [instance.dqdimacs]
@@ -254,39 +255,10 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "engine: " << cli.engine << ", status: "
-            << manthan::portfolio::status_name(result.status) << " ("
-            << result.stats.total_seconds << " s, "
-            << result.stats.counterexamples << " counterexamples, "
-            << result.stats.repairs << " repairs, "
-            << result.stats.arbiter_points << " arbiter points, "
-            << result.stats.arbiter_patches << " arbiter patches, "
-            << result.stats.repeated_repairs << " repeated repairs)\n";
-  if (cli.engine == "manthan3") {
-    // Incremental-pipeline accounting: how much encoding work the
-    // persistent solvers avoided and reclaimed across the run.
-    std::cout << "incremental: " << result.stats.cones_encoded
-              << " cones encoded, " << result.stats.cones_reused
-              << " reused, " << result.stats.aig_nodes_encoded
-              << " AIG nodes Tseitin'd, " << result.stats.activations_retired
-              << " activations retired\n"
-              << "solvers: verify " << result.stats.verify_vars << " vars / "
-              << result.stats.verify_clauses_retired
-              << " clauses retired, phi+maxsat " << result.stats.phi_vars
-              << " vars / " << result.stats.phi_clauses_retired
-              << " clauses retired\n"
-              << "reuse: " << result.stats.samples_appended
-              << " counterexample samples appended ("
-              << result.stats.gk_streamed_samples << " streamed from G_k), "
-              << result.stats.refit_rounds << " refit rounds / "
-              << result.stats.refit_candidates << " candidates refit\n";
-    std::cout << "memory: peak RSS "
-              << result.stats.peak_rss_bytes / (1024 * 1024) << " MiB, "
-              << "sample matrix " << result.stats.sample_matrix_bytes / 1024
-              << " KiB, verify arena "
-              << result.stats.verify_arena_bytes / 1024
-              << " KiB, phi arena " << result.stats.phi_arena_bytes / 1024
-              << " KiB, AIG " << result.stats.aig_nodes << " nodes ("
-              << result.stats.aig_bytes / 1024 << " KiB)\n";
+            << manthan::portfolio::status_name(result.status) << "\n";
+  for (const manthan::core::StatField& f : manthan::core::kStatFields) {
+    std::cout << f.name << ' ' << manthan::core::stat_text(result.stats, f)
+              << '\n';
   }
   write_telemetry(cli);
   if (result.status == manthan::core::SynthesisStatus::kUnrealizable) {

@@ -46,20 +46,11 @@ int main() {
     return 1;
   }
 
-  std::cout << "synthesized a Henkin vector: samples="
-            << result.stats.samples
-            << " counterexamples=" << result.stats.counterexamples
-            << " repairs=" << result.stats.repairs << "\n";
-  std::cout << "incremental pipeline: cones_encoded="
-            << result.stats.cones_encoded
-            << " cones_reused=" << result.stats.cones_reused
-            << " activations_retired=" << result.stats.activations_retired
-            << " verify_vars=" << result.stats.verify_vars
-            << " phi_vars=" << result.stats.phi_vars << "\n";
-  std::cout << "memory: peak_rss=" << result.stats.peak_rss_bytes / 1024
-            << "KiB sample_matrix=" << result.stats.sample_matrix_bytes
-            << "B verify_arena=" << result.stats.verify_arena_bytes
-            << "B aig_nodes=" << result.stats.aig_nodes << "\n";
+  std::cout << "synthesized a Henkin vector; run counters:\n";
+  for (const manthan::core::StatField& f : manthan::core::kStatFields) {
+    std::cout << "  " << f.name << ' '
+              << manthan::core::stat_text(result.stats, f) << '\n';
+  }
   for (std::size_t i = 0; i < result.vector.functions.size(); ++i) {
     const auto support = manager.support(result.vector.functions[i]);
     std::cout << "  y" << i + 1 << " = function of {";

@@ -1,12 +1,14 @@
 #include "core/manthan3.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -54,39 +56,39 @@ constexpr std::size_t kRefitMinFreshRows = 16;
 constexpr double kRefitErrorRate = 0.05;
 
 /// Publish one call's counters into the global registry (core_* series).
-/// Instrument references are cached after the first call.
+/// Each row's instrument is looked up once, on the first call.
 void publish(const SynthesisStats& stats) {
+  struct Sink {
+    obs::Counter* counter = nullptr;
+    obs::Histogram* histogram = nullptr;
+    obs::Gauge* gauge = nullptr;
+  };
   auto& registry = obs::Registry::global();
   static obs::Counter& runs = registry.counter("core_runs_total");
-  static obs::Counter& cex = registry.counter("core_counterexamples_total");
-  static obs::Counter& repairs = registry.counter("core_repairs_total");
-  static obs::Counter& arbiter_patches =
-      registry.counter("core_arbiter_patches_total");
-  static obs::Counter& repeated_repairs =
-      registry.counter("core_repeated_repairs_total");
-  static obs::Counter& maxsat_calls =
-      registry.counter("core_maxsat_calls_total");
-  static obs::Counter& refits = registry.counter("core_refit_rounds_total");
-  static obs::Counter& streamed =
-      registry.counter("core_streamed_samples_total");
-  static obs::Counter& samples_total = registry.counter("core_samples_total");
-  static obs::Histogram& run_seconds =
-      registry.histogram("core_synthesize_seconds");
-  static obs::Gauge& matrix_peak =
-      registry.gauge("core_sample_matrix_peak_bytes");
-  static obs::Gauge& aig_peak = registry.gauge("core_aig_peak_bytes");
+  static const auto sinks = [&registry] {
+    std::array<Sink, std::size(kStatFields)> out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const StatField& f = kStatFields[i];
+      if (f.instrument == nullptr) continue;
+      if (f.kind == StatKind::kCount) {
+        out[i].counter = &registry.counter(f.instrument);
+      } else if (f.kind == StatKind::kSeconds) {
+        out[i].histogram = &registry.histogram(f.instrument);
+      } else {
+        out[i].gauge = &registry.gauge(f.instrument);
+      }
+    }
+    return out;
+  }();
   runs.inc();
-  cex.add(stats.counterexamples);
-  repairs.add(stats.repairs);
-  arbiter_patches.add(stats.arbiter_patches);
-  repeated_repairs.add(stats.repeated_repairs);
-  maxsat_calls.add(stats.maxsat_calls);
-  refits.add(stats.refit_rounds);
-  streamed.add(stats.gk_streamed_samples);
-  samples_total.add(stats.samples + stats.samples_appended);
-  run_seconds.observe(stats.total_seconds);
-  matrix_peak.update_max(static_cast<double>(stats.sample_matrix_bytes));
-  aig_peak.update_max(static_cast<double>(stats.aig_bytes));
+  for (std::size_t i = 0; i < sinks.size(); ++i) {
+    const StatField& f = kStatFields[i];
+    if (sinks[i].counter) sinks[i].counter->add(stats.*f.integer);
+    if (sinks[i].histogram) sinks[i].histogram->observe(stats.*f.seconds);
+    if (sinks[i].gauge) {
+      sinks[i].gauge->update_max(static_cast<double>(stats.*f.integer));
+    }
+  }
 }
 
 /// Mismatches between a packed candidate simulation and the label column,
@@ -854,6 +856,14 @@ SynthesisStatus run(const Manthan3Options& options,
 }
 
 }  // namespace
+
+std::string stat_text(const SynthesisStats& stats, const StatField& field) {
+  if (field.seconds == nullptr) return std::to_string(stats.*field.integer);
+  std::ostringstream out;
+  out.precision(17);
+  out << stats.*field.seconds;
+  return out.str();
+}
 
 Manthan3::Manthan3(Manthan3Options options) : options_(options) {}
 

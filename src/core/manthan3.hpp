@@ -74,6 +74,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -206,8 +207,8 @@ struct SynthesisStats {
   std::size_t phi_vars = 0;
   /// Clause records reclaimed by retirement in the φ/MaxSAT solver.
   std::size_t phi_clauses_retired = 0;
-  /// Always 0 (the solvers have no inprocessing); kept because the
-  /// benchmark driver in perfbench/ still reads it.
+  /// Always 0 (the solvers have no inprocessing) and without a kStatFields
+  /// row; kept only because the benchmark driver in perfbench/ reads it.
   std::size_t inprocess_runs = 0;
   // --- cross-round sample reuse (zero when sample_reuse = false) ----------
   /// Counterexample-derived samples appended to the training matrix
@@ -231,19 +232,117 @@ struct SynthesisStats {
   // --- memory accounting (snapshots at run end; process-global values are
   // non-deterministic and excluded from determinism comparisons) -----------
   /// Process-wide peak resident set size in bytes.
-  std::uint64_t peak_rss_bytes = 0;
+  std::size_t peak_rss_bytes = 0;
   /// Heap bytes of the bit-packed training matrix at run end.
-  std::uint64_t sample_matrix_bytes = 0;
+  std::size_t sample_matrix_bytes = 0;
   /// Clause-arena bytes of the persistent verify solver (incremental
   /// pipeline; 0 for the oracle).
-  std::uint64_t verify_arena_bytes = 0;
+  std::size_t verify_arena_bytes = 0;
   /// Clause-arena bytes of the shared φ/MaxSAT solver.
-  std::uint64_t phi_arena_bytes = 0;
+  std::size_t phi_arena_bytes = 0;
   /// AND/input nodes in the shared AIG manager at run end.
-  std::uint64_t aig_nodes = 0;
+  std::size_t aig_nodes = 0;
   /// Heap bytes of the AIG node table at run end.
-  std::uint64_t aig_bytes = 0;
+  std::size_t aig_bytes = 0;
 };
+
+/// How a SynthesisStats field is measured: a count of work done in the
+/// call, a phase's wall-clock seconds, or a memory snapshot at run end.
+enum class StatKind { kCount, kSeconds, kMemory };
+
+/// One row per SynthesisStats field. The name is the field's key in the
+/// service's persisted cache files, the daemon's result JSON and the CLI
+/// report. A row with an instrument feeds that core_* registry series
+/// after every call: kCount rows add to a counter, kSeconds rows observe
+/// a histogram, kMemory rows raise a peak gauge.
+struct StatField {
+  constexpr StatField(const char* name_, std::size_t SynthesisStats::*member,
+                      const char* instrument_ = nullptr,
+                      StatKind kind_ = StatKind::kCount)
+      : name(name_), kind(kind_), integer(member), instrument(instrument_) {}
+  constexpr StatField(const char* name_, double SynthesisStats::*member,
+                      const char* instrument_ = nullptr)
+      : name(name_),
+        kind(StatKind::kSeconds),
+        seconds(member),
+        instrument(instrument_) {}
+
+  const char* name;
+  StatKind kind;
+  std::size_t SynthesisStats::*integer = nullptr;  // kCount, kMemory
+  double SynthesisStats::*seconds = nullptr;       // kSeconds
+  const char* instrument;
+};
+
+inline constexpr StatField kStatFields[] = {
+    {"samples", &SynthesisStats::samples, "core_samples_total"},
+    {"unique_defined", &SynthesisStats::unique_defined},
+    {"learned_candidates", &SynthesisStats::learned_candidates},
+    {"counterexamples", &SynthesisStats::counterexamples,
+     "core_counterexamples_total"},
+    {"repairs", &SynthesisStats::repairs, "core_repairs_total"},
+    {"repair_checks", &SynthesisStats::repair_checks},
+    {"maxsat_calls", &SynthesisStats::maxsat_calls, "core_maxsat_calls_total"},
+    {"arbiter_points", &SynthesisStats::arbiter_points},
+    {"arbiter_patches", &SynthesisStats::arbiter_patches,
+     "core_arbiter_patches_total"},
+    {"repeated_repairs", &SynthesisStats::repeated_repairs,
+     "core_repeated_repairs_total"},
+    {"sampling_seconds", &SynthesisStats::sampling_seconds},
+    {"learning_seconds", &SynthesisStats::learning_seconds},
+    {"verify_seconds", &SynthesisStats::verify_seconds},
+    {"repair_seconds", &SynthesisStats::repair_seconds},
+    {"total_seconds", &SynthesisStats::total_seconds,
+     "core_synthesize_seconds"},
+    {"cones_encoded", &SynthesisStats::cones_encoded},
+    {"cones_reused", &SynthesisStats::cones_reused},
+    {"aig_nodes_encoded", &SynthesisStats::aig_nodes_encoded},
+    {"activations_retired", &SynthesisStats::activations_retired},
+    {"verify_vars", &SynthesisStats::verify_vars},
+    {"verify_clauses_retired", &SynthesisStats::verify_clauses_retired},
+    {"phi_vars", &SynthesisStats::phi_vars},
+    {"phi_clauses_retired", &SynthesisStats::phi_clauses_retired},
+    {"samples_appended", &SynthesisStats::samples_appended,
+     "core_samples_total"},
+    {"refit_rounds", &SynthesisStats::refit_rounds, "core_refit_rounds_total"},
+    {"refit_candidates", &SynthesisStats::refit_candidates},
+    {"gk_streamed_samples", &SynthesisStats::gk_streamed_samples,
+     "core_streamed_samples_total"},
+    {"analysis_unique_hits", &SynthesisStats::analysis_unique_hits},
+    {"analysis_dependency_hits", &SynthesisStats::analysis_dependency_hits},
+    {"peak_rss_bytes", &SynthesisStats::peak_rss_bytes, nullptr,
+     StatKind::kMemory},
+    {"sample_matrix_bytes", &SynthesisStats::sample_matrix_bytes,
+     "core_sample_matrix_peak_bytes", StatKind::kMemory},
+    {"verify_arena_bytes", &SynthesisStats::verify_arena_bytes, nullptr,
+     StatKind::kMemory},
+    {"phi_arena_bytes", &SynthesisStats::phi_arena_bytes, nullptr,
+     StatKind::kMemory},
+    {"aig_nodes", &SynthesisStats::aig_nodes, nullptr, StatKind::kMemory},
+    {"aig_bytes", &SynthesisStats::aig_bytes, "core_aig_peak_bytes",
+     StatKind::kMemory},
+};
+
+/// True when every field has exactly one row: no two rows share a member,
+/// and the rows plus the row-less inprocess_runs cover the struct's bytes.
+constexpr bool stat_rows_cover_fields() {
+  std::size_t bytes = sizeof(SynthesisStats::inprocess_runs);
+  for (std::size_t i = 0; i < std::size(kStatFields); ++i) {
+    const StatField& f = kStatFields[i];
+    bytes += f.seconds != nullptr ? sizeof(double) : sizeof(std::size_t);
+    for (std::size_t j = 0; j < i; ++j) {
+      const StatField& g = kStatFields[j];
+      if (f.integer == g.integer && f.seconds == g.seconds) return false;
+    }
+  }
+  return bytes == sizeof(SynthesisStats);
+}
+static_assert(stat_rows_cover_fields(),
+              "every SynthesisStats field needs exactly one kStatFields row");
+
+/// A row's value as text: integers in decimal, seconds with 17
+/// significant digits so that parsing the text gives back the same double.
+std::string stat_text(const SynthesisStats& stats, const StatField& field);
 
 struct SynthesisResult {
   SynthesisStatus status = SynthesisStatus::kLimit;

@@ -79,7 +79,6 @@ std::string result_json(const std::string& request_name,
                         const dqbf::DqbfFormula& formula,
                         const ServiceResponse& response,
                         bool with_certificate) {
-  const core::SynthesisStats& st = response.stats;
   std::ostringstream out;
   out << "{\n";
   out << "  \"request\": \"" << json_escape(request_name) << "\",\n";
@@ -94,17 +93,11 @@ std::string result_json(const std::string& request_name,
   out << "  \"fingerprint\": \"" << dqbf::to_string(response.fingerprint)
       << "\",\n";
   out << "  \"stats\": {\n";
-  out << "    \"samples\": " << st.samples << ",\n";
-  out << "    \"unique_defined\": " << st.unique_defined << ",\n";
-  out << "    \"counterexamples\": " << st.counterexamples << ",\n";
-  out << "    \"repairs\": " << st.repairs << ",\n";
-  out << "    \"analysis_unique_hits\": " << st.analysis_unique_hits << ",\n";
-  out << "    \"analysis_dependency_hits\": " << st.analysis_dependency_hits
-      << ",\n";
-  out << "    \"arbiter_points\": " << st.arbiter_points << ",\n";
-  out << "    \"arbiter_patches\": " << st.arbiter_patches << ",\n";
-  out << "    \"repeated_repairs\": " << st.repeated_repairs << "\n";
-  out << "  }";
+  for (const core::StatField& f : core::kStatFields) {
+    if (&f != &core::kStatFields[0]) out << ",\n";
+    out << "    \"" << f.name << "\": " << core::stat_text(response.stats, f);
+  }
+  out << "\n  }";
   if (with_certificate && response.solved() &&
       response.functions != nullptr) {
     out << ",\n  \"functions_blif\": \""

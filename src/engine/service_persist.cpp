@@ -11,7 +11,7 @@
 //   certified <0|1>
 //   raced <0|1>
 //   solve_seconds <double>
-//   stat <name> <value>          (one line per SynthesisStats field)
+//   stat <name> <value>          (one line per core::kStatFields row)
 //   roots <k>
 //   inputs <id...>               (when the cones read any input: the
 //                                 original input ids, ascending)
@@ -53,66 +53,6 @@ namespace fs = std::filesystem;
 constexpr const char* kMagic = "manthan3-cache 1";
 constexpr const char* kExtension = ".m3c";
 
-struct SizeField {
-  const char* name;
-  std::size_t core::SynthesisStats::*member;
-};
-struct U64Field {
-  const char* name;
-  std::uint64_t core::SynthesisStats::*member;
-};
-struct DoubleField {
-  const char* name;
-  double core::SynthesisStats::*member;
-};
-
-// Every SynthesisStats field, by name: the envelope stays valid when
-// fields are appended (old readers skip, new readers default to zero).
-const SizeField kSizeFields[] = {
-    {"samples", &core::SynthesisStats::samples},
-    {"unique_defined", &core::SynthesisStats::unique_defined},
-    {"learned_candidates", &core::SynthesisStats::learned_candidates},
-    {"counterexamples", &core::SynthesisStats::counterexamples},
-    {"repairs", &core::SynthesisStats::repairs},
-    {"repair_checks", &core::SynthesisStats::repair_checks},
-    {"maxsat_calls", &core::SynthesisStats::maxsat_calls},
-    {"cones_encoded", &core::SynthesisStats::cones_encoded},
-    {"cones_reused", &core::SynthesisStats::cones_reused},
-    {"aig_nodes_encoded", &core::SynthesisStats::aig_nodes_encoded},
-    {"activations_retired", &core::SynthesisStats::activations_retired},
-    {"verify_vars", &core::SynthesisStats::verify_vars},
-    {"verify_clauses_retired", &core::SynthesisStats::verify_clauses_retired},
-    {"phi_vars", &core::SynthesisStats::phi_vars},
-    {"phi_clauses_retired", &core::SynthesisStats::phi_clauses_retired},
-    {"samples_appended", &core::SynthesisStats::samples_appended},
-    {"refit_rounds", &core::SynthesisStats::refit_rounds},
-    {"refit_candidates", &core::SynthesisStats::refit_candidates},
-    {"gk_streamed_samples", &core::SynthesisStats::gk_streamed_samples},
-    {"analysis_unique_hits", &core::SynthesisStats::analysis_unique_hits},
-    {"analysis_dependency_hits",
-     &core::SynthesisStats::analysis_dependency_hits},
-    {"arbiter_points", &core::SynthesisStats::arbiter_points},
-    {"arbiter_patches", &core::SynthesisStats::arbiter_patches},
-    {"repeated_repairs", &core::SynthesisStats::repeated_repairs},
-};
-
-const U64Field kU64Fields[] = {
-    {"peak_rss_bytes", &core::SynthesisStats::peak_rss_bytes},
-    {"sample_matrix_bytes", &core::SynthesisStats::sample_matrix_bytes},
-    {"verify_arena_bytes", &core::SynthesisStats::verify_arena_bytes},
-    {"phi_arena_bytes", &core::SynthesisStats::phi_arena_bytes},
-    {"aig_nodes", &core::SynthesisStats::aig_nodes},
-    {"aig_bytes", &core::SynthesisStats::aig_bytes},
-};
-
-const DoubleField kDoubleFields[] = {
-    {"sampling_seconds", &core::SynthesisStats::sampling_seconds},
-    {"learning_seconds", &core::SynthesisStats::learning_seconds},
-    {"verify_seconds", &core::SynthesisStats::verify_seconds},
-    {"repair_seconds", &core::SynthesisStats::repair_seconds},
-    {"total_seconds", &core::SynthesisStats::total_seconds},
-};
-
 std::string format_double(double value) {
   std::ostringstream out;
   out.precision(17);
@@ -120,7 +60,8 @@ std::string format_double(double value) {
   return out.str();
 }
 
-bool parse_u64(const std::string& text, std::uint64_t& out, int base = 10) {
+template <typename Unsigned>
+bool parse_uint(const std::string& text, Unsigned& out, int base = 10) {
   const char* begin = text.data();
   const char* end = begin + text.size();
   const auto result = std::from_chars(begin, end, out, base);
@@ -139,8 +80,8 @@ bool parse_double(const std::string& text, double& out) {
 
 bool parse_fingerprint(const std::string& hex, dqbf::Fingerprint& fp) {
   if (hex.size() != 32) return false;
-  return parse_u64(hex.substr(0, 16), fp.hi, 16) &&
-         parse_u64(hex.substr(16, 16), fp.lo, 16);
+  return parse_uint(hex.substr(0, 16), fp.hi, 16) &&
+         parse_uint(hex.substr(16, 16), fp.lo, 16);
 }
 
 /// Split "key value" (value may contain further spaces for `stat` lines).
@@ -192,14 +133,8 @@ std::string Service::encode_persisted(const CacheKey& key,
   out << "certified " << (response.certified ? 1 : 0) << '\n';
   out << "raced " << (response.raced ? 1 : 0) << '\n';
   out << "solve_seconds " << format_double(response.solve_seconds) << '\n';
-  for (const SizeField& f : kSizeFields) {
-    out << "stat " << f.name << ' ' << response.stats.*f.member << '\n';
-  }
-  for (const U64Field& f : kU64Fields) {
-    out << "stat " << f.name << ' ' << response.stats.*f.member << '\n';
-  }
-  for (const DoubleField& f : kDoubleFields) {
-    out << "stat " << f.name << ' ' << format_double(response.stats.*f.member)
+  for (const core::StatField& f : core::kStatFields) {
+    out << "stat " << f.name << ' ' << core::stat_text(response.stats, f)
         << '\n';
   }
   const std::size_t roots =
@@ -243,7 +178,7 @@ std::optional<Service::PersistedEntry> Service::decode_persisted(
       have_fp = true;
     } else if (key == "mode") {
       std::uint64_t mode = 0;
-      if (!parse_u64(value, mode) || mode > 0xffffffffULL) return std::nullopt;
+      if (!parse_uint(value, mode) || mode > 0xffffffffULL) return std::nullopt;
       entry.key.mode = static_cast<std::uint32_t>(mode);
       have_mode = true;
     } else if (key == "status") {
@@ -267,41 +202,25 @@ std::optional<Service::PersistedEntry> Service::decode_persisted(
     } else if (key == "stat") {
       std::string name, number;
       if (!split_kv(value, name, number)) return std::nullopt;
-      bool known = false;
-      for (const SizeField& f : kSizeFields) {
-        if (name != f.name) continue;
-        std::uint64_t v = 0;
-        if (!parse_u64(number, v)) return std::nullopt;
-        entry.response.stats.*f.member = static_cast<std::size_t>(v);
-        known = true;
-        break;
-      }
-      for (const U64Field& f : kU64Fields) {
-        if (known || name != f.name) continue;
-        if (!parse_u64(number, entry.response.stats.*f.member)) {
+      // Unknown stat names are fine: a newer writer added a field, or an
+      // older one wrote a field since retired.
+      core::SynthesisStats& stats = entry.response.stats;
+      for (const core::StatField& f : core::kStatFields) {
+        if (name == f.name &&
+            !(f.seconds != nullptr ? parse_double(number, stats.*f.seconds)
+                                   : parse_uint(number, stats.*f.integer))) {
           return std::nullopt;
         }
-        known = true;
-        break;
       }
-      for (const DoubleField& f : kDoubleFields) {
-        if (known || name != f.name) continue;
-        if (!parse_double(number, entry.response.stats.*f.member)) {
-          return std::nullopt;
-        }
-        known = true;
-        break;
-      }
-      // Unknown stat names are fine: a newer writer added a field.
     } else if (key == "roots") {
-      if (!parse_u64(value, roots)) return std::nullopt;
+      if (!parse_uint(value, roots)) return std::nullopt;
       have_roots = true;
     } else if (key == "inputs") {
       std::istringstream ids(value);
       std::string token;
       while (ids >> token) {
         std::uint64_t id = 0;
-        if (!parse_u64(token, id) || id > 0x7fffffffULL) return std::nullopt;
+        if (!parse_uint(token, id) || id > 0x7fffffffULL) return std::nullopt;
         input_ids.push_back(static_cast<std::int32_t>(id));
       }
       if (input_ids.empty()) return std::nullopt;

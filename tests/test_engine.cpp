@@ -216,16 +216,11 @@ TEST(Cancellation, PreCancelledTokenStopsManthan3) {
 
 TEST(Cancellation, StopsManthan3MidRun) {
   // No time limit: a kTimeout status can only come from the token. If
-  // cancellation were broken the engine would *finish* (the instance
-  // takes ~10 seconds; the bit-packed sampling/learning pipeline got too
-  // fast for the old slow_planted_hard, which now completes within the
-  // 100ms cancellation window) and the status assertion would fail
-  // rather than the test hanging.
-  workloads::PlantedParams slow_params{20, 8, 6, 8, 300, 3};
-  slow_params.xor_functions = false;
-  slow_params.nested_deps = true;
-  slow_params.dep_size_max = 16;
-  const dqbf::DqbfFormula formula = workloads::gen_planted(slow_params);
+  // cancellation were broken the engine would *finish* and the status
+  // assertion would fail rather than the test hanging: slow_planted()
+  // keeps a default run busy for at least 1 s (Manthan3.SlowPlantedStaysSlow),
+  // well past the 100 ms cancellation point.
+  const dqbf::DqbfFormula formula = testutil::slow_planted();
   util::CancelToken token;
   core::Manthan3Options options;
   options.cancel = &token;

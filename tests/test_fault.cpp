@@ -467,9 +467,7 @@ TEST(ServiceBudget, GenerousDefaultBudgetDoesNotPerturbResults) {
   const ServiceResponse b = budgeted.submit(f).get();
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.certified, b.certified);
-  EXPECT_EQ(a.stats.samples, b.stats.samples);
-  EXPECT_EQ(a.stats.repairs, b.stats.repairs);
-  EXPECT_EQ(a.stats.counterexamples, b.stats.counterexamples);
+  testutil::expect_same_counts(a.stats, b.stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -536,10 +534,10 @@ TEST_F(PersistedCache, WarmHitAcrossServiceInstances) {
   EXPECT_EQ(warm.engine, cold.engine);
   EXPECT_EQ(warm.fingerprint.hi, cold.fingerprint.hi);
   EXPECT_EQ(warm.fingerprint.lo, cold.fingerprint.lo);
-  EXPECT_EQ(warm.stats.samples, cold.stats.samples);
-  EXPECT_EQ(warm.stats.repairs, cold.stats.repairs);
-  EXPECT_EQ(warm.stats.counterexamples, cold.stats.counterexamples);
-  EXPECT_EQ(warm.stats.aig_nodes_encoded, cold.stats.aig_nodes_encoded);
+  for (const core::StatField& f : core::kStatFields) {
+    EXPECT_EQ(core::stat_text(warm.stats, f), core::stat_text(cold.stats, f))
+        << f.name;
+  }
   ASSERT_NE(warm.functions, nullptr);
   EXPECT_EQ(warm.functions->roots().size(), cold.functions->roots().size());
 
@@ -549,6 +547,79 @@ TEST_F(PersistedCache, WarmHitAcrossServiceInstances) {
   ASSERT_TRUE(result.solved());
   EXPECT_EQ(dqbf::check_certificate(f, manager, result.vector).status,
             dqbf::CertificateStatus::kValid);
+}
+
+TEST_F(PersistedCache, EveryStatRowRoundTrips) {
+  // A cache file for the paper example, byte for byte as the encoder that
+  // predates core::kStatFields wrote it (three typed field tables, so a
+  // different row order). It must load with every stat value as written;
+  // rewritten with a distinct value per row, it must load each value into
+  // its own field, and a row without a line as 0.
+  const std::string golden =
+      "manthan3-cache 1\nfp 0d5eb6aadcaf60a03d65ec92e3de96c7\nmode 0\n"
+      "status realizable\nengine Manthan3\ncertified 1\nraced 0\n"
+      "solve_seconds 0.0018900849999999999\nstat samples 12\n"
+      "stat unique_defined 1\nstat learned_candidates 2\n"
+      "stat counterexamples 0\nstat repairs 0\nstat repair_checks 0\n"
+      "stat maxsat_calls 0\nstat cones_encoded 3\nstat cones_reused 0\n"
+      "stat aig_nodes_encoded 8\nstat activations_retired 0\n"
+      "stat verify_vars 21\nstat verify_clauses_retired 0\nstat phi_vars 6\n"
+      "stat phi_clauses_retired 0\nstat samples_appended 0\n"
+      "stat refit_rounds 0\nstat refit_candidates 0\n"
+      "stat gk_streamed_samples 0\nstat analysis_unique_hits 0\n"
+      "stat analysis_dependency_hits 0\nstat arbiter_points 0\n"
+      "stat arbiter_patches 0\nstat repeated_repairs 0\n"
+      "stat peak_rss_bytes 3739648\nstat sample_matrix_bytes 384\n"
+      "stat verify_arena_bytes 528\nstat phi_arena_bytes 92\nstat aig_nodes 9\n"
+      "stat aig_bytes 768\nstat sampling_seconds 0.000150412\n"
+      "stat learning_seconds 2.0089e-05\n"
+      "stat verify_seconds 3.4004999999999997e-05\nstat repair_seconds 0\n"
+      "stat total_seconds 0.001279269\nroots 3\ninputs 1 2\nend-header\n"
+      "aag 4 2 0 3 2\n2\n4\n1\n1\n9\n6 3 4\n8 3 7\n";
+  const dqbf::DqbfFormula f = testutil::paper_example();
+  const auto load = [&](const std::string& text) {
+    {
+      std::ofstream out(dir_ / "0d5eb6aadcaf60a03d65ec92e3de96c7-0.m3c",
+                        std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    Service reborn(cached_options());
+    EXPECT_EQ(reborn.stats().persisted_corrupt, 0u);
+    const ServiceResponse warm = reborn.submit(f).get();
+    EXPECT_TRUE(warm.cache_hit);
+    return warm;
+  };
+
+  const ServiceResponse warm = load(golden);
+  core::SynthesisStats distinct;
+  std::string stat_lines;
+  for (std::size_t i = 0; i < std::size(core::kStatFields); ++i) {
+    const core::StatField& row = core::kStatFields[i];
+    EXPECT_NE(golden.find("\nstat " + std::string(row.name) + " " +
+                          core::stat_text(warm.stats, row) + "\n"),
+              std::string::npos)
+        << row.name;
+    // A writer that predates a row leaves its line out; it loads as 0.
+    if (row.integer == &core::SynthesisStats::repeated_repairs) continue;
+    if (row.seconds != nullptr) {
+      distinct.*row.seconds = 1.0 / static_cast<double>(i + 3);
+    } else {
+      distinct.*row.integer = 1000 + i;
+    }
+    stat_lines += "stat " + std::string(row.name) + " " +
+                  core::stat_text(distinct, row) + "\n";
+  }
+
+  const std::size_t first = golden.find("\nstat ") + 1;
+  const std::size_t roots = golden.find("\nroots ") + 1;
+  const ServiceResponse rewritten = load(golden.substr(0, first) + stat_lines +
+                                         golden.substr(roots));
+  for (const core::StatField& row : core::kStatFields) {
+    EXPECT_TRUE(row.seconds != nullptr
+                    ? rewritten.stats.*row.seconds == distinct.*row.seconds
+                    : rewritten.stats.*row.integer == distinct.*row.integer)
+        << row.name;
+  }
 }
 
 TEST_F(PersistedCache, RetiredStatKeysStillLoad) {
@@ -603,42 +674,6 @@ TEST_F(PersistedCache, RetiredStatKeysStillLoad) {
   EXPECT_EQ(warm_vector.functions, cold_vector.functions);
   EXPECT_EQ(dqbf::check_certificate(f, manager, warm_vector).status,
             dqbf::CertificateStatus::kValid);
-}
-
-TEST_F(PersistedCache, EntryWithoutNewerStatKeyLoadsWithZero) {
-  // Files from writers that predate a counter lack its stat line; the
-  // entry must still load, with that counter 0.
-  const dqbf::DqbfFormula f = testutil::paper_example();
-  ServiceResponse cold;
-  {
-    Service service(cached_options());
-    cold = service.submit(f).get();
-    ASSERT_TRUE(cold.solved());
-  }
-  ASSERT_EQ(cache_file_count(), 1u);
-  fs::path file;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    if (entry.path().extension() == ".m3c") file = entry.path();
-  }
-  std::string contents = read_file(file);
-  const std::size_t line = contents.find("\nstat repeated_repairs ");
-  ASSERT_NE(line, std::string::npos);
-  contents.erase(line + 1, contents.find('\n', line + 1) - line);
-  ASSERT_EQ(contents.find("repeated_repairs"), std::string::npos);
-  {
-    std::ofstream out(file, std::ios::binary | std::ios::trunc);
-    out << contents;
-  }
-
-  Service reborn(cached_options());
-  EXPECT_EQ(reborn.stats().persisted_entries, 1u);
-  EXPECT_EQ(reborn.stats().persisted_corrupt, 0u);
-  const ServiceResponse warm = reborn.submit(f).get();
-  EXPECT_TRUE(warm.cache_hit);
-  EXPECT_EQ(warm.status, cold.status);
-  EXPECT_EQ(warm.certified, cold.certified);
-  EXPECT_EQ(warm.stats.counterexamples, cold.stats.counterexamples);
-  EXPECT_EQ(warm.stats.repeated_repairs, 0u);
 }
 
 TEST_F(PersistedCache, UnrealizableVerdictPersists) {

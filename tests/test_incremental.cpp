@@ -2,9 +2,8 @@
 // the from-scratch oracles: the persistent cone encoder against exhaustive
 // AIG evaluation, IncrementalRefutation against build_refutation_cnf with
 // a fresh solver, and the full incremental Manthan3 pipeline against the
-// re-encode-every-round oracle (options.incremental = false) — plus the
-// parallel-learning determinism contract (any worker count, identical
-// results field for field).
+// re-encode-every-round oracle (options.incremental = false) — plus
+// solver-retirement and sample-streaming checks on repair-heavy runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -27,31 +27,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// All deterministic counters of a run (wall-clock fields excluded; the
-/// tier-2 hit counters are compared separately because warm runs skip
-/// the work the counters count).
-void expect_same_counters(const core::SynthesisStats& a,
-                          const core::SynthesisStats& b) {
-  EXPECT_EQ(a.samples, b.samples);
-  EXPECT_EQ(a.unique_defined, b.unique_defined);
-  EXPECT_EQ(a.learned_candidates, b.learned_candidates);
-  EXPECT_EQ(a.counterexamples, b.counterexamples);
-  EXPECT_EQ(a.repairs, b.repairs);
-  EXPECT_EQ(a.repair_checks, b.repair_checks);
-  EXPECT_EQ(a.maxsat_calls, b.maxsat_calls);
-  EXPECT_EQ(a.cones_encoded, b.cones_encoded);
-  EXPECT_EQ(a.cones_reused, b.cones_reused);
-  EXPECT_EQ(a.aig_nodes_encoded, b.aig_nodes_encoded);
-  EXPECT_EQ(a.activations_retired, b.activations_retired);
-  EXPECT_EQ(a.verify_vars, b.verify_vars);
-  EXPECT_EQ(a.verify_clauses_retired, b.verify_clauses_retired);
-  EXPECT_EQ(a.phi_vars, b.phi_vars);
-  EXPECT_EQ(a.phi_clauses_retired, b.phi_clauses_retired);
-  EXPECT_EQ(a.samples_appended, b.samples_appended);
-  EXPECT_EQ(a.refit_rounds, b.refit_rounds);
-  EXPECT_EQ(a.refit_candidates, b.refit_candidates);
-}
-
 ServiceOptions single_engine_service(std::size_t workers = 1) {
   ServiceOptions options;
   options.workers = workers;
@@ -126,7 +101,7 @@ TEST(Service, DuplicateRequestHitsCache) {
   EXPECT_EQ(warm.response.fingerprint, cold.response.fingerprint);
   EXPECT_EQ(warm.response.engine, cold.response.engine);
   EXPECT_EQ(warm.response.status, cold.response.status);
-  expect_same_counters(warm.response.stats, cold.response.stats);
+  testutil::expect_same_counts(warm.response.stats, cold.response.stats);
   // Same strashed manager: the imported cones are literally the same
   // nodes, so a warm result is indistinguishable from re-solving.
   EXPECT_EQ(warm.vector.functions, cold.vector.functions);
@@ -210,8 +185,8 @@ TEST(Service, WarmMatchesColdAcrossServices) {
   EXPECT_EQ(warm.response.status, cold.response.status);
   EXPECT_EQ(warm.response.certified, cold.response.certified);
   EXPECT_EQ(warm.response.engine, cold.response.engine);
-  expect_same_counters(first.response.stats, cold.response.stats);
-  expect_same_counters(warm.response.stats, cold.response.stats);
+  testutil::expect_same_counts(first.response.stats, cold.response.stats);
+  testutil::expect_same_counts(warm.response.stats, cold.response.stats);
   EXPECT_EQ(warm.vector.functions.size(), cold.vector.functions.size());
 }
 
@@ -298,6 +273,15 @@ TEST(Service, NearDuplicateSharesUniqueDefVerdicts) {
   ASSERT_TRUE(second.solved());
   EXPECT_GE(second.response.stats.analysis_unique_hits, 1u);
   EXPECT_GE(service.stats().analysis.unique_hits, 1u);
+  // Cached verdicts are what a cold run computes: only the hits differ.
+  ServiceOptions cacheless = single_engine_service();
+  cacheless.result_cache = false;
+  cacheless.analysis_cache = false;
+  const ServiceResult cold = Service(cacheless).solve(edited, manager);
+  testutil::expect_same_counts(
+      second.response.stats, cold.response.stats,
+      {&core::SynthesisStats::analysis_unique_hits,
+       &core::SynthesisStats::analysis_dependency_hits});
 }
 
 // --- cancellation and shutdown ----------------------------------------------
@@ -454,7 +438,7 @@ TEST(Runner, SuiteTwiceThroughServiceHitsTier1) {
     EXPECT_TRUE(second[i].cache_hit) << second[i].instance;
     EXPECT_EQ(second[i].status, first[i].status);
     EXPECT_EQ(second[i].certified, first[i].certified);
-    expect_same_counters(second[i].stats, first[i].stats);
+    testutil::expect_same_counts(second[i].stats, first[i].stats);
   }
   EXPECT_GE(service.stats().tier1_hits, suite.size());
 }
@@ -512,6 +496,20 @@ TEST_F(DaemonQueue, DrainsCertifiesAndCachesDuplicates) {
   EXPECT_NE(json.find("\"certified\": true"), std::string::npos);
   EXPECT_NE(json.find("\"fingerprint\": \""), std::string::npos);
   EXPECT_NE(json.find("functions_blif"), std::string::npos);
+  // Its stats object carries every kStatFields row, and none named like
+  // a top-level key, which a first-match reader must still find.
+  const std::size_t stats_at = json.find("\"stats\": {");
+  for (const core::StatField& f : core::kStatFields) {
+    EXPECT_NE(json.find("\"" + std::string(f.name) + "\": ", stats_at),
+              std::string::npos)
+        << f.name;
+  }
+  for (const char* top : {"status", "engine", "certified", "cache_hit",
+                          "seconds"}) {
+    EXPECT_EQ(json.find("\"" + std::string(top) + "\": ", stats_at),
+              std::string::npos)
+        << top;
+  }
 
   // Idempotent: a second drain skips everything.
   const DrainReport again = drain_queue(service, options);

@@ -1,14 +1,16 @@
 // Shared helpers for the test suites: canonical DQBF fixtures, tiny
 // DQDIMACS text fixtures, planted-formula builders, standard-suite
-// instances and their run seeds, a brute-force ground-truth check, and
-// a certificate-check matcher. Everything is
+// instances and their run seeds, a brute-force ground-truth check, a
+// certificate-check matcher and a run-counter comparison. Everything is
 // inline and header-only; a suite only pays the link dependencies of the
 // helpers it actually calls.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 #include "core/manthan3.hpp"
@@ -188,6 +190,20 @@ inline void expect_certified(const dqbf::DqbfFormula& f,
                              const core::SynthesisResult& result) {
   ASSERT_EQ(result.status, core::SynthesisStatus::kRealizable);
   EXPECT_TRUE(is_certified(f, manager, result));
+}
+
+/// EXPECT_EQ on every kCount row of core::kStatFields except those whose
+/// members are in `skip` (e.g. the tier-2 hits of a warm vs a cold run).
+inline void expect_same_counts(
+    const core::SynthesisStats& a, const core::SynthesisStats& b,
+    std::initializer_list<std::size_t core::SynthesisStats::*> skip = {}) {
+  for (const core::StatField& f : core::kStatFields) {
+    if (f.kind != core::StatKind::kCount ||
+        std::find(skip.begin(), skip.end(), f.integer) != skip.end()) {
+      continue;
+    }
+    EXPECT_EQ(a.*f.integer, b.*f.integer) << f.name;
+  }
 }
 
 }  // namespace manthan::testutil

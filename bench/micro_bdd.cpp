@@ -1,6 +1,6 @@
 // Component micro-benchmark: BDD engine throughput — CNF conjunction
 // builds, quantification, and composition on structured formulas — and
-// the two BDD steps of Manthan3's unique-definition pass on standard-suite
+// the two BDD steps of PedantLite's unique-definition pass on standard-suite
 // matrices: the matrix build (BM_BddSuiteMatrix) and one definition's
 // extraction (BM_BddExtractDefinition).
 #include <benchmark/benchmark.h>

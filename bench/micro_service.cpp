@@ -147,7 +147,6 @@ void BM_ServiceDuplicatedSuite(benchmark::State& state) {
     formulas.push_back(planted(seed));
   }
   double hit_rate = 0.0;
-  double analysis_hits = 0.0;
   for (auto _ : state) {
     Service service(single_engine(2));
     // First pass: populate. Second pass: every request is a duplicate.
@@ -161,11 +160,8 @@ void BM_ServiceDuplicatedSuite(benchmark::State& state) {
     const ServiceStats stats = service.stats();
     hit_rate = static_cast<double>(stats.tier1_hits + stats.coalesced) /
                static_cast<double>(stats.requests);
-    analysis_hits = static_cast<double>(stats.analysis.unique_hits +
-                                        stats.analysis.dependency_hits);
   }
   state.counters["hit_rate"] = hit_rate;
-  state.counters["analysis_hits"] = analysis_hits;
   state.counters["cores"] = host_cores();
 }
 BENCHMARK(BM_ServiceDuplicatedSuite)

@@ -10,7 +10,6 @@
 //     --engine manthan3|hqs|pedant   engine selection (default manthan3)
 //     --timeout <seconds>            per-run budget (default 60)
 //     --preprocess                   run HqspreLite first
-//     --no-unique                    disable unique-definition extraction
 //     --blif <file>                  write functions as BLIF
 //     --verilog <file>               write functions as Verilog
 //     --seed <n>                     engine seed
@@ -66,7 +65,6 @@ struct CliOptions {
   std::string engine = "manthan3";
   double timeout = 60.0;
   bool preprocess = false;
-  bool unique = true;
   bool demo = false;
   bool planted = false;
   std::uint64_t planted_seed = 1;
@@ -82,7 +80,7 @@ struct CliOptions {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--engine manthan3|hqs|pedant] [--timeout S]"
-               " [--preprocess] [--no-unique] [--blif F] [--verilog F]"
+               " [--preprocess] [--blif F] [--verilog F]"
                " [--trace F] [--metrics-json F] [--metrics-prom F]"
                " [--seed N] (--demo | --planted SEED | instance.dqdimacs)\n";
   return 2;
@@ -131,8 +129,6 @@ int main(int argc, char** argv) {
       cli.timeout = std::stod(next("--timeout"));
     } else if (arg == "--preprocess") {
       cli.preprocess = true;
-    } else if (arg == "--no-unique") {
-      cli.unique = false;
     } else if (arg == "--blif") {
       cli.blif_path = next("--blif");
     } else if (arg == "--verilog") {
@@ -227,7 +223,6 @@ int main(int argc, char** argv) {
   if (cli.engine == "manthan3") {
     manthan::core::Manthan3Options options;
     options.time_limit_seconds = cli.timeout;
-    options.use_unique_extraction = cli.unique;
     options.seed = cli.seed;
     options.cancel = &g_interrupt;
     result = manthan::core::Manthan3(options).synthesize(*to_solve, manager);

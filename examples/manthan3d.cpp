@@ -111,10 +111,7 @@ void write_stats(const std::string& path,
   out << "  \"single_runs\": " << stats.single_runs << ",\n";
   out << "  \"cancelled\": " << stats.cancelled << ",\n";
   out << "  \"cache_entries\": " << stats.cache_entries << ",\n";
-  out << "  \"cache_evictions\": " << stats.cache_evictions << ",\n";
-  out << "  \"analysis_unique_hits\": " << stats.analysis.unique_hits << ",\n";
-  out << "  \"analysis_dependency_hits\": " << stats.analysis.dependency_hits
-      << "\n";
+  out << "  \"cache_evictions\": " << stats.cache_evictions << "\n";
   out << "}\n";
   manthan::obs::write_file_atomic(path, out.str());
 }

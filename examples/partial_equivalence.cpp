@@ -46,9 +46,7 @@ int main() {
       manthan::dqbf::check_certificate(spec, manager, result.vector);
   std::cout << "Manthan3 rectified the design ("
             << result.stats.counterexamples << " counterexamples, "
-            << result.stats.repairs << " repairs, "
-            << result.stats.unique_defined
-            << " blackboxes uniquely defined); certificate "
+            << result.stats.repairs << " repairs); certificate "
             << (cert.status == manthan::dqbf::CertificateStatus::kValid
                     ? "VALID"
                     : "INVALID")

@@ -46,7 +46,7 @@ SynthesisResult PedantLite::synthesize(const dqbf::DqbfFormula& formula,
         core::UniqueDefExtractor::Defined::kYes) {
       continue;
     }
-    const std::optional<aig::Ref> def = unique.extract(i, manager);
+    const std::optional<aig::Ref> def = unique.extract(i, manager, &deadline);
     if (def.has_value()) {
       f[i] = *def;
       defined[i] = true;

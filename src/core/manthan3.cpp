@@ -5,7 +5,6 @@
 #include <cassert>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -17,7 +16,6 @@
 #include "core/arbiter.hpp"
 #include "core/dependency.hpp"
 #include "dqbf/certificate.hpp"
-#include "dqbf/fingerprint.hpp"
 #include "dqbf/incremental_refutation.hpp"
 #include "maxsat/maxsat.hpp"
 #include "obs/memory.hpp"
@@ -120,109 +118,22 @@ std::size_t packed_mismatches_since(const std::vector<std::uint64_t>& sim,
   return count;
 }
 
-/// Seed-independent analysis of the formula: the dependency ⊆/=
-/// relations, the static ordering edges (Algorithm 1, lines 3-5) and the
-/// UNIQUE-style definitions.
-struct Analysis {
-  const dqbf::DqbfFormula& formula;
-  /// Relations answered by the tier-2 cache; null = ask the formula.
-  std::shared_ptr<const DependencyRelations> relations;
-  /// Static ordering edges; learning and repair record further edges.
-  DependencyManager order;
-  /// Extracted definitions, indexed like formula.existentials().
-  std::vector<aig::Ref> definitions;
-  std::vector<bool> defined;
-
-  bool deps_subset(std::size_t j, std::size_t i) const {
-    return relations != nullptr ? relations->is_subset(j, i)
-                                : formula.deps_subset(j, i);
-  }
-  bool deps_equal(std::size_t j, std::size_t i) const {
-    return relations != nullptr ? relations->is_equal(j, i)
-                                : formula.deps_equal(j, i);
-  }
-};
-
-Analysis analyze(const dqbf::DqbfFormula& formula,
-                 const Manthan3Options& options, aig::Aig& manager,
-                 const util::Deadline& deadline, SynthesisStats& stats) {
-  const std::size_t m = formula.existentials().size();
-  Analysis analysis{formula, nullptr, DependencyManager(m),
-                    std::vector<aig::Ref>(m, aig::kFalseRef),
-                    std::vector<bool>(m, false)};
-
-  // ---- Tier-2 analysis cache lookups ------------------------------------
-  // With a cache attached, the spec is canonicalized once and the static
-  // analyses are answered from (or stored into) the cache. Cached values
-  // equal what the cold computation below produces, so the synthesis
-  // trajectory is identical either way.
-  std::optional<dqbf::CanonicalForm> canon;
-  if (options.analysis_cache != nullptr) {
-    canon.emplace(dqbf::canonicalize(formula));
-    analysis.relations =
-        options.analysis_cache->lookup_dependencies(canon->spec);
-    if (analysis.relations != nullptr) {
-      ++stats.analysis_dependency_hits;
-    } else {
-      auto computed = std::make_shared<DependencyRelations>(
-          DependencyRelations::compute(formula));
-      options.analysis_cache->store_dependencies(canon->spec, computed);
-      analysis.relations = std::move(computed);
-    }
-  }
-
-  // ---- Static ordering constraints (Algorithm 1, lines 3-5) -------------
+/// The static ordering edges (Algorithm 1, lines 3-5): H_j ⊂ H_i
+/// (strict) means y_i may come to depend on y_j, so the edge is committed
+/// before learning, which can then never create a cycle. Learning and
+/// repair record further edges.
+DependencyManager static_order(const dqbf::DqbfFormula& formula) {
+  const std::size_t m = formula.num_existentials();
+  DependencyManager order(m);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < m; ++j) {
-      if (i == j) continue;
-      // H_j ⊂ H_i (strict): y_i may come to depend on y_j; pre-commit the
-      // ordering edge so learning can never create a cycle.
-      if (analysis.deps_subset(j, i) && !analysis.deps_equal(j, i) &&
-          analysis.order.can_use(i, j)) {
-        analysis.order.record_use(i, j);
+      if (i != j && formula.deps_subset(j, i) && !formula.deps_equal(j, i) &&
+          order.can_use(i, j)) {
+        order.record_use(i, j);
       }
     }
   }
-
-  // ---- UNIQUE-style preprocessing ---------------------------------------
-  if (options.use_unique_extraction) {
-    obs::Span span("unique_def", "phase", options.trace_id);
-    UniqueDefExtractor unique(formula, options.unique);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (deadline.expired()) break;
-      // Padoa check, answered from the tier-2 cache when a prior run
-      // already decided this (matrix, y_i, H_i) triple — possibly under a
-      // different spec or variable naming. Unknown (deadline) verdicts
-      // are neither used nor stored.
-      bool defined;
-      std::optional<bool> cached;
-      if (canon.has_value()) {
-        cached =
-            options.analysis_cache->lookup_unique(canon->existential_keys[i]);
-      }
-      if (cached.has_value()) {
-        ++stats.analysis_unique_hits;
-        defined = *cached;
-      } else {
-        const UniqueDefExtractor::Defined verdict =
-            unique.is_defined(i, &deadline);
-        if (verdict == UniqueDefExtractor::Defined::kUnknown) continue;
-        defined = verdict == UniqueDefExtractor::Defined::kYes;
-        if (canon.has_value()) {
-          options.analysis_cache->store_unique(canon->existential_keys[i],
-                                               defined);
-        }
-      }
-      if (!defined) continue;
-      const std::optional<aig::Ref> def = unique.extract(i, manager);
-      if (def.has_value()) {
-        analysis.definitions[i] = *def;
-        analysis.defined[i] = true;
-        ++stats.unique_defined;
-      }
-    }
-  }
-  return analysis;
+  return order;
 }
 
 /// The sample → learn → verify/repair loop (Algorithms 1-3) of one
@@ -343,10 +254,9 @@ SynthesisStatus run(const Manthan3Options& options,
     return true;
   };
 
-  Analysis analysis = analyze(formula, options, manager, deadline, stats);
-  DependencyManager& dep = analysis.order;
-  std::vector<aig::Ref>& f = analysis.definitions;
-  const std::vector<bool>& fixed = analysis.defined;
+  DependencyManager dep = static_order(formula);
+  // The candidates f_k, indexed like ex; the learner fills every one.
+  std::vector<aig::Ref> f(m);
 
   // Record the existential features that `ref` (now part of f_k) uses
   // (Algorithm 2, lines 11-12).
@@ -368,14 +278,11 @@ SynthesisStatus run(const Manthan3Options& options,
   phase_timer.reset();
   std::vector<std::vector<Var>> feature_vars(m);
   std::vector<std::vector<aig::Ref>> feature_refs(m);
-  std::vector<std::size_t> jobs;
-  jobs.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
-    if (fixed[i]) continue;
     feature_vars[i].assign(ex[i].deps.begin(), ex[i].deps.end());
     for (std::size_t j = 0; j < m; ++j) {
-      if (j == i || !analysis.deps_subset(j, i)) continue;
-      const bool strict = !analysis.deps_equal(j, i);
+      if (j == i || !formula.deps_subset(j, i)) continue;
+      const bool strict = !formula.deps_equal(j, i);
       if ((strict || j < i) && dep.can_use(i, j)) {
         feature_vars[i].push_back(ex[j].var);
       }
@@ -384,7 +291,6 @@ SynthesisStatus run(const Manthan3Options& options,
     for (const Var v : feature_vars[i]) {
       feature_refs[i].push_back(manager.input(v));
     }
-    jobs.push_back(i);
   }
 
   // Fit y_i's tree on the current matrix and extract it to an AIG over
@@ -417,12 +323,12 @@ SynthesisStatus run(const Manthan3Options& options,
 
   {
     obs::Span span("learn", "phase", trace_id);
-    for (const std::size_t i : jobs) {
+    for (std::size_t i = 0; i < m; ++i) {
       f[i] = fit(i, 0);
       record_support(i, f[i]);
     }
   }
-  stats.learned_candidates = jobs.size();
+  stats.learned_candidates = m;
   stats.learning_seconds = phase_timer.seconds();
 
   // ---- FindOrder (Algorithm 1, line 8) -----------------------------------
@@ -501,7 +407,7 @@ SynthesisStatus run(const Manthan3Options& options,
     // function) or the work of UNSAT-core repairs that a routine refit
     // must not throw away.
     std::vector<std::size_t> refit_jobs;
-    for (const std::size_t i : jobs) {
+    for (std::size_t i = 0; i < m; ++i) {
       // A screen pass is real work (matrix simulations); keep the PR-3
       // contract that cancellation/timeout is observed with bounded
       // extra work by polling between candidates. Bailing out leaves
@@ -836,7 +742,6 @@ SynthesisStatus run(const Manthan3Options& options,
         if (recorded[id]) patch(id);
       }
       for (std::size_t k = 0; k < m; ++k) {
-        if (fixed[k]) continue;
         if (expansion.value(point[k]) != sigma_yp[k]) patch(point[k]);
         recorded[point[k]] = true;
       }
@@ -845,8 +750,8 @@ SynthesisStatus run(const Manthan3Options& options,
     stats.repair_seconds += phase_timer.seconds();
     // Every counterexample moves the candidates: a stalled one leaves
     // σ[Y'] = δ[Y'], which falsifies φ at π[X] while the expansion's model
-    // satisfies it, so some arbiter disagrees with an undefined candidate
-    // and is patched (see core/manthan3.hpp).
+    // satisfies it, so some arbiter disagrees with a candidate and is
+    // patched (see core/manthan3.hpp).
     assert(repairs_this_cex > 0 || patches > 0);
   }
 

@@ -48,15 +48,14 @@
 // unsatisfiable matrix, a counterexample whose X-assignment does not
 // extend (Algorithm 1, line 13), and an UNSAT expansion.
 //
-// synthesize() runs the pipeline once: sample, analyse (dependency
-// relations, static ordering edges, unique definitions), learn, then the
-// verify/repair loop until it answers. Every counterexample moves the
-// candidates. A counterexample stalls when every G_k it reached was SAT,
-// had an empty β or repeated an applied repair; none of these moves σ, so
-// σ[Y'] is still δ[Y']. The candidate outputs therefore falsify φ at π[X]
-// while the arbiter model satisfies it there, so some arbiter disagrees
-// with some undefined candidate and a patch lands (unique definitions
-// agree with every model). The status is:
+// synthesize() runs the pipeline once: sample, commit the static ordering
+// edges, learn a candidate for every existential, then the verify/repair
+// loop until it answers. Every counterexample moves the candidates. A
+// counterexample stalls when every G_k it reached was SAT, had an empty β
+// or repeated an applied repair; none of these moves σ, so σ[Y'] is still
+// δ[Y']. The candidate outputs therefore falsify φ at π[X] while the
+// arbiter model satisfies it there, so some arbiter disagrees with some
+// candidate and a patch lands. The status is:
 //   kRealizable    verify-UNSAT; the vector is certified;
 //   kUnrealizable  one of the three sources above;
 //   kLimit         max_counterexamples or max_repair_iterations is spent;
@@ -78,8 +77,6 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "core/analysis_cache.hpp"
-#include "core/unique_def.hpp"
 #include "dqbf/dqbf.hpp"
 #include "dtree/decision_tree.hpp"
 #include "sampler/sampler.hpp"
@@ -91,9 +88,6 @@ namespace manthan::core {
 struct Manthan3Options {
   sampler::SamplerOptions sampler;
   dtree::DtreeOptions dtree;
-  /// Run the UNIQUE-style preprocessing pass (ablation: abl3_unique_def).
-  bool use_unique_extraction = true;
-  UniqueDefOptions unique;
   /// Constrain Ŷ in the repair formula G_k (ablation: abl1_repair_yhat;
   /// §5 argues this is required for many repairs to succeed).
   bool use_yhat_in_repair = true;
@@ -135,16 +129,6 @@ struct Manthan3Options {
   /// train on counterexample-corrected data instead of the stale round-0
   /// samples.
   bool sample_reuse = true;
-  /// Cross-instance analysis cache (the service's tier 2): unique-def
-  /// Padoa verdicts and the dependency ⊆/= relations are looked up by
-  /// canonical fingerprints before being recomputed, and computed results
-  /// are stored for later runs — including runs on *near-duplicate* specs
-  /// (the unique-def keys only see (matrix, y_i, H_i)). Cached values are
-  /// exactly what a cold run would compute, so warm runs stay
-  /// field-for-field identical at a fixed seed. Null = no caching. The
-  /// cache is thread-safe and shared across concurrent syntheses; it must
-  /// outlive the run.
-  AnalysisCache* analysis_cache = nullptr;
   std::uint64_t seed = 42;
   /// Tag every obs trace span emitted by this run (args.trace_id in the
   /// Chrome trace). The service sets it to the spec fingerprint so spans
@@ -168,6 +152,8 @@ enum class SynthesisStatus {
 
 struct SynthesisStats {
   std::size_t samples = 0;
+  /// Existentials PedantLite answered with an extracted definition;
+  /// always 0 for Manthan3, which learns every candidate.
   std::size_t unique_defined = 0;
   std::size_t learned_candidates = 0;
   std::size_t counterexamples = 0;
@@ -224,11 +210,6 @@ struct SynthesisStats {
   /// G_k-SAT models streamed into the matrix (subset of
   /// samples_appended).
   std::size_t gk_streamed_samples = 0;
-  // --- tier-2 analysis cache (zero when analysis_cache is null) -----------
-  /// Padoa verdicts answered from the cache (SAT checks skipped).
-  std::size_t analysis_unique_hits = 0;
-  /// Dependency ⊆/= relations answered from the cache (1 per warm run).
-  std::size_t analysis_dependency_hits = 0;
   // --- memory accounting (snapshots at run end; process-global values are
   // non-deterministic and excluded from determinism comparisons) -----------
   /// Process-wide peak resident set size in bytes.
@@ -308,8 +289,6 @@ inline constexpr StatField kStatFields[] = {
     {"refit_candidates", &SynthesisStats::refit_candidates},
     {"gk_streamed_samples", &SynthesisStats::gk_streamed_samples,
      "core_streamed_samples_total"},
-    {"analysis_unique_hits", &SynthesisStats::analysis_unique_hits},
-    {"analysis_dependency_hits", &SynthesisStats::analysis_dependency_hits},
     {"peak_rss_bytes", &SynthesisStats::peak_rss_bytes, nullptr,
      StatKind::kMemory},
     {"sample_matrix_bytes", &SynthesisStats::sample_matrix_bytes,

@@ -65,26 +65,33 @@ UniqueDefExtractor::Defined UniqueDefExtractor::is_defined(
   return Defined::kUnknown;
 }
 
-bool UniqueDefExtractor::ensure_matrix_bdd() {
+bool UniqueDefExtractor::ensure_matrix_bdd(const util::Deadline* deadline) {
   if (bdd_failed_) return false;
-  if (bdd_.has_value()) return true;
-  if (static_cast<std::size_t>(formula_.matrix().num_vars()) >
-      options_.max_matrix_vars) {
-    bdd_failed_ = true;
-    return false;
+  const bool built = bdd_.has_value();
+  if (!built) {
+    if (static_cast<std::size_t>(formula_.matrix().num_vars()) >
+        options_.max_matrix_vars) {
+      bdd_failed_ = true;
+      return false;
+    }
+    bdd_.emplace();
   }
-  bdd_.emplace();
-  bdd_->set_abort_check(
-      [this]() { return bdd_->num_nodes() > options_.max_bdd_nodes; });
+  // Installed on every call, so the projection that follows polls the
+  // caller's current deadline. A build it stops is not retried.
+  bdd_->set_abort_check([this, deadline]() {
+    return (deadline != nullptr && deadline->expired()) ||
+           bdd_->num_nodes() > options_.max_bdd_nodes;
+  });
+  if (built) return true;
   try {
-    const std::optional<bdd::NodeId> built =
+    const std::optional<bdd::NodeId> matrix =
         bdd_->from_cnf_limited(formula_.matrix(), options_.max_bdd_nodes);
-    if (!built.has_value()) {
+    if (!matrix.has_value()) {
       bdd_.reset();
       bdd_failed_ = true;
       return false;
     }
-    matrix_bdd_ = *built;
+    matrix_bdd_ = *matrix;
   } catch (const bdd::BddAborted&) {
     bdd_.reset();
     bdd_failed_ = true;
@@ -93,9 +100,9 @@ bool UniqueDefExtractor::ensure_matrix_bdd() {
   return true;
 }
 
-std::optional<aig::Ref> UniqueDefExtractor::extract(std::size_t i,
-                                                    aig::Aig& manager) {
-  if (!ensure_matrix_bdd()) return std::nullopt;
+std::optional<aig::Ref> UniqueDefExtractor::extract(
+    std::size_t i, aig::Aig& manager, const util::Deadline* deadline) {
+  if (!ensure_matrix_bdd(deadline)) return std::nullopt;
   const dqbf::Existential& e = formula_.existentials()[i];
 
   // Quantify out everything except H_i ∪ {y_i}, then cofactor y_i := 1.

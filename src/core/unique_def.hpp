@@ -1,6 +1,9 @@
 // Detection and extraction of uniquely defined existential variables.
 //
-// Role in the paper: the UNIQUE preprocessor. An existential y_i is
+// Role in the paper: the UNIQUE preprocessor; PedantLite runs it before
+// its arbiter search. (Manthan3 does not: on the standard suite the
+// definitions saved 7 of 1,996 counterexamples for about a fifth of busy
+// time, so it learns every candidate.) An existential y_i is
 // uniquely defined by its Henkin set H_i under φ when any two models of φ
 // agreeing on H_i agree on y_i — decided by Padoa's method: the doubled
 // formula  φ(V) ∧ φ(V') ∧ (H_i ↔ H_i') ∧ y_i ∧ ¬y_i'  is SAT iff y_i is
@@ -44,13 +47,15 @@ class UniqueDefExtractor {
   Defined is_defined(std::size_t i, const util::Deadline* deadline = nullptr);
 
   /// Extract the definition of existential `i` as an AIG over H_i.
-  /// Returns nullopt when the BDD budget is exceeded (caller falls back to
-  /// learning). Only meaningful when is_defined(i) == kYes.
-  std::optional<aig::Ref> extract(std::size_t i, aig::Aig& manager);
+  /// Returns nullopt when the BDD budget is exceeded or `deadline`
+  /// expires during the BDD work (caller falls back to its search). Only
+  /// meaningful when is_defined(i) == kYes.
+  std::optional<aig::Ref> extract(std::size_t i, aig::Aig& manager,
+                                  const util::Deadline* deadline = nullptr);
 
  private:
   bool ensure_padoa_solver();
-  bool ensure_matrix_bdd();
+  bool ensure_matrix_bdd(const util::Deadline* deadline);
 
   const dqbf::DqbfFormula& formula_;
   UniqueDefOptions options_;

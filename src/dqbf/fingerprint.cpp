@@ -19,28 +19,22 @@ constexpr std::uint64_t kDepDown = 0xb5026f5aa96619e9ULL;  // exist -> dep
 constexpr std::uint64_t kDepUp = 0xd6e8feb86659fd93ULL;    // universal -> observer
 constexpr std::uint64_t kSeedLo = 0x2545f4914f6cdd1dULL;
 constexpr std::uint64_t kSeedHi = 0x9e3779b97f4a7c15ULL;
-constexpr std::uint64_t kKeyVar = 0xff51afd7ed558ccdULL;
-constexpr std::uint64_t kKeyDep = 0xc4ceb9fe1a85ec53ULL;
 
 std::uint64_t mix2(std::uint64_t a, std::uint64_t b) {
   return util::splitmix64(util::splitmix64(a) ^ b);
 }
 
 /// Refine `colors` over the clause graph until the partition stabilizes
-/// (bounded rounds). `extra_fn`, when set, recomputes the per-variable
+/// (bounded rounds). `extra_fn` recomputes the per-variable
 /// dependency-edge accumulator from the current colors each round.
 template <typename ExtraFn>
 void refine_until_stable(const cnf::CnfFormula& matrix,
                          std::vector<std::uint64_t>& colors,
-                         ExtraFn&& extra_fn, bool with_extra) {
+                         ExtraFn&& extra_fn) {
   constexpr int kMaxRounds = 8;
   std::size_t classes = cnf::count_colors(colors);
   for (int round = 0; round < kMaxRounds; ++round) {
-    if (with_extra) {
-      cnf::refine_colors(matrix, colors, extra_fn());
-    } else {
-      cnf::refine_colors(matrix, colors);
-    }
+    cnf::refine_colors(matrix, colors, extra_fn());
     const std::size_t next = cnf::count_colors(colors);
     // A stable class count means the partition stopped splitting (WL
     // partitions only ever refine); one extra round past stability buys
@@ -83,17 +77,6 @@ std::uint64_t spec_plane(const DqbfFormula& formula,
   h = mix2(h, static_cast<std::uint64_t>(formula.matrix().num_vars()));
   h = mix2(h, cnf::clause_set_hash(formula.matrix(), colors, seed));
   h = mix2(h, dependency_hash(formula, colors, seed));
-  return h;
-}
-
-/// One hash plane of the role-free matrix fingerprint.
-std::uint64_t matrix_plane(const cnf::CnfFormula& matrix,
-                           const std::vector<std::uint64_t>& colors,
-                           std::uint64_t seed) {
-  std::uint64_t h = seed;
-  h = mix2(h, matrix.num_clauses());
-  h = mix2(h, static_cast<std::uint64_t>(matrix.num_vars()));
-  h = mix2(h, cnf::clause_set_hash(matrix, colors, seed));
   return h;
 }
 
@@ -169,41 +152,11 @@ CanonicalForm canonicalize(const DqbfFormula& formula) {
     }
     return extra;
   };
-  refine_until_stable(matrix, colors, dep_extra, /*with_extra=*/true);
-
-  // --- role-free matrix coloring: pure clause structure -----------------
-  // No quantifier information at all, so two specs over the same matrix
-  // produce identical colors no matter how their dependency schemes
-  // differ — the property the tier-2 keys need.
-  std::vector<std::uint64_t> matrix_colors(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    matrix_colors[v] = util::splitmix64(occ_mix(v) ^ kSeedLo);
-  }
-  const auto no_extra = []() { return std::vector<std::uint64_t>(); };
-  refine_until_stable(matrix, matrix_colors, no_extra, /*with_extra=*/false);
+  refine_until_stable(matrix, colors, dep_extra);
 
   CanonicalForm form;
   form.spec.lo = spec_plane(formula, colors, kSeedLo);
   form.spec.hi = spec_plane(formula, colors, kSeedHi);
-  form.matrix.lo = matrix_plane(matrix, matrix_colors, kSeedLo);
-  form.matrix.hi = matrix_plane(matrix, matrix_colors, kSeedHi);
-
-  form.existential_keys.reserve(formula.num_existentials());
-  for (const Existential& e : formula.existentials()) {
-    const std::uint64_t y_color =
-        matrix_colors[static_cast<std::size_t>(e.var)];
-    std::uint64_t deps_acc = 0;
-    for (const Var u : e.deps) {
-      deps_acc += util::splitmix64(
-          matrix_colors[static_cast<std::size_t>(u)] ^ kKeyDep);
-    }
-    Fingerprint key;
-    key.lo = mix2(form.matrix.lo ^ util::splitmix64(y_color ^ kKeyVar),
-                  deps_acc ^ e.deps.size());
-    key.hi = mix2(form.matrix.hi ^ util::splitmix64(y_color ^ kKeyDep),
-                  util::splitmix64(deps_acc) ^ e.deps.size());
-    form.existential_keys.push_back(key);
-  }
   return form;
 }
 

@@ -19,13 +19,6 @@
 // with a commutative dependency-structure hash. Two independent hash
 // planes give the 128 bits.
 //
-// Alongside the spec fingerprint, canonicalize() derives the keys of the
-// second cache tier: a dependency-edge-free *matrix* fingerprint and a
-// per-existential sub-instance key that identifies (matrix, y_i, H_i) —
-// the exact inputs of the unique-definability analysis — so near-duplicate
-// specs (same matrix, some other existential's dependency set changed)
-// still share analysis outcomes.
-//
 // Like every fingerprint scheme, equality is evidence, not proof: WL
 // refinement can merge non-isomorphic specs and 128 bits can collide.
 // Both events are vanishingly rare; cache consumers inherit at most a
@@ -36,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "dqbf/dqbf.hpp"
 
@@ -65,18 +57,11 @@ struct FingerprintHasher {
 /// 32 hex digits, hi half first — for logs and result JSON.
 std::string to_string(const Fingerprint& fp);
 
-/// Full canonicalization of a spec: the service computes this once per
-/// request and feeds the pieces to both cache tiers.
+/// Canonicalization of a spec: the service computes this once per
+/// request and keys its result cache by it.
 struct CanonicalForm {
-  /// Tier-1 key: the whole specification.
+  /// The whole specification.
   Fingerprint spec;
-  /// Matrix-only fingerprint: clause structure under role-free colors —
-  /// identical for specs that differ only in dependency sets.
-  Fingerprint matrix;
-  /// Tier-2 keys, indexed like formula.existentials(): identifies
-  /// (matrix, y_i, H_i) up to renaming — the inputs of the per-existential
-  /// unique-definability analysis.
-  std::vector<Fingerprint> existential_keys;
 };
 
 CanonicalForm canonicalize(const DqbfFormula& formula);

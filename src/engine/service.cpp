@@ -273,7 +273,6 @@ ServiceResponse Service::run_job(const std::shared_ptr<Job>& job) {
                            ? options_.default_time_limit_seconds
                            : job->options.time_limit_seconds;
   core::Manthan3Options manthan3 = options_.manthan3;
-  if (options_.analysis_cache) manthan3.analysis_cache = &analysis_cache_;
   manthan3.trace_id = trace_id;
   // Seed from the canonical identity, not submission order: duplicate
   // specs replay identical streams, which is what makes a tier-1 hit
@@ -520,7 +519,6 @@ ServiceStats Service::stats() const {
   snapshot.cache_entries = cache_.size();
   snapshot.persisted_entries = persisted_entries_;
   snapshot.persisted_corrupt = persisted_corrupt_;
-  snapshot.analysis = analysis_cache_.stats();
   return snapshot;
 }
 

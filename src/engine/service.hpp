@@ -1,11 +1,11 @@
 // The synthesis service: a session-based, embeddable front door to the
 // engines.
 //
-// One Service owns a scheduler pool, an admission policy, and a two-tier
-// result cache; clients hold a Service for the lifetime of a session
+// One Service owns a scheduler pool, an admission policy, and a result
+// cache; clients hold a Service for the lifetime of a session
 // (a daemon process, a suite run, an embedding application) and submit
 // any number of requests against it. Per-request work is keyed by the
-// canonical spec fingerprint (dqbf/fingerprint.hpp), which buys three
+// canonical spec fingerprint (dqbf/fingerprint.hpp), which buys two
 // things no one-shot API can offer:
 //
 //   * Tier-1 result reuse. A certified SynthesisResult — status plus the
@@ -15,11 +15,6 @@
 //     order, and role-preserving variable renaming) is answered without
 //     touching a worker; callers import the cached cones into their own
 //     manager via aig::import_cone, exactly like a race winner's vector.
-//
-//   * Tier-2 analysis reuse. Every Manthan3 run executed by the service
-//     shares one core::AnalysisCache, so near-duplicate specs reuse
-//     unique-definability verdicts and dependency relations even when
-//     tier 1 misses.
 //
 //   * In-flight coalescing. Concurrent duplicate submissions (no
 //     per-request cancel token) share one underlying job and one future.
@@ -65,7 +60,6 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "core/analysis_cache.hpp"
 #include "core/manthan3.hpp"
 #include "dqbf/dqbf.hpp"
 #include "dqbf/fingerprint.hpp"
@@ -85,8 +79,8 @@ struct ServiceOptions {
   double default_time_limit_seconds = 0.0;
   /// Base seed: per-request seeds are derive_seed(seed, fp, mode).
   std::uint64_t seed = 42;
-  /// Knobs forwarded to every Manthan3 run (time/seed/cancel and the
-  /// analysis_cache pointer are overridden per request by the service).
+  /// Knobs forwarded to every Manthan3 run (time/seed/cancel are
+  /// overridden per request by the service).
   core::Manthan3Options manthan3;
 
   enum class Admission {
@@ -105,9 +99,6 @@ struct ServiceOptions {
   bool result_cache = true;
   /// Tier-1 LRU capacity (entries); 0 = unbounded.
   std::size_t result_cache_capacity = 1024;
-  /// Enable the shared tier-2 analysis cache (unique-def verdicts,
-  /// dependency relations) across all Manthan3 runs.
-  bool analysis_cache = true;
   /// Share one in-flight job between concurrent duplicate submissions
   /// (only requests without a per-request cancel token coalesce — a
   /// token must never cancel a stranger's request).
@@ -228,8 +219,6 @@ struct ServiceStats {
   std::size_t budget_trips = 0;     // jobs ended kOutOfBudget
   std::size_t persisted_entries = 0;  // tier-1 entries with a cache file
   std::size_t persisted_corrupt = 0;  // cache files skipped at load
-  /// Tier-2 counters (all zeros when the analysis cache is disabled).
-  core::AnalysisCache::Stats analysis;
 };
 
 /// Register the service_* series in the global obs registry (at zero if no
@@ -266,9 +255,6 @@ class Service {
 
   ServiceStats stats() const;
   std::size_t worker_count() const { return pool_.worker_count(); }
-  /// The shared tier-2 cache (valid regardless of options; unused by
-  /// jobs when analysis_cache is disabled).
-  core::AnalysisCache& analysis_cache() { return analysis_cache_; }
 
  private:
   struct CacheKey {
@@ -340,7 +326,6 @@ class Service {
 
   ServiceOptions options_;
   util::CancelToken shutdown_;
-  core::AnalysisCache analysis_cache_;
 
   mutable std::mutex mutex_;  // guards cache + coalescing maps + stats
   // Tier-1 LRU: most-recent at the front of lru_; map values point into

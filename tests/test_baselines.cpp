@@ -2,6 +2,8 @@
 // instances, characteristic failure modes, and soundness sweeps.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "baselines/hqs_lite.hpp"
 #include "baselines/pedant_lite.hpp"
 #include "dqbf/certificate.hpp"
@@ -117,6 +119,21 @@ TEST(PedantLite, InstantOnFullyDefinedInstance) {
   const SynthesisResult result = engine.synthesize(f, manager);
   expect_certified(f, manager, result);
   EXPECT_EQ(result.stats.unique_defined, 1u);
+}
+
+TEST(PedantLite, StopsOnTimeDuringExtraction) {
+  // slow_planted()'s matrix BDD takes PedantLite about a second to build
+  // and project; the build and the projection poll the deadline.
+  const dqbf::DqbfFormula f = testutil::slow_planted();
+  PedantLiteOptions options;
+  options.time_limit_seconds = 0.1;
+  aig::Aig manager;
+  const auto start = std::chrono::steady_clock::now();
+  const SynthesisResult result = PedantLite(options).synthesize(f, manager);
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_EQ(result.status, SynthesisStatus::kTimeout);
+  EXPECT_LE(elapsed_ms.count(), 500);
 }
 
 TEST(PedantLite, ArbiterTableCompletesUnderdefinedInstance) {

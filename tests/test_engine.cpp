@@ -219,7 +219,8 @@ TEST(Cancellation, StopsManthan3MidRun) {
   // cancellation were broken the engine would *finish* and the status
   // assertion would fail rather than the test hanging: slow_planted()
   // keeps a default run busy for at least 1 s (Manthan3.SlowPlantedStaysSlow),
-  // well past the 100 ms cancellation point.
+  // well past the 100 ms cancellation point. Every phase polls the token,
+  // so the run stops well within 500 ms of it.
   const dqbf::DqbfFormula formula = testutil::slow_planted();
   util::CancelToken token;
   core::Manthan3Options options;
@@ -231,9 +232,13 @@ TEST(Cancellation, StopsManthan3MidRun) {
     result = synthesizer.synthesize(formula, manager);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto cancelled_at = std::chrono::steady_clock::now();
   token.cancel();
   worker.join();
+  const auto latency_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - cancelled_at);
   EXPECT_EQ(result.status, core::SynthesisStatus::kTimeout);
+  EXPECT_LE(latency_ms.count(), 500);
 }
 
 TEST(Cancellation, PreCancelledTokenStopsBaselines) {

@@ -648,7 +648,9 @@ TEST_F(PersistedCache, RetiredStatKeysStillLoad) {
                   "stat remapped_vars 6\n"
                   "stat restarts 1\n"
                   "stat learn_workers 4\n"
-                  "stat adaptive_refits 3\n");
+                  "stat adaptive_refits 3\n"
+                  "stat analysis_unique_hits 7\n"
+                  "stat analysis_dependency_hits 1\n");
   {
     std::ofstream out(file, std::ios::binary | std::ios::trunc);
     out << contents;

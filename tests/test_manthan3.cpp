@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "baselines/pedant_lite.hpp"
 #include "core/manthan3.hpp"
 #include "dqbf/certificate.hpp"
 #include "obs/metrics.hpp"
@@ -165,7 +166,9 @@ TEST(Manthan3, FinalFunctionsRespectHenkinSupport) {
 }
 
 TEST(Manthan3, UniqueExtractionShortcutsLearning) {
-  // Fully defined instance: y0 <-> x0&x1, y1 <-> x0|x1.
+  // Fully defined instance: y0 <-> x0&x1, y1 <-> x0|x1. PedantLite
+  // extracts both definitions and certifies them on its first
+  // verification; Manthan3 extracts none and learns both candidates.
   dqbf::DqbfFormula f;
   f.add_universal(0);
   f.add_universal(1);
@@ -177,23 +180,28 @@ TEST(Manthan3, UniqueExtractionShortcutsLearning) {
   f.matrix().add_clause({neg(3), pos(0), pos(1)});
   f.matrix().add_clause({pos(3), neg(0)});
   f.matrix().add_clause({pos(3), neg(1)});
+  aig::Aig pedant_manager;
+  const SynthesisResult pedant =
+      baselines::PedantLite().synthesize(f, pedant_manager);
+  expect_certified(f, pedant_manager, pedant);
+  EXPECT_EQ(pedant.stats.unique_defined, 2u);
+  EXPECT_EQ(pedant.stats.counterexamples, 1u);  // the certifying check
+
   aig::Aig manager;
-  Manthan3Options options;
-  options.use_unique_extraction = true;
-  const SynthesisResult result = run(f, manager, options);
+  const SynthesisResult result = run(f, manager);
   expect_certified(f, manager, result);
-  EXPECT_EQ(result.stats.unique_defined, 2u);
-  EXPECT_EQ(result.stats.counterexamples, 0u);
+  EXPECT_EQ(result.stats.unique_defined, 0u);
+  EXPECT_EQ(result.stats.learned_candidates, 2u);
 }
 
 TEST(Manthan3, WorksWithUniqueExtractionDisabled) {
+  // Manthan3 extracts no definitions: every candidate is learned.
   const dqbf::DqbfFormula f = workloads::gen_pec({6, 2, 2, 2, 10, 3});
   aig::Aig manager;
-  Manthan3Options options;
-  options.use_unique_extraction = false;
-  const SynthesisResult result = run(f, manager, options);
+  const SynthesisResult result = run(f, manager);
   expect_certified(f, manager, result);
   EXPECT_EQ(result.stats.unique_defined, 0u);
+  EXPECT_EQ(result.stats.learned_candidates, f.num_existentials());
 }
 
 TEST(Manthan3, TimeoutIsReported) {

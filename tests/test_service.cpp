@@ -1,7 +1,6 @@
 // The synthesis service: any-of cancellation composition, the tier-1
 // result cache (duplicate and isomorphic requests answered without
-// solving, warm results field-for-field identical to cold ones), the
-// tier-2 analysis cache across near-duplicate specs, in-flight
+// solving, warm results field-for-field identical to cold ones), in-flight
 // coalescing, admission modes, shutdown semantics, the service-routed
 // portfolio runner, and the directory-queue daemon front end.
 #include <gtest/gtest.h>
@@ -176,7 +175,6 @@ TEST(Service, WarmMatchesColdAcrossServices) {
 
   ServiceOptions cacheless = single_engine_service();
   cacheless.result_cache = false;
-  cacheless.analysis_cache = false;
   Service cold_service(cacheless);
   aig::Aig manager_b;
   const ServiceResult cold = cold_service.solve(f, manager_b);
@@ -240,48 +238,6 @@ TEST(Service, CapacityBoundEvictsLru) {
   EXPECT_EQ(stats.cache_evictions, 1u);
   EXPECT_FALSE(service.solve(a, manager).response.cache_hit);  // re-solved
   EXPECT_TRUE(service.solve(c, manager).response.cache_hit);
-}
-
-// --- tier-2 analysis cache --------------------------------------------------
-
-TEST(Service, NearDuplicateSharesUniqueDefVerdicts) {
-  // Widen one existential's window: the spec fingerprint changes (tier-1
-  // miss) but the other existentials' (matrix, y, H) triples — and so
-  // their Padoa verdicts — carry over through the analysis cache.
-  const dqbf::DqbfFormula f = testutil::paper_example();
-  dqbf::DqbfFormula edited;
-  edited.matrix().ensure_vars(f.matrix().num_vars());
-  for (const cnf::Var u : f.universals()) edited.add_universal(u);
-  const auto& exs = f.existentials();
-  for (std::size_t i = 0; i < exs.size(); ++i) {
-    std::vector<cnf::Var> deps = exs[i].deps;
-    if (i == 0) deps.push_back(2);
-    edited.add_existential(exs[i].var, std::move(deps));
-  }
-  for (const auto& clause : f.matrix().clauses()) {
-    edited.matrix().add_clause(clause);
-  }
-
-  Service service(single_engine_service());
-  aig::Aig manager;
-  const ServiceResult first = service.solve(f, manager);
-  ASSERT_TRUE(first.solved());
-  EXPECT_EQ(first.response.stats.analysis_unique_hits, 0u);
-
-  const ServiceResult second = service.solve(edited, manager);
-  EXPECT_FALSE(second.response.cache_hit);  // different spec
-  ASSERT_TRUE(second.solved());
-  EXPECT_GE(second.response.stats.analysis_unique_hits, 1u);
-  EXPECT_GE(service.stats().analysis.unique_hits, 1u);
-  // Cached verdicts are what a cold run computes: only the hits differ.
-  ServiceOptions cacheless = single_engine_service();
-  cacheless.result_cache = false;
-  cacheless.analysis_cache = false;
-  const ServiceResult cold = Service(cacheless).solve(edited, manager);
-  testutil::expect_same_counts(
-      second.response.stats, cold.response.stats,
-      {&core::SynthesisStats::analysis_unique_hits,
-       &core::SynthesisStats::analysis_dependency_hits});
 }
 
 // --- cancellation and shutdown ----------------------------------------------

@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 
 #include "core/manthan3.hpp"
@@ -192,16 +190,11 @@ inline void expect_certified(const dqbf::DqbfFormula& f,
   EXPECT_TRUE(is_certified(f, manager, result));
 }
 
-/// EXPECT_EQ on every kCount row of core::kStatFields except those whose
-/// members are in `skip` (e.g. the tier-2 hits of a warm vs a cold run).
-inline void expect_same_counts(
-    const core::SynthesisStats& a, const core::SynthesisStats& b,
-    std::initializer_list<std::size_t core::SynthesisStats::*> skip = {}) {
+/// EXPECT_EQ on every kCount row of core::kStatFields.
+inline void expect_same_counts(const core::SynthesisStats& a,
+                               const core::SynthesisStats& b) {
   for (const core::StatField& f : core::kStatFields) {
-    if (f.kind != core::StatKind::kCount ||
-        std::find(skip.begin(), skip.end(), f.integer) != skip.end()) {
-      continue;
-    }
+    if (f.kind != core::StatKind::kCount) continue;
     EXPECT_EQ(a.*f.integer, b.*f.integer) << f.name;
   }
 }

@@ -127,16 +127,17 @@ Ref Aig::ite_gate(Ref c, Ref t, Ref e) {
 
 Ref Aig::and_all(const std::vector<Ref>& refs) {
   if (refs.empty()) return kTrueRef;
-  // Balanced reduction keeps the graph shallow.
+  // Balanced reduction keeps the graph shallow. Each layer is written
+  // over the front of the previous one (slot i/2 is free once pair i has
+  // been read).
   std::vector<Ref> layer = refs;
   while (layer.size() > 1) {
-    std::vector<Ref> next;
-    next.reserve((layer.size() + 1) / 2);
+    std::size_t next = 0;
     for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
-      next.push_back(and_gate(layer[i], layer[i + 1]));
+      layer[next++] = and_gate(layer[i], layer[i + 1]);
     }
-    if (layer.size() % 2 == 1) next.push_back(layer.back());
-    layer = std::move(next);
+    if (layer.size() % 2 == 1) layer[next++] = layer.back();
+    layer.resize(next);
   }
   return layer[0];
 }
@@ -148,28 +149,57 @@ Ref Aig::or_all(const std::vector<Ref>& refs) {
   return ref_not(and_all(negated));
 }
 
+namespace {
+
+/// Per-thread visit marks of cone_topo_order, stamped with an epoch so a
+/// walk never clears them: node n is unvisited while stamp[n] < epoch,
+/// open (fanins pushed) at epoch, done at epoch + 1. Stamps left by walks
+/// over other managers are all below the current epoch, so one array
+/// serves every manager the thread walks.
+struct WalkMarks {
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t epoch = 0;
+  std::vector<std::uint32_t> stack;
+};
+
+thread_local WalkMarks t_walk_marks;
+
+}  // namespace
+
 std::vector<std::uint32_t> cone_topo_order(const Aig& aig, Ref root) {
+  WalkMarks& marks = t_walk_marks;
+  if (marks.stamp.size() < aig.num_nodes()) {
+    marks.stamp.resize(aig.num_nodes(), 0);
+  }
+  if (marks.epoch >= 0xfffffffdu) {
+    std::fill(marks.stamp.begin(), marks.stamp.end(), 0);
+    marks.epoch = 0;
+  }
+  marks.epoch += 2;
+  const std::uint32_t open = marks.epoch;
+  const std::uint32_t done = open + 1;
   std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> stack{ref_node(root)};
-  std::unordered_map<std::uint32_t, bool> state;  // false=open, true=done
+  std::vector<std::uint32_t>& stack = marks.stack;
+  stack.clear();
+  stack.push_back(ref_node(root));
   while (!stack.empty()) {
     const std::uint32_t n = stack.back();
-    const auto it = state.find(n);
-    if (it != state.end() && it->second) {
+    std::uint32_t& mark = marks.stamp[n];
+    if (mark == done) {
       stack.pop_back();
       continue;
     }
     const Aig::Node& node = aig.node(n);
     const bool is_leaf = node.input_id >= 0 || n == 0;
-    if (it == state.end()) {
-      state.emplace(n, false);
+    if (mark != open) {
+      mark = open;
       if (!is_leaf) {
         stack.push_back(ref_node(node.fanin0));
         stack.push_back(ref_node(node.fanin1));
         continue;
       }
     }
-    state[n] = true;
+    mark = done;
     order.push_back(n);
     stack.pop_back();
   }
@@ -179,7 +209,12 @@ std::vector<std::uint32_t> cone_topo_order(const Aig& aig, Ref root) {
 Ref Aig::compose(Ref root,
                  const std::unordered_map<std::int32_t, Ref>& substitution) {
   const std::vector<std::uint32_t> order = cone_topo_order(*this, root);
-  std::unordered_map<std::uint32_t, Ref> rebuilt;
+  // Rebuilt ref of every cone node, indexed by node: each entry is
+  // written (in topological order) before it is read, so the per-thread
+  // array is never cleared. and_gate below only appends nodes past the
+  // cone, so the size taken here covers every index read.
+  thread_local std::vector<Ref> rebuilt;
+  if (rebuilt.size() < nodes_.size()) rebuilt.resize(nodes_.size());
   for (const std::uint32_t n : order) {
     const Node& node = nodes_[n];
     if (n == 0) {

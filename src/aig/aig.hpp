@@ -123,7 +123,9 @@ class Aig {
 };
 
 /// Collect the node indices of the cone of `root` in topological order
-/// (fanins before fanouts); includes input and constant nodes.
+/// (fanins before fanouts); includes input and constant nodes. The walk
+/// marks nodes in a per-thread array, so walks on different threads never
+/// share state, and it only reads `aig`.
 std::vector<std::uint32_t> cone_topo_order(const Aig& aig, Ref root);
 
 /// Rebuild the cone of `root` (a ref in `src`) inside `dst`, reusing the

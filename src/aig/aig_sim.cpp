@@ -47,9 +47,11 @@ std::vector<std::uint64_t> simulate_matrix(const Aig& aig, Ref root,
   const std::vector<std::uint32_t> order = cone_topo_order(aig, root);
   // Flatten the cone once: leaves resolve to matrix columns (or the zero
   // block), gates to scratch slots. The block loop then evaluates gates
-  // only, lane-wide, without hash lookups.
-  std::unordered_map<std::uint32_t, std::uint32_t> slot;
-  slot.reserve(order.size());
+  // only, lane-wide, without hash lookups. `slot` maps a node index to
+  // its position in `order`; every cone entry is written before it is
+  // read, so the per-thread array is never cleared.
+  thread_local std::vector<std::uint32_t> slot;
+  if (slot.size() < aig.num_nodes()) slot.resize(aig.num_nodes());
   struct Source {
     const std::uint64_t* column = nullptr;  // non-null: leaf
     std::uint32_t gate = 0;                 // otherwise: scratch slot index
@@ -65,7 +67,7 @@ std::vector<std::uint64_t> simulate_matrix(const Aig& aig, Ref root,
   gates.reserve(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
     const std::uint32_t n = order[i];
-    slot.emplace(n, static_cast<std::uint32_t>(i));
+    slot[n] = static_cast<std::uint32_t>(i);
     const Aig::Node& node = aig.node(n);
     if (n == 0 || node.input_id >= 0) {
       sources[i].column =
@@ -75,14 +77,14 @@ std::vector<std::uint64_t> simulate_matrix(const Aig& aig, Ref root,
               : kZeroBlock;
     } else {
       sources[i].gate = static_cast<std::uint32_t>(gates.size());
-      gates.push_back({slot.at(ref_node(node.fanin0)),
-                       slot.at(ref_node(node.fanin1)),
+      gates.push_back({slot[ref_node(node.fanin0)],
+                       slot[ref_node(node.fanin1)],
                        ref_complemented(node.fanin0) ? ~0ULL : 0,
                        ref_complemented(node.fanin1) ? ~0ULL : 0});
     }
   }
   const std::uint64_t root_inv = ref_complemented(root) ? ~0ULL : 0;
-  const std::uint32_t root_slot = slot.at(ref_node(root));
+  const std::uint32_t root_slot = slot[ref_node(root)];
 
   std::vector<std::uint64_t> scratch(gates.size() * kSimBlockWords);
   const std::size_t words = matrix.num_words();

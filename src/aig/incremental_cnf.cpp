@@ -18,8 +18,9 @@ cnf::Lit IncrementalCnfEncoder::input_literal(std::int32_t id) {
   return cnf::pos(static_cast<cnf::Var>(id));
 }
 
-void IncrementalCnfEncoder::emit(const cnf::Clause& clause) {
-  emit_(clause);
+void IncrementalCnfEncoder::emit(std::initializer_list<cnf::Lit> lits) {
+  clause_buf_.assign(lits);
+  emit_(clause_buf_);
   ++stats_.clauses_emitted;
 }
 
@@ -27,12 +28,16 @@ cnf::Lit IncrementalCnfEncoder::encode(Ref root) {
   ++stats_.encode_calls;
   // Depth-first walk that stops at cached nodes, so only the fresh part
   // of the cone is visited at all. A node is expanded (fanins pushed) on
-  // first visit and encoded once both fanins are cached.
+  // first visit and encoded once both fanins are cached. The manager may
+  // have grown since the last call; the cache covers its current size.
+  if (lit_of_node_.size() < aig_.num_nodes()) {
+    lit_of_node_.resize(aig_.num_nodes(), cnf::kUndefLit);
+  }
   walk_stack_.clear();
   walk_stack_.push_back(ref_node(root));
   while (!walk_stack_.empty()) {
     const std::uint32_t n = walk_stack_.back();
-    if (lit_of_node_.count(n) != 0) {
+    if (lit_of_node_[n] != cnf::kUndefLit) {
       ++stats_.nodes_reused;
       walk_stack_.pop_back();
       continue;
@@ -42,43 +47,43 @@ cnf::Lit IncrementalCnfEncoder::encode(Ref root) {
       // Constant node: materialize a variable fixed to false on first use.
       const cnf::Lit lit = cnf::pos(new_var_());
       emit({~lit});
-      lit_of_node_.emplace(n, lit);
+      lit_of_node_[n] = lit;
       ++stats_.nodes_encoded;
       walk_stack_.pop_back();
       continue;
     }
     if (node.input_id >= 0) {
-      lit_of_node_.emplace(n, input_literal(node.input_id));
+      lit_of_node_[n] = input_literal(node.input_id);
       ++stats_.nodes_encoded;
       walk_stack_.pop_back();
       continue;
     }
-    const auto it0 = lit_of_node_.find(ref_node(node.fanin0));
-    const auto it1 = lit_of_node_.find(ref_node(node.fanin1));
-    if (it0 == lit_of_node_.end() || it1 == lit_of_node_.end()) {
-      if (it0 == lit_of_node_.end()) {
+    const cnf::Lit lit0 = lit_of_node_[ref_node(node.fanin0)];
+    const cnf::Lit lit1 = lit_of_node_[ref_node(node.fanin1)];
+    if (lit0 == cnf::kUndefLit || lit1 == cnf::kUndefLit) {
+      if (lit0 == cnf::kUndefLit) {
         walk_stack_.push_back(ref_node(node.fanin0));
       } else {
         ++stats_.nodes_reused;
       }
-      if (it1 == lit_of_node_.end()) {
+      if (lit1 == cnf::kUndefLit) {
         walk_stack_.push_back(ref_node(node.fanin1));
       } else {
         ++stats_.nodes_reused;
       }
       continue;
     }
-    const cnf::Lit a = it0->second ^ ref_complemented(node.fanin0);
-    const cnf::Lit b = it1->second ^ ref_complemented(node.fanin1);
+    const cnf::Lit a = lit0 ^ ref_complemented(node.fanin0);
+    const cnf::Lit b = lit1 ^ ref_complemented(node.fanin1);
     const cnf::Lit n_lit = cnf::pos(new_var_());
     emit({~n_lit, a});
     emit({~n_lit, b});
     emit({~a, ~b, n_lit});
-    lit_of_node_.emplace(n, n_lit);
+    lit_of_node_[n] = n_lit;
     ++stats_.nodes_encoded;
     walk_stack_.pop_back();
   }
-  return lit_of_node_.at(ref_node(root)) ^ ref_complemented(root);
+  return lit_of_node_[ref_node(root)] ^ ref_complemented(root);
 }
 
 }  // namespace manthan::aig

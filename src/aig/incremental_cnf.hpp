@@ -22,7 +22,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <unordered_map>
+#include <vector>
 
 #include "aig/aig.hpp"
 #include "cnf/cnf.hpp"
@@ -63,14 +65,18 @@ class IncrementalCnfEncoder {
 
  private:
   cnf::Lit input_literal(std::int32_t id);
-  void emit(const cnf::Clause& clause);
+  /// Hand one clause to the sink through the reused clause buffer.
+  void emit(std::initializer_list<cnf::Lit> lits);
 
   const Aig& aig_;
   NewVarFn new_var_;
   EmitClauseFn emit_;
-  std::unordered_map<std::uint32_t, cnf::Lit> lit_of_node_;
+  /// Literal of each encoded node, indexed by node (kUndefLit: not yet
+  /// encoded); grown to the manager's size at every encode().
+  std::vector<cnf::Lit> lit_of_node_;
   std::unordered_map<std::int32_t, cnf::Lit> input_map_;
   std::vector<std::uint32_t> walk_stack_;  // reused across encode() calls
+  cnf::Clause clause_buf_;                 // reused by emit()
   Stats stats_;
 };
 

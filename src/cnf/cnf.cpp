@@ -5,6 +5,19 @@
 
 namespace manthan::cnf {
 
+void Assignment::resize(std::size_t n, bool value) {
+  const std::size_t old_size = size_;
+  words_.resize((n + 63) / 64, value ? ~0ULL : 0);
+  size_ = n;
+  if (n > old_size && value && (old_size & 63) != 0) {
+    // The formerly last word gains set bits above the old size.
+    words_[old_size >> 6] |= ~((1ULL << (old_size & 63)) - 1);
+  }
+  // Keep the bits above size() zero (both after shrinking and after
+  // growing with value = true).
+  if (!words_.empty()) words_.back() &= tail_mask();
+}
+
 void CnfFormula::add_clause(Clause clause) {
   for (const Lit l : clause) {
     assert(l.valid());

@@ -4,6 +4,8 @@
 // MaxSAT solvers, the sampler, and the Tseitin encoder.
 #pragma once
 
+#include <cassert>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,29 +15,59 @@ namespace manthan::cnf {
 
 using Clause = std::vector<Lit>;
 
-/// A complete assignment over variables [0, size).
+/// A complete assignment over variables [0, size), packed 64 values per
+/// word: variable v is bit (v % 64) of word v / 64. Bits at positions
+/// >= size() in the last word are always zero, so equal assignments have
+/// equal words and fingerprints can hash whole words.
 class Assignment {
  public:
   Assignment() = default;
-  explicit Assignment(std::size_t num_vars, bool value = false)
-      : values_(num_vars, value) {}
+  explicit Assignment(std::size_t num_vars, bool value = false) {
+    resize(num_vars, value);
+  }
 
-  std::size_t size() const { return values_.size(); }
-  void resize(std::size_t n, bool value = false) { values_.resize(n, value); }
+  std::size_t size() const { return size_; }
+  void resize(std::size_t n, bool value = false);
 
-  bool value(Var v) const { return values_[static_cast<std::size_t>(v)]; }
-  void set(Var v, bool value) { values_[static_cast<std::size_t>(v)] = value; }
+  bool value(Var v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return (words_[i >> 6] >> (i & 63)) & 1u;
+  }
+  void set(Var v, bool value) {
+    const auto i = static_cast<std::size_t>(v);
+    const std::uint64_t bit = 1ULL << (i & 63);
+    if (value) {
+      words_[i >> 6] |= bit;
+    } else {
+      words_[i >> 6] &= ~bit;
+    }
+  }
+  /// Overwrite word `i` (variables 64i .. 64i+63) at once. Bits at
+  /// positions >= size() must be zero.
+  void set_word(std::size_t i, std::uint64_t word) {
+    assert(i + 1 < words_.size() || (word & ~tail_mask()) == 0);
+    words_[i] = word;
+  }
 
   /// Truth value of a literal under this assignment.
   bool value(Lit l) const { return value(l.var()) != l.negated(); }
 
-  bool operator==(const Assignment& o) const { return values_ == o.values_; }
+  bool operator==(const Assignment& o) const {
+    return size_ == o.size_ && words_ == o.words_;
+  }
 
-  /// Packed key for hashing / dedup of samples.
-  std::vector<bool> const& bits() const { return values_; }
+  /// The packed values: ceil(size() / 64) words.
+  const std::vector<std::uint64_t>& words() const { return words_; }
 
  private:
-  std::vector<bool> values_;
+  /// Valid-bit mask of the last word.
+  std::uint64_t tail_mask() const {
+    const std::size_t rem = size_ & 63;
+    return rem == 0 ? ~0ULL : (1ULL << rem) - 1;
+  }
+
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> words_;
 };
 
 /// A CNF formula: clause list plus a variable count.

@@ -9,30 +9,6 @@
 
 namespace manthan::cnf {
 
-namespace {
-
-/// Shared mixer behind fingerprint() and SampleMatrix::row_fingerprint():
-/// packs bits 64 at a time and chains each word through splitmix64. Both
-/// entry points MUST hash equal assignments equally — the synthesis loop
-/// dedups solver models (via fingerprint) against matrix rows (via
-/// row_fingerprint) — and sharing the feeder enforces that structurally.
-template <typename BitAt>
-std::uint64_t fingerprint_bits(std::size_t num_vars, BitAt bit_at) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ num_vars;
-  std::uint64_t word = 0;
-  for (std::size_t v = 0; v < num_vars; ++v) {
-    if (bit_at(v)) word |= 1ULL << (v & 63);
-    if ((v & 63) == 63) {
-      h = util::splitmix64(h ^ word);
-      word = 0;
-    }
-  }
-  if ((num_vars & 63) != 0) h = util::splitmix64(h ^ word);
-  return h;
-}
-
-}  // namespace
-
 void SampleMatrix::grow_words(std::size_t words) {
   if (words <= words_cap_) return;
   std::size_t cap = words_cap_ == 0 ? 8 : words_cap_;
@@ -59,7 +35,7 @@ void SampleMatrix::reserve(std::size_t samples) {
   grow_words((samples + 63) / 64);
 }
 
-void SampleMatrix::append(const Assignment& a) {
+void SampleMatrix::check_width(const Assignment& a) const {
   // Callers hand in solver models sized to a possibly different variable
   // range; an undersized assignment would read out of bounds below, so
   // the precondition must hold in Release builds too.
@@ -69,13 +45,69 @@ void SampleMatrix::append(const Assignment& a) {
         std::to_string(a.size()) + " variables, matrix needs " +
         std::to_string(num_vars_));
   }
+}
+
+void SampleMatrix::append_row(const Assignment& a) {
+  grow_words((num_samples_ >> 6) + 1);
   const std::size_t s = num_samples_++;
-  grow_words((s >> 6) + 1);
   const std::size_t word = s >> 6;
   const std::uint64_t bit = 1ULL << (s & 63);
-  for (std::size_t v = 0; v < num_vars_; ++v) {
-    if (a.value(static_cast<Var>(v))) data_[v * words_cap_ + word] |= bit;
+  // Visit only the set bits of the model, a word at a time.
+  const std::vector<std::uint64_t>& words = a.words();
+  for (std::size_t w = 0; w * 64 < num_vars_; ++w) {
+    std::uint64_t bits = words[w];
+    const std::size_t rem = num_vars_ - w * 64;
+    if (rem < 64) bits &= (1ULL << rem) - 1;
+    while (bits != 0) {
+      const std::size_t v = w * 64 + static_cast<std::size_t>(
+                                         __builtin_ctzll(bits));
+      data_[v * words_cap_ + word] |= bit;
+      bits &= bits - 1;
+    }
   }
+}
+
+bool SampleMatrix::insert_fingerprint(std::uint64_t fp) {
+  if (fp == 0) {
+    const bool fresh = !has_zero_fp_;
+    has_zero_fp_ = true;
+    return fresh;
+  }
+  if (fps_used_ * 2 >= fps_.size()) {
+    // Fingerprints are splitmix64 outputs, so their low bits index the
+    // table directly.
+    std::vector<std::uint64_t> grown(fps_.empty() ? 1024 : fps_.size() * 2);
+    const std::size_t mask = grown.size() - 1;
+    for (const std::uint64_t old : fps_) {
+      if (old == 0) continue;
+      std::size_t slot = old & mask;
+      while (grown[slot] != 0) slot = (slot + 1) & mask;
+      grown[slot] = old;
+    }
+    fps_ = std::move(grown);
+  }
+  const std::size_t mask = fps_.size() - 1;
+  std::size_t slot = fp & mask;
+  while (fps_[slot] != 0) {
+    if (fps_[slot] == fp) return false;
+    slot = (slot + 1) & mask;
+  }
+  fps_[slot] = fp;
+  ++fps_used_;
+  return true;
+}
+
+void SampleMatrix::append(const Assignment& a) {
+  check_width(a);
+  insert_fingerprint(fingerprint(a, num_vars_));
+  append_row(a);
+}
+
+bool SampleMatrix::append_distinct(const Assignment& a) {
+  check_width(a);
+  if (!insert_fingerprint(fingerprint(a, num_vars_))) return false;
+  append_row(a);
+  return true;
 }
 
 Assignment SampleMatrix::row(std::size_t sample) const {
@@ -87,16 +119,17 @@ Assignment SampleMatrix::row(std::size_t sample) const {
   return a;
 }
 
-std::uint64_t SampleMatrix::row_fingerprint(std::size_t sample) const {
-  return fingerprint_bits(num_vars_, [&](std::size_t v) {
-    return value(sample, static_cast<Var>(v));
-  });
-}
-
 std::uint64_t fingerprint(const Assignment& a, std::size_t num_vars) {
-  return fingerprint_bits(num_vars, [&](std::size_t v) {
-    return a.value(static_cast<Var>(v));
-  });
+  assert(num_vars <= a.size());
+  const std::vector<std::uint64_t>& words = a.words();
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ num_vars;
+  const std::size_t full = num_vars >> 6;
+  for (std::size_t w = 0; w < full; ++w) h = util::splitmix64(h ^ words[w]);
+  const std::size_t rem = num_vars & 63;
+  if (rem != 0) {
+    h = util::splitmix64(h ^ (words[full] & ((1ULL << rem) - 1)));
+  }
+  return h;
 }
 
 std::uint64_t fingerprint(const Assignment& a) {

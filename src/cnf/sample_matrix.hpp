@@ -1,16 +1,22 @@
 // Bit-packed training matrix for the sample -> learn data path.
 //
 // The sampler harvests thousands of models and the decision-tree learner
-// scans them feature-by-feature; storing each model as a vector<bool> row
+// scans them feature-by-feature; storing each model as its own row
 // makes both sides pay per-bit. SampleMatrix stores the data column-major
 // instead: one std::uint64_t word per 64 samples per variable, so
-//   * the sampler appends a model with one bit-set pass,
+//   * the sampler appends a model with one pass over its set bits,
 //   * the learner counts split statistics with popcount over masked words
 //     (decision_tree.cpp), 64 samples per instruction,
 //   * the AIG simulator batch-evaluates a candidate over the whole matrix
 //     with its existing 64-way words (aig_sim.cpp), and
 //   * the synthesis loop appends repair counterexamples across rounds
 //     without re-packing anything (cross-round sample reuse).
+//
+// The matrix also owns sample de-duplication: it records the 64-bit
+// fingerprint of every row it holds in one open-addressing set, and
+// append_distinct() drops a model whose fingerprint is already there. The
+// sampler's draw and the synthesis loop's counterexample reuse both go
+// through it, so the one set built while sampling serves the whole call.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +38,14 @@ class SampleMatrix {
   /// Words per column: ceil(num_samples / 64).
   std::size_t num_words() const { return (num_samples_ + 63) / 64; }
 
-  /// Append one sample row. `a` must assign at least num_vars() variables;
-  /// anything above (solver-internal selectors, Tseitin variables) is
-  /// ignored.
+  /// Append one sample row and record its fingerprint. `a` must assign at
+  /// least num_vars() variables; anything above (solver-internal
+  /// selectors, Tseitin variables) is ignored.
   void append(const Assignment& a);
+
+  /// Append `a` unless a row with the same fingerprint (over the first
+  /// num_vars() variables) is already held; returns whether it was added.
+  bool append_distinct(const Assignment& a);
 
   /// Bit (sample, v): sample's value of variable v.
   bool value(std::size_t sample, Var v) const {
@@ -44,9 +54,6 @@ class SampleMatrix {
 
   /// Unpack one sample into a full Assignment over num_vars() variables.
   Assignment row(std::size_t sample) const;
-
-  /// fingerprint(row(sample)) without materializing the Assignment.
-  std::uint64_t row_fingerprint(std::size_t sample) const;
 
   /// The packed column of variable `v`: num_words() words, sample s at bit
   /// (s % 64) of word (s / 64). Bits at positions >= num_samples() in the
@@ -65,14 +72,19 @@ class SampleMatrix {
 
   void reserve(std::size_t samples);
 
-  /// Heap bytes held by the packed matrix (capacity, not size: this is
-  /// what the process actually pays). Feeds the memory-accounting gauges.
+  /// Heap bytes held by the packed matrix and its fingerprint set
+  /// (capacity, not size: this is what the process actually pays). Feeds
+  /// the memory-accounting gauges.
   std::size_t bytes() const {
-    return data_.capacity() * sizeof(std::uint64_t);
+    return (data_.capacity() + fps_.capacity()) * sizeof(std::uint64_t);
   }
 
  private:
   void grow_words(std::size_t words);
+  void check_width(const Assignment& a) const;
+  void append_row(const Assignment& a);
+  /// Insert `fp` into the fingerprint set; false if already present.
+  bool insert_fingerprint(std::uint64_t fp);
 
   std::size_t num_vars_ = 0;
   std::size_t num_samples_ = 0;
@@ -80,13 +92,20 @@ class SampleMatrix {
   /// data_[v * words_cap_ .. v * words_cap_ + words_cap_).
   std::size_t words_cap_ = 0;
   std::vector<std::uint64_t> data_;
+  /// Fingerprint set: open addressing with linear probing over a
+  /// power-of-two table, grown at 50% load. Slot value 0 marks an empty
+  /// slot; the fingerprint 0 itself is tracked by has_zero_fp_.
+  std::vector<std::uint64_t> fps_;
+  std::size_t fps_used_ = 0;
+  bool has_zero_fp_ = false;
 };
 
 /// 64-bit fingerprint of the first `num_vars` values of `a` (splitmix64
-/// chained over the packed words). Used for model deduplication: equal
-/// fingerprints drop a candidate sample, so a collision loses one model in
-/// ~2^64 — negligible against sample budgets — while distinct fingerprints
-/// guarantee distinct models, so surviving samples stay pairwise distinct.
+/// chained over the packed words; `num_vars` <= a.size()). Used for model
+/// deduplication: equal fingerprints drop a candidate sample, so a
+/// collision loses one model in ~2^64 — negligible against sample
+/// budgets — while distinct fingerprints guarantee distinct models, so
+/// surviving samples stay pairwise distinct.
 std::uint64_t fingerprint(const Assignment& a, std::size_t num_vars);
 /// Fingerprint over all of `a`.
 std::uint64_t fingerprint(const Assignment& a);

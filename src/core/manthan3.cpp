@@ -9,7 +9,6 @@
 #include <set>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "aig/aig_sim.hpp"
 #include "cnf/sample_matrix.hpp"
@@ -231,25 +230,12 @@ SynthesisStatus run(const Manthan3Options& options,
   }
 
   // Cross-round sample reuse: counterexample-derived models are appended
-  // to the matrix (deduped against everything already in it) so refits
-  // train on fresh data.
-  std::unordered_set<std::uint64_t> sample_fps;
-  if (options.sample_reuse) {
-    sample_fps.reserve(2 * samples.num_samples());
-    for (std::size_t s = 0; s < samples.num_samples(); ++s) {
-      sample_fps.insert(samples.row_fingerprint(s));
-    }
-  }
+  // to the matrix (deduped against everything already in it, by the
+  // fingerprint set the matrix kept since sampling) so refits train on
+  // fresh data. append_distinct reads only the matrix variables: solver
+  // models carry selector and Tseitin variables above the matrix block.
   const auto append_sample = [&](const cnf::Assignment& a) {
-    // Truncate to matrix variables: solver models carry selector and
-    // Tseitin variables above the matrix block.
-    if (!sample_fps
-             .insert(cnf::fingerprint(
-                 a, static_cast<std::size_t>(samples.num_vars())))
-             .second) {
-      return false;
-    }
-    samples.append(a);
+    if (!samples.append_distinct(a)) return false;
     ++stats.samples_appended;
     return true;
   };

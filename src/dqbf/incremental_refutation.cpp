@@ -20,9 +20,14 @@ IncrementalRefutation::IncrementalRefutation(const DqbfFormula& formula,
   // suffices for satisfiability-preserving negation.)
   cnf::Clause selectors;
   selectors.reserve(matrix.num_clauses());
+  cnf::Clause binary(2);
   for (const cnf::Clause& clause : matrix.clauses()) {
     const cnf::Lit selector = cnf::pos(solver_.new_var());
-    for (const cnf::Lit l : clause) solver_.add_clause({~selector, ~l});
+    binary[0] = ~selector;
+    for (const cnf::Lit l : clause) {
+      binary[1] = ~l;
+      solver_.add_clause(binary);
+    }
     selectors.push_back(selector);
   }
   // An empty matrix has no falsifiable clause: the empty selector clause

@@ -1,7 +1,5 @@
 #include "sampler/sampler.hpp"
 
-#include <unordered_set>
-
 #include "obs/trace.hpp"
 #include "sat/solver.hpp"
 
@@ -35,12 +33,12 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
   cnf::SampleMatrix matrix(formula.num_vars());
   stats_ = SamplerStats{};
   // Randomized branching can rediscover the same model; the training set
-  // must contain distinct assignments, so repeats are dropped (by 64-bit
-  // model fingerprint — see cnf::fingerprint on the collision odds) and
-  // the draw loop tops itself up. Once kStallRun duplicates come in a row
-  // the session switches to distinct mode for the rest of the call, which
-  // reports each remaining model once and ends when none is left.
-  std::unordered_set<std::uint64_t> seen;
+  // must contain distinct assignments, so the matrix drops repeats (by
+  // 64-bit model fingerprint — see cnf::fingerprint on the collision
+  // odds) and the draw loop tops itself up. Once kStallRun duplicates come
+  // in a row the session switches to distinct mode for the rest of the
+  // call, which reports each remaining model once and ends when none is
+  // left.
   bool distinct = false;
 
   const auto draw = [&](sat::Solver& solver, std::size_t count) {
@@ -51,9 +49,7 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
       std::size_t run = 0;
       const sat::ModelSink sink = [&](const Assignment& model) {
         if (deadline != nullptr && deadline->expired()) return false;
-        if (seen.insert(cnf::fingerprint(model, matrix.num_vars()))
-                .second) {
-          matrix.append(model);
+        if (matrix.append_distinct(model)) {
           run = 0;
           return --count > 0;
         }
@@ -82,9 +78,7 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
       const sat::Result result =
           deadline != nullptr ? solver.solve({}, *deadline) : solver.solve();
       if (result != sat::Result::kSat) break;
-      if (seen.insert(cnf::fingerprint(solver.model(), matrix.num_vars()))
-              .second) {
-        matrix.append(solver.model());
+      if (matrix.append_distinct(solver.model())) {
         --count;
       } else {
         ++stats_.duplicates;

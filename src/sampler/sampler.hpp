@@ -7,11 +7,12 @@
 // Front end (default): one persistent *enumerating* solver session per
 // sampling run — the CDCL search hands back a model per phase-scrambled
 // descent (sat::Solver::enumerate) instead of paying a full solve() call
-// per model, duplicates are dropped by 64-bit model fingerprint instead of
-// hashing whole vector<bool> keys, and models land directly in a
-// column-major bit-packed cnf::SampleMatrix (one uint64_t word per 64
-// samples per variable) that the decision-tree learner and the AIG
-// batch simulator consume without re-packing. The pre-existing
+// per model, and models land directly in a column-major bit-packed
+// cnf::SampleMatrix (one uint64_t word per 64 samples per variable) that
+// the decision-tree learner and the AIG batch simulator consume without
+// re-packing. The matrix drops duplicates itself (append_distinct, by
+// 64-bit model fingerprint over the word-packed model) and hands its
+// fingerprint set on to the caller with the samples. The pre-existing
 // one-solve-per-model loop is kept behind `enumerate = false` as the
 // distribution oracle and benchmark baseline.
 //

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <unordered_set>
 
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
@@ -163,12 +162,10 @@ bool Solver::add_clause_activated(const Clause& clause, Lit activation) {
   if (!ok_) return false;
   ensure_vars(activation.var() + 1);
   for (const Lit l : clause) ensure_vars(l.var() + 1);
-  Clause guarded;
-  guarded.reserve(clause.size() + 1);
-  guarded.assign(clause.begin(), clause.end());
-  guarded.push_back(~activation);
+  guard_tmp_.assign(clause.begin(), clause.end());
+  guard_tmp_.push_back(~activation);
   ClauseRef cref = kNoReason;
-  const bool result = add_clause_impl(guarded, &cref);
+  const bool result = add_clause_impl(guard_tmp_, &cref);
   // Only arena records need indexing: simplified-away clauses (satisfied,
   // tautological, or collapsed to a unit) leave nothing to retire.
   if (cref != kNoReason) {
@@ -217,11 +214,12 @@ std::size_t Solver::retire(const std::vector<Lit>& activations) {
   // retired ~activation — in particular every learnt clause that
   // recorded the guard during assumption solving — is satisfied forever
   // from here on.
-  std::unordered_set<std::uint32_t> dead;
-  dead.reserve(activations.size());
+  if (retired_mark_.size() < watches_.size()) {
+    retired_mark_.resize(watches_.size(), 0);
+  }
   for (const Lit activation : activations) {
     enqueue_root_unit(~activation);
-    dead.insert(static_cast<std::uint32_t>((~activation).code()));
+    retired_mark_[static_cast<std::size_t>((~activation).code())] = 1;
   }
   // One sweep of the learnt database covers the whole batch.
   std::size_t keep = 0;
@@ -230,7 +228,7 @@ std::size_t Solver::retire(const std::vector<Lit>& activations) {
     const std::uint32_t base = lit_base(cref);
     bool mentions = false;
     for (std::uint32_t i = 0; i < size && !mentions; ++i) {
-      mentions = dead.count(arena_[base + i]) != 0;
+      mentions = retired_mark_[arena_[base + i]] != 0;
     }
     if (mentions && !clause_is_root_reason(cref)) {
       remove_clause(cref);
@@ -240,6 +238,9 @@ std::size_t Solver::retire(const std::vector<Lit>& activations) {
     }
   }
   learnt_clauses_.resize(keep);
+  for (const Lit activation : activations) {
+    retired_mark_[static_cast<std::size_t>((~activation).code())] = 0;
+  }
   stats_.retired_clauses += reclaimed;
   maybe_garbage_collect();
   return reclaimed;
@@ -288,13 +289,11 @@ void Solver::attach_watches(ClauseRef cref) {
   const Lit l1 = clause_lit(cref, 1);
   if (clause_size(cref) == 2) {
     // Binary: the watcher's blocker is the implied literal.
-    watches_[static_cast<std::size_t>((~l0).code())].push_back(
-        {cref | kBinaryTag, l1});
-    watches_[static_cast<std::size_t>((~l1).code())].push_back(
-        {cref | kBinaryTag, l0});
+    add_watch(static_cast<std::size_t>((~l0).code()), {cref | kBinaryTag, l1});
+    add_watch(static_cast<std::size_t>((~l1).code()), {cref | kBinaryTag, l0});
   } else {
-    watches_[static_cast<std::size_t>((~l0).code())].push_back({cref, l1});
-    watches_[static_cast<std::size_t>((~l1).code())].push_back({cref, l0});
+    add_watch(static_cast<std::size_t>((~l0).code()), {cref, l1});
+    add_watch(static_cast<std::size_t>((~l1).code()), {cref, l0});
   }
 }
 
@@ -391,8 +390,7 @@ Solver::ClauseRef Solver::propagate() {
         if (value(Lit::from_code(static_cast<std::int32_t>(lits[k]))) !=
             LBool::kFalse) {
           std::swap(lits[1], lits[k]);
-          watches_[static_cast<std::size_t>(lits[1] ^ 1u)].push_back(
-              {w.cref, first});
+          add_watch(lits[1] ^ 1u, {w.cref, first});
           found = true;
           break;
         }
@@ -475,7 +473,7 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
   out_learnt[0] = ~p;
 
   // Self-subsumption minimization: drop literals implied by the rest.
-  const std::vector<Lit> before_minimization = out_learnt;
+  analyze_toclear_.assign(out_learnt.begin(), out_learnt.end());
   std::uint32_t abstract_levels = 0;
   for (std::size_t i = 1; i < out_learnt.size(); ++i) {
     abstract_levels |= 1u << (level(out_learnt[i].var()) & 31);
@@ -506,7 +504,7 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
     out_btlevel = level(out_learnt[1].var());
   }
 
-  for (const Lit l : before_minimization) {
+  for (const Lit l : analyze_toclear_) {
     seen_[static_cast<std::size_t>(l.var())] = 0;
   }
   // literal_redundant leaves extra seen_ marks for redundancy witnesses.
@@ -519,11 +517,12 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& out_learnt,
 bool Solver::literal_redundant(Lit p, std::uint32_t abstract_levels) {
   // Depth-first check that every path from p's reason leads to seen
   // literals (or level-0 facts). Conservative on levels via the bitmask.
-  std::vector<Lit> stack{p};
+  redundant_stack_.clear();
+  redundant_stack_.push_back(p);
   const std::size_t cleanup_mark = analyze_stack_.size();
-  while (!stack.empty()) {
-    const Lit q = stack.back();
-    stack.pop_back();
+  while (!redundant_stack_.empty()) {
+    const Lit q = redundant_stack_.back();
+    redundant_stack_.pop_back();
     const ClauseRef r = reason(q.var());
     assert(r != kNoReason);
     const std::uint32_t size = clause_size(r);
@@ -543,7 +542,7 @@ bool Solver::literal_redundant(Lit p, std::uint32_t abstract_levels) {
       }
       seen_[v] = 1;
       analyze_stack_.push_back(l);
-      stack.push_back(l);
+      redundant_stack_.push_back(l);
     }
   }
   return true;
@@ -907,7 +906,7 @@ Result Solver::search_loop(const std::vector<Lit>& assumptions,
   std::uint64_t next_deadline_poll = stats_.decisions + stats_.propagations;
 
   std::int64_t restart_round = 0;
-  std::vector<Lit> learnt;
+  std::vector<Lit>& learnt = learnt_tmp_;
   while (true) {
     const std::int64_t budget =
         luby(++restart_round) * options_.restart_base;
@@ -1072,14 +1071,20 @@ bool Solver::block_decisions() {
 }
 
 void Solver::extract_model() {
-  const Var n = num_vars();
-  model_.resize(static_cast<std::size_t>(n));
-  for (Var v = 0; v < n; ++v) {
-    // Unassigned vars (disconnected) default to their saved phase.
-    const LBool val = value(v);
-    model_.set(v, val == LBool::kUndef
-                      ? saved_phase_[static_cast<std::size_t>(v)]
-                      : val == LBool::kTrue);
+  const auto n = static_cast<std::size_t>(num_vars());
+  model_.resize(n);
+  // One word of the packed model at a time. Unassigned vars
+  // (disconnected) default to their saved phase.
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t end = std::min(n, base + 64);
+    std::uint64_t word = 0;
+    for (std::size_t v = base; v < end; ++v) {
+      const LBool val = assigns_[v];
+      const bool bit =
+          val == LBool::kUndef ? saved_phase_[v] : val == LBool::kTrue;
+      word |= static_cast<std::uint64_t>(bit) << (v - base);
+    }
+    model_.set_word(base >> 6, word);
   }
 }
 

@@ -234,7 +234,7 @@ class Solver {
   /// kRandom: after each model, a rapid restart to a random level with
   /// the decision order and saved phases re-scrambled. No blocking clauses
   /// are added, so the session can revisit a model; callers deduplicate
-  /// by fingerprint (cnf::fingerprint).
+  /// by fingerprint (cnf::SampleMatrix::append_distinct).
   ///
   /// kDistinct: after each model with decisions d1..dk, the session adds
   /// the problem clause (¬d1 ∨ … ∨ ¬dk), backjumps one level and asserts
@@ -289,6 +289,8 @@ class Solver {
   // Watcher cref tag marking a binary clause (top bit; arena offsets are
   // therefore limited to 2^31 words, i.e. 8 GiB of clauses).
   static constexpr ClauseRef kBinaryTag = 0x80000000u;
+  // First capacity of a watch list.
+  static constexpr std::size_t kInitialWatches = 4;
 
   std::uint32_t clause_size(ClauseRef c) const {
     return arena_[c] >> kSizeShift;
@@ -385,6 +387,13 @@ class Solver {
   void scramble_for_descent();
   ClauseRef attach_new_clause(const std::vector<Lit>& lits, bool learnt,
                               std::uint32_t lbd);
+  /// Append `w` to the watch list of literal code `code`. An empty list
+  /// starts at kInitialWatches entries instead of growing 1 → 2 → 4.
+  void add_watch(std::size_t code, Watcher w) {
+    std::vector<Watcher>& list = watches_[code];
+    if (list.capacity() == 0) list.reserve(kInitialWatches);
+    list.push_back(w);
+  }
   void attach_watches(ClauseRef cref);
   void detach_watches(ClauseRef cref);
   void remove_clause(ClauseRef cref);
@@ -449,6 +458,17 @@ class Solver {
 
   std::vector<std::uint8_t> seen_;
   std::vector<Lit> analyze_stack_;
+  // Conflict-analysis scratch, reused across conflicts: the learnt clause
+  // of the conflict being analyzed, its literals before minimization
+  // (whose seen_ marks analyze() clears), and literal_redundant()'s
+  // depth-first stack.
+  std::vector<Lit> learnt_tmp_;
+  std::vector<Lit> analyze_toclear_;
+  std::vector<Lit> redundant_stack_;
+  // retire() marks, indexed by literal code: set for the ~activation
+  // literals of the batch during its learnt-database sweep, zero between
+  // calls.
+  std::vector<std::uint8_t> retired_mark_;
   // Enumerating-session decision order: a per-descent shuffled variable
   // permutation scanned by a cursor (reset on every backjump/restart).
   std::vector<Var> enum_order_;
@@ -456,6 +476,8 @@ class Solver {
   // Scratch buffer for add_clause normalization (avoids a heap
   // allocation per added clause — MaxSAT relaxation adds thousands).
   std::vector<Lit> add_tmp_;
+  // Scratch buffer for add_clause_activated()'s guarded clause.
+  std::vector<Lit> guard_tmp_;
   // Scratch buffer for block_decisions().
   std::vector<Lit> block_tmp_;
   // Scratch stamps for LBD computation, indexed by decision level.

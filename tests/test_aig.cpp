@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "aig/aig.hpp"
 #include "aig/aig_cnf.hpp"
 #include "aig/aig_sim.hpp"
+#include "aig/incremental_cnf.hpp"
+#include "cnf/sample_matrix.hpp"
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
 
@@ -257,6 +262,183 @@ TEST(AigCnf, ConstantCone) {
   sat::Solver solver2;
   const bool ok = solver2.add_formula(g);
   EXPECT_TRUE(!ok || solver2.solve() == sat::Result::kUnsat);
+}
+
+// --- cone walkers and the incremental encoder -----------------------------
+
+/// Random cone over `inputs` inputs with `gates` AND gates.
+Ref random_cone(Aig& m, int inputs, int gates, util::Rng& rng) {
+  std::vector<Ref> pool;
+  for (int i = 0; i < inputs; ++i) pool.push_back(m.input(i));
+  for (int g = 0; g < gates; ++g) {
+    const Ref a = pool[rng.next_below(pool.size())] ^
+                  static_cast<Ref>(rng.flip());
+    const Ref b = pool[rng.next_below(pool.size())] ^
+                  static_cast<Ref>(rng.flip());
+    pool.push_back(m.and_gate(a, b));
+  }
+  return pool.back() ^ static_cast<Ref>(rng.flip());
+}
+
+/// Reference walk with a node-keyed map (open = false, done = true): the
+/// order cone_topo_order must reproduce exactly, since Manthan3's
+/// supports, compositions and encodings follow it.
+std::vector<std::uint32_t> reference_topo_order(const Aig& aig, Ref root) {
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> stack{ref_node(root)};
+  std::unordered_map<std::uint32_t, bool> state;
+  while (!stack.empty()) {
+    const std::uint32_t n = stack.back();
+    const auto it = state.find(n);
+    if (it != state.end() && it->second) {
+      stack.pop_back();
+      continue;
+    }
+    const Aig::Node& node = aig.node(n);
+    if (it == state.end()) {
+      state.emplace(n, false);
+      if (node.input_id < 0 && n != 0) {
+        stack.push_back(ref_node(node.fanin0));
+        stack.push_back(ref_node(node.fanin1));
+        continue;
+      }
+    }
+    state[n] = true;
+    order.push_back(n);
+    stack.pop_back();
+  }
+  return order;
+}
+
+TEST(AigWalk, TopoOrderInterleavedAcrossManagers) {
+  // The walker's per-thread marks are sized by the largest manager seen
+  // and reused by the next walk, whatever its manager: walks over a small
+  // and a large manager alternate, each checked against the reference.
+  util::Rng rng(31);
+  Aig small;
+  Aig large;
+  std::vector<Ref> small_roots;
+  std::vector<Ref> large_roots;
+  for (int i = 0; i < 8; ++i) {
+    small_roots.push_back(random_cone(small, 3, 4, rng));
+    large_roots.push_back(random_cone(large, 12, 300, rng));
+  }
+  small_roots.push_back(kTrueRef);
+  large_roots.push_back(large.input(5));
+  ASSERT_LT(small.num_nodes() * 10, large.num_nodes());
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < small_roots.size(); ++i) {
+      EXPECT_EQ(cone_topo_order(small, small_roots[i]),
+                reference_topo_order(small, small_roots[i]))
+          << "small root " << i;
+      EXPECT_EQ(cone_topo_order(large, large_roots[i]),
+                reference_topo_order(large, large_roots[i]))
+          << "large root " << i;
+    }
+  }
+}
+
+TEST(AigWalk, EncoderCacheGrowsWithTheManager) {
+  // Encode, grow the manager well past its size at the first encode, and
+  // encode a cone over old and new nodes: the dense node cache must
+  // resize, keep its old entries, and encode only the new gates.
+  util::Rng rng(37);
+  constexpr int kInputs = 5;
+  Aig m;
+  sat::Solver solver;
+  solver.reserve_vars(kInputs);
+  IncrementalCnfEncoder encoder(
+      m, [&]() { return solver.new_var(); },
+      [&](const cnf::Clause& c) { solver.add_clause(c); });
+  const Ref first = random_cone(m, kInputs, 10, rng);
+  encoder.encode(first);
+  const std::size_t nodes_at_first = m.num_nodes();
+  const std::uint64_t encoded_at_first = encoder.stats().nodes_encoded;
+  const Ref extra = random_cone(m, kInputs, 200, rng);
+  const Ref second = m.xor_gate(first, extra);
+  ASSERT_GT(m.num_nodes(), 4 * nodes_at_first);
+  const cnf::Lit lit = encoder.encode(second);
+  // New cache entries: the gates outside the first cone, plus inputs the
+  // first cone did not reach.
+  const std::size_t new_gates = m.cone_size(second) - m.cone_size(first);
+  EXPECT_LE(encoder.stats().nodes_encoded,
+            encoded_at_first + new_gates + kInputs);
+  EXPECT_GT(encoder.stats().nodes_reused, 0u);
+  for (std::uint32_t bits = 0; bits < (1u << kInputs); ++bits) {
+    std::vector<cnf::Lit> assumptions;
+    std::unordered_map<std::int32_t, bool> inputs;
+    for (std::int32_t i = 0; i < kInputs; ++i) {
+      const bool value = ((bits >> i) & 1u) != 0;
+      inputs[i] = value;
+      assumptions.push_back(value ? cnf::pos(i) : cnf::neg(i));
+    }
+    ASSERT_EQ(solver.solve(assumptions), sat::Result::kSat);
+    EXPECT_EQ(solver.model().value(lit), m.evaluate(second, inputs))
+        << "input pattern " << bits;
+  }
+}
+
+TEST(AigWalk, ConeWalksFromFourThreads) {
+  // Walkers keep per-thread scratch (marks, dense node maps). Four
+  // threads walk a shared manager and compose and simulate in their own
+  // managers at once; every result must match the single-threaded one.
+  util::Rng rng(41);
+  Aig shared;
+  std::vector<Ref> roots;
+  for (int i = 0; i < 6; ++i) {
+    roots.push_back(random_cone(shared, 10, 120, rng));
+  }
+  std::vector<std::vector<std::uint32_t>> expected_orders;
+  std::vector<std::vector<std::int32_t>> expected_supports;
+  for (const Ref r : roots) {
+    expected_orders.push_back(reference_topo_order(shared, r));
+    expected_supports.push_back(shared.support(r));
+  }
+  cnf::SampleMatrix samples(10);
+  for (int s = 0; s < 200; ++s) {
+    cnf::Assignment a(10);
+    for (cnf::Var v = 0; v < 10; ++v) a.set(v, rng.flip());
+    samples.append(a);
+  }
+  std::vector<std::vector<std::uint64_t>> expected_sims;
+  for (const Ref r : roots) {
+    expected_sims.push_back(simulate_matrix(shared, r, samples));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      util::Rng local_rng(100 + static_cast<std::uint64_t>(t));
+      Aig own;
+      const Ref own_root = random_cone(own, 10, 60 + 40 * t, local_rng);
+      for (int round = 0; round < 50; ++round) {
+        const std::size_t i =
+            static_cast<std::size_t>(round + t) % roots.size();
+        if (cone_topo_order(shared, roots[i]) != expected_orders[i]) {
+          ++failures[t];
+        }
+        if (shared.support(roots[i]) != expected_supports[i]) ++failures[t];
+        if (simulate_matrix(shared, roots[i], samples) != expected_sims[i]) {
+          ++failures[t];
+        }
+        // Compose in the thread's own manager: substituting inputs by
+        // themselves must rebuild the same edge.
+        std::unordered_map<std::int32_t, Ref> identity;
+        for (std::int32_t id = 0; id < 10; ++id) identity[id] = own.input(id);
+        if (own.compose(own_root, identity) != own_root) ++failures[t];
+        if (cone_topo_order(own, own_root) !=
+            reference_topo_order(own, own_root)) {
+          ++failures[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -99,10 +99,10 @@ TEST(Fingerprint, DistinctAssignmentsDistinctFingerprints) {
   // 1000 random 100-var assignments: no collisions expected at 64 bits.
   util::Rng rng(5);
   std::set<std::uint64_t> fps;
-  std::set<std::vector<bool>> distinct;
+  std::set<std::vector<std::uint64_t>> distinct;
   for (int i = 0; i < 1000; ++i) {
     const Assignment a = random_assignment(100, rng);
-    if (distinct.insert(a.bits()).second) {
+    if (distinct.insert(a.words()).second) {
       EXPECT_TRUE(fps.insert(fingerprint(a)).second);
     }
   }
@@ -119,13 +119,76 @@ TEST(Fingerprint, EqualOnTruncatedPrefix) {
   EXPECT_NE(fingerprint(full, 90), fingerprint(full, 91));
 }
 
-TEST(Fingerprint, RowFingerprintMatchesUnpackedFingerprint) {
+TEST(SampleMatrix, AppendDistinctRejectsRowsAddedByAppend) {
+  // append() records the fingerprint of every row it adds (the synthesis
+  // loop's empty-sample fallback goes through it), so append_distinct
+  // must refuse each held row again, also when it arrives as a wider
+  // solver model whose extra variables differ.
   util::Rng rng(21);
   SampleMatrix m(130);
   for (int s = 0; s < 70; ++s) m.append(random_assignment(130, rng));
-  for (std::size_t s = 0; s < m.num_samples(); ++s) {
-    EXPECT_EQ(m.row_fingerprint(s), fingerprint(m.row(s))) << "sample " << s;
+  for (std::size_t s = 0; s < 70; ++s) {
+    Assignment wide = m.row(s);
+    wide.resize(200, s % 2 == 0);
+    EXPECT_FALSE(m.append_distinct(m.row(s))) << "sample " << s;
+    EXPECT_FALSE(m.append_distinct(wide)) << "sample " << s;
   }
+  EXPECT_EQ(m.num_samples(), 70u);
+  Assignment fresh = m.row(0);
+  fresh.set(129, !fresh.value(129));
+  EXPECT_TRUE(m.append_distinct(fresh));
+  EXPECT_FALSE(m.append_distinct(fresh));
+  EXPECT_EQ(m.num_samples(), 71u);
+  EXPECT_EQ(m.row(70), fresh);
+}
+
+TEST(SampleMatrix, AppendDistinctRejectsUndersizedAssignments) {
+  SampleMatrix m(5);
+  EXPECT_THROW(m.append_distinct(Assignment(4, true)), std::invalid_argument);
+  EXPECT_TRUE(m.empty());
+}
+
+/// `size` values, true at every multiple of `stride` and at the last
+/// variable.
+Assignment pattern(std::size_t size, std::size_t stride) {
+  Assignment a(size);
+  for (std::size_t v = 0; v < size; ++v) {
+    a.set(static_cast<Var>(v), v % stride == 0 || v + 1 == size);
+  }
+  return a;
+}
+
+TEST(Fingerprint, MatchesGoldenValues) {
+  // Fingerprints decide which models the sampler keeps, so a change to
+  // the hash changes every draw. These values were taken from the
+  // bit-at-a-time implementation the word-packed one replaced; they cover
+  // partial, full and multi-word widths, and prefixes of wider
+  // assignments whose bits above the prefix are set.
+  EXPECT_EQ(fingerprint(Assignment(0)), 0x9e3779b97f4a7c15ULL);
+  EXPECT_EQ(fingerprint(pattern(1, 1)), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(fingerprint(pattern(63, 3)), 0x4bf12d85f281ff9aULL);
+  EXPECT_EQ(fingerprint(Assignment(64, true)), 0x537b42cac870b559ULL);
+  EXPECT_EQ(fingerprint(pattern(65, 5)), 0x2ee73ab6a7dfb69fULL);
+  EXPECT_EQ(fingerprint(pattern(130, 7)), 0xa614cefc1ebafdcaULL);
+  EXPECT_EQ(fingerprint(Assignment(200, true), 65), 0xff3f78f30fb2b552ULL);
+  EXPECT_EQ(fingerprint(pattern(130, 7), 64), 0xfd3c91092cb90630ULL);
+  EXPECT_EQ(fingerprint(pattern(130, 7), 1), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(fingerprint(pattern(65, 5), 63), 0x58e4f5fe069b4cf3ULL);
+}
+
+TEST(Assignment, ResizeKeepsBitsAboveSizeClear) {
+  // Equality and fingerprints read whole words, so no bit at or above
+  // size() may survive a shrink or a grow.
+  Assignment a(130, true);
+  a.resize(70);
+  EXPECT_EQ(a, Assignment(70, true));
+  a.resize(100);
+  for (Var v = 0; v < 100; ++v) EXPECT_EQ(a.value(v), v < 70) << v;
+  a.resize(10);
+  a.resize(140, true);
+  for (Var v = 0; v < 140; ++v) EXPECT_TRUE(a.value(v)) << v;
+  a.resize(3, true);
+  EXPECT_EQ(a.words(), std::vector<std::uint64_t>{0b111});
 }
 
 TEST(Fingerprint, SensitiveToEveryBit) {

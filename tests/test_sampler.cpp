@@ -47,8 +47,8 @@ TEST(Sampler, ProducesDiverseModels) {
   options.adaptive = false;
   Sampler sampler(options);
   const std::vector<Assignment> samples = sampler.sample(f, {});
-  std::set<std::vector<bool>> distinct;
-  for (const Assignment& a : samples) distinct.insert(a.bits());
+  std::set<std::vector<std::uint64_t>> distinct;
+  for (const Assignment& a : samples) distinct.insert(a.words());
   EXPECT_GT(distinct.size(), 20u);
 }
 
@@ -105,10 +105,10 @@ TEST(Sampler, SamplesArePairwiseDistinct) {
   const std::vector<Assignment> samples = sampler.sample(f, {2});
   ASSERT_FALSE(samples.empty());
   EXPECT_LE(samples.size(), 4u);
-  std::set<std::vector<bool>> distinct;
+  std::set<std::vector<std::uint64_t>> distinct;
   for (const Assignment& a : samples) {
     EXPECT_TRUE(f.satisfied_by(a));
-    EXPECT_TRUE(distinct.insert(a.bits()).second)
+    EXPECT_TRUE(distinct.insert(a.words()).second)
         << "duplicate model returned";
   }
 }
@@ -125,8 +125,8 @@ TEST(Sampler, DistinctSamplesAcrossProbeAndMainRounds) {
   Sampler sampler(options);
   const std::vector<Assignment> samples = sampler.sample(f, {0, 1});
   ASSERT_GT(samples.size(), 16u);  // main round actually topped up
-  std::set<std::vector<bool>> distinct;
-  for (const Assignment& a : samples) distinct.insert(a.bits());
+  std::set<std::vector<std::uint64_t>> distinct;
+  for (const Assignment& a : samples) distinct.insert(a.words());
   EXPECT_EQ(distinct.size(), samples.size());
 }
 
@@ -151,7 +151,7 @@ TEST(Sampler, DeterministicForSeed) {
   const auto sb = b.sample(f, {0, 1});
   ASSERT_EQ(sa.size(), sb.size());
   for (std::size_t i = 0; i < sa.size(); ++i) {
-    EXPECT_EQ(sa[i].bits(), sb[i].bits());
+    EXPECT_EQ(sa[i], sb[i]);
   }
 }
 
@@ -169,10 +169,10 @@ TEST(SamplerEnumerate, ModelsValidAndPairwiseDistinctInBothModes) {
     Sampler sampler(options);
     const std::vector<Assignment> samples = sampler.sample(f, {0, 2});
     ASSERT_GT(samples.size(), 200u) << "enumerate " << enumerate;
-    std::set<std::vector<bool>> distinct;
+    std::set<std::vector<std::uint64_t>> distinct;
     for (const Assignment& a : samples) {
       EXPECT_TRUE(f.satisfied_by(a));
-      EXPECT_TRUE(distinct.insert(a.bits()).second) << "duplicate model";
+      EXPECT_TRUE(distinct.insert(a.words()).second) << "duplicate model";
     }
   }
 }
@@ -250,7 +250,7 @@ TEST(SamplerEnumerate, DeterministicForSeed) {
   const auto sb = b.sample(f, {0, 1});
   ASSERT_EQ(sa.size(), sb.size());
   for (std::size_t i = 0; i < sa.size(); ++i) {
-    EXPECT_EQ(sa[i].bits(), sb[i].bits());
+    EXPECT_EQ(sa[i], sb[i]);
   }
 }
 
@@ -363,7 +363,7 @@ TEST(SamplerContract, SmallSuiteSpacesAreReturnedWhole) {
       const Draw draw = paper_draw(name, formula, stream);
       std::set<std::uint64_t> drawn;
       for (std::size_t s = 0; s < draw.matrix.num_samples(); ++s) {
-        drawn.insert(draw.matrix.row_fingerprint(s));
+        drawn.insert(cnf::fingerprint(draw.matrix.row(s)));
       }
       EXPECT_EQ(drawn.size(), draw.matrix.num_samples())
           << name << " " << stream;
@@ -383,7 +383,7 @@ TEST(SamplerContract, LargeSpaceDrawIsUnchanged) {
   std::uint64_t fingerprint = draw.matrix.num_samples();
   for (std::size_t s = 0; s < draw.matrix.num_samples(); ++s) {
     fingerprint =
-        util::splitmix64(fingerprint ^ draw.matrix.row_fingerprint(s));
+        util::splitmix64(fingerprint ^ cnf::fingerprint(draw.matrix.row(s)));
   }
   EXPECT_EQ(fingerprint, 0x75105d33f64d4499ULL);
   EXPECT_FALSE(draw.stats.exhausted);

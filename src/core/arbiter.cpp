@@ -4,6 +4,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "util/popcount.hpp"
+
 namespace manthan::core {
 
 using cnf::Lit;
@@ -146,8 +148,7 @@ std::vector<Lit> ArbiterExpansion::generalize(std::size_t id) const {
   const auto distance = [&](const PackedCube& other) {
     std::size_t bits = 0;
     for (std::size_t w = 0; w < cube.size(); ++w) {
-      bits += static_cast<std::size_t>(
-          __builtin_popcountll(cube[w] ^ other[w]));
+      bits += util::popcount64(cube[w] ^ other[w]);
     }
     return bits;
   };

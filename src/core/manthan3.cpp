@@ -23,6 +23,7 @@
 #include "sat/solver.hpp"
 #include "util/budget.hpp"
 #include "util/log.hpp"
+#include "util/popcount.hpp"
 #include "util/rng.hpp"
 
 namespace manthan::core {
@@ -108,11 +109,11 @@ std::size_t packed_mismatches_since(const std::vector<std::uint64_t>& sim,
   if ((from_row & 63) != 0) {
     const std::uint64_t diff =
         (sim[w] ^ label[w]) & ~((1ULL << (from_row & 63)) - 1);
-    count += static_cast<std::size_t>(__builtin_popcountll(diff));
+    count += util::popcount64(diff);
     ++w;
   }
   for (; w < words; ++w) {
-    count += static_cast<std::size_t>(__builtin_popcountll(sim[w] ^ label[w]));
+    count += util::popcount64(sim[w] ^ label[w]);
   }
   return count;
 }

@@ -181,7 +181,9 @@ struct SynthesisStats {
   std::size_t cones_encoded = 0;
   /// Per-round candidates whose cached cone encoding was reused as-is.
   std::size_t cones_reused = 0;
-  /// Fresh AIG nodes Tseitin-encoded by the verify solver's cone cache.
+  /// Gate variables the verify solver's cone cache defined: one per AND
+  /// supergate or mux, not one per AIG node. The name (and the persisted
+  /// key) predate the gate encoding and are kept for stored entries.
   std::size_t aig_nodes_encoded = 0;
   /// Activation guards retired across the verify and φ/MaxSAT solvers.
   std::size_t activations_retired = 0;

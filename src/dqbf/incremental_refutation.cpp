@@ -92,7 +92,7 @@ sat::Result IncrementalRefutation::check(const HenkinVector& candidate) {
 }
 
 const IncrementalRefutation::Stats& IncrementalRefutation::stats() const {
-  stats_.aig_nodes_encoded = encoder_.stats().nodes_encoded;
+  stats_.aig_nodes_encoded = encoder_.stats().gates_encoded;
   return stats_;
 }
 

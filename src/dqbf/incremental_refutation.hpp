@@ -8,9 +8,16 @@
 //
 //   * the matrix negation (per-clause falsification selectors + the
 //     "some clause falsified" disjunction) is encoded exactly once;
-//   * candidate cones are Tseitin-encoded through an
-//     aig::IncrementalCnfEncoder, whose node cache persists — a repair
-//     that conjoins onto an old root only encodes the new nodes;
+//   * candidate cones are encoded through an aig::IncrementalCnfEncoder,
+//     whose gate cache persists — a repair that conjoins onto an old root
+//     only encodes the new gates. The encoder gives each AND supergate
+//     and each mux one variable rather than one per 2-input AND, so a
+//     learnt tree's path cube costs one variable, not d−1; an interior
+//     node a later cone reaches is re-encoded as its own gate (sound,
+//     since every definition is a full equivalence over a fresh
+//     variable). The one-shot build_refutation_cnf stays plain Tseitin,
+//     an independent encoding for the incremental = false oracle and the
+//     differential tests;
 //   * the per-candidate output equivalence  y_i ↔ f_i  is guarded by an
 //     activation literal. check() assumes the current guards; when a
 //     repair changes candidate i, the old guard is retired (its clauses —
@@ -44,7 +51,8 @@ class IncrementalRefutation {
     std::uint64_t cones_reused = 0;
     /// Old candidate guards retired (one per repaired candidate).
     std::uint64_t activations_retired = 0;
-    /// From the cone encoder: fresh AIG nodes Tseitin-encoded.
+    /// From the cone encoder: gate variables defined (AND supergates,
+    /// muxes, the constant); absorbed interior nodes count nothing.
     std::uint64_t aig_nodes_encoded = 0;
   };
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <functional>
 
+#include "util/popcount.hpp"
 #include "util/rng.hpp"
 
 namespace manthan::dtree {
@@ -185,9 +186,8 @@ std::int32_t DecisionTree::build_packed(
   std::size_t total = 0;
   std::size_t positives = 0;
   for (std::size_t w = 0; w < words; ++w) {
-    total += static_cast<std::size_t>(__builtin_popcountll(active[w]));
-    positives +=
-        static_cast<std::size_t>(__builtin_popcountll(active[w] & label[w]));
+    total += util::popcount64(active[w]);
+    positives += util::popcount64(active[w] & label[w]);
   }
   if (total < kSparseRowsPerWord * words) {
     // Sparse node: unpack the mask into row indices once and count by
@@ -223,9 +223,8 @@ std::int32_t DecisionTree::build_packed(
         const std::uint64_t* col = cols[f];
         for (std::size_t w = 0; w < words; ++w) {
           const std::uint64_t hi = active[w] & col[w];
-          hi_total += static_cast<std::size_t>(__builtin_popcountll(hi));
-          hi_pos +=
-              static_cast<std::size_t>(__builtin_popcountll(hi & label[w]));
+          hi_total += util::popcount64(hi);
+          hi_pos += util::popcount64(hi & label[w]);
         }
       });
   if (best_feature < 0) return make_leaf(majority);

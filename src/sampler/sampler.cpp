@@ -2,6 +2,7 @@
 
 #include "obs/trace.hpp"
 #include "sat/solver.hpp"
+#include "util/popcount.hpp"
 
 namespace manthan::sampler {
 
@@ -18,7 +19,7 @@ std::size_t column_popcount(const cnf::SampleMatrix& m, Var v) {
   const std::uint64_t* col = m.column(v);
   std::size_t count = 0;
   for (std::size_t w = 0; w < m.num_words(); ++w) {
-    count += static_cast<std::size_t>(__builtin_popcountll(col[w]));
+    count += util::popcount64(col[w]);
   }
   return count;
 }
@@ -44,11 +45,11 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
   const auto draw = [&](sat::Solver& solver, std::size_t count) {
     if (count == 0) return;
     if (options_.enumerate) {
-      // Persistent enumerating session: the deadline and the stall are
-      // polled inside the harvest loop, one check per descent.
+      // Persistent enumerating session. The sink tracks the stall; the
+      // solver polls the deadline on its decision + propagation counter,
+      // so the sink reads no clock per model.
       std::size_t run = 0;
       const sat::ModelSink sink = [&](const Assignment& model) {
-        if (deadline != nullptr && deadline->expired()) return false;
         if (matrix.append_distinct(model)) {
           run = 0;
           return --count > 0;

@@ -1,5 +1,6 @@
-// Bit-packed SampleMatrix: layout, growth, fingerprints, and the 64-way
-// AIG batch simulator against the scalar evaluator.
+// Bit-packed SampleMatrix: layout, growth, fingerprints, the 64-way AIG
+// batch simulator against the scalar evaluator, and the word popcount the
+// packed kernels count with.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include "aig/aig.hpp"
 #include "aig/aig_sim.hpp"
 #include "cnf/sample_matrix.hpp"
+#include "util/popcount.hpp"
 #include "util/rng.hpp"
 
 namespace manthan::cnf {
@@ -270,6 +272,25 @@ TEST(SimulateMatrix, ConstantsAndForeignInputsAreFalse) {
   const std::vector<std::uint64_t> f =
       aig::simulate_matrix(manager, foreign, m);
   EXPECT_EQ(f[0] & m.tail_mask(), 0u);
+}
+
+TEST(Popcount, MatchesTheBuiltin) {
+  // The builtin is the reference here (this binary may call libgcc for
+  // it); test_dtree links the kernels that must not.
+  const auto check = [](std::uint64_t x) {
+    EXPECT_EQ(util::popcount64(x),
+              static_cast<std::size_t>(__builtin_popcountll(x)))
+        << std::hex << x;
+  };
+  check(0);
+  check(~0ULL);
+  EXPECT_EQ(util::popcount64(~0ULL), 64u);
+  for (int b = 0; b < 64; ++b) {
+    check(1ULL << b);
+    check(~(1ULL << b));
+  }
+  util::Rng rng(47);
+  for (int i = 0; i < 10000; ++i) check(rng.next());
 }
 
 }  // namespace

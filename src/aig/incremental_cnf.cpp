@@ -58,20 +58,25 @@ IncrementalCnfEncoder::GateKind IncrementalCnfEncoder::collect_leaves(
   // AND supergate: expand plain edges into fresh ANDs, depth first. Each
   // expansion grows the frontier (pending + leaves) by at most one, so
   // kMaxLeaves − 2 expansions keep it within kMaxLeaves; the same budget
-  // bounds the work on reconvergent cones.
+  // bounds the work on reconvergent cones. The newer fanin (fanin1, the
+  // larger ref) is expanded first. The older one is more likely logic
+  // that later cones reach again (the tree under a repair, the tail of a
+  // decision list), where absorbing it only duplicates it; on the
+  // planted-hard grid this order defines a fifth fewer gates than
+  // older-first.
   const std::size_t leaf_begin = leaves_.size();
   std::size_t room = kMaxLeaves - 2;
   pending_.clear();
-  pending_.push_back(node.fanin1);
   pending_.push_back(node.fanin0);
+  pending_.push_back(node.fanin1);
   while (!pending_.empty()) {
     const Ref r = pending_.back();
     pending_.pop_back();
     if (room > 0 && !ref_complemented(r) && fresh_and(ref_node(r))) {
       --room;
       const Aig::Node& inner = aig_.node(ref_node(r));
-      pending_.push_back(inner.fanin1);
       pending_.push_back(inner.fanin0);
+      pending_.push_back(inner.fanin1);
       continue;
     }
     if (std::find(leaves_.begin() + static_cast<std::ptrdiff_t>(leaf_begin),

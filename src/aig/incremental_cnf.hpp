@@ -17,9 +17,10 @@
 // (the standard AIG→CNF compaction, Eén, Mishchenko and Sörensson,
 // "Applying Logic Synthesis for Speeding Up SAT", SAT 2007):
 //   * AND supergate: fanins reached through plain edges that are not yet
-//     encoded are absorbed, recursively; the walk stops at inputs, at
-//     complemented edges, at encoded nodes and at kMaxLeaves leaves.
-//     g ↔ AND(leaves) is k binary clauses plus one long clause.
+//     encoded are absorbed, recursively and newer fanin first; the walk
+//     stops at inputs, at complemented edges, at encoded nodes and at
+//     kMaxLeaves leaves. g ↔ AND(leaves) is k binary clauses plus one
+//     long clause.
 //   * mux / XOR: ¬(s∧t) ∧ ¬(¬s∧e) over two fresh ANDs is one ITE gate,
 //     4 clauses plus the 2 redundant ones unless they are tautologies
 //     (XOR).

@@ -363,7 +363,7 @@ TEST(AigWalk, EncoderCacheGrowsWithTheManager) {
       m, [&]() { return solver.new_var(); },
       [&](const cnf::Clause& c) { solver.add_clause(c); });
   const Ref first = random_cone(m, kInputs, 10, rng);
-  encoder.encode(first);
+  const cnf::Lit first_lit = encoder.encode(first);
   const std::size_t nodes_at_first = m.num_nodes();
   const std::uint64_t encoded_at_first = encoder.stats().gates_encoded;
   const Ref extra = random_cone(m, kInputs, 200, rng);
@@ -378,6 +378,11 @@ TEST(AigWalk, EncoderCacheGrowsWithTheManager) {
   EXPECT_GT(encoded_at_first, 0u);
   EXPECT_LE(encoder.stats().gates_encoded, m.cone_size(second));
   EXPECT_GT(encoder.stats().nodes_reused, 0u);
+  // The resize kept the first call's entries: its root still maps to the
+  // same literal, and asking for it again defines nothing.
+  const std::uint64_t encoded_after_second = encoder.stats().gates_encoded;
+  EXPECT_EQ(encoder.encode(first), first_lit);
+  EXPECT_EQ(encoder.stats().gates_encoded, encoded_after_second);
   for (std::uint32_t bits = 0; bits < (1u << kInputs); ++bits) {
     std::vector<cnf::Lit> assumptions;
     std::unordered_map<std::int32_t, bool> inputs;

@@ -1,11 +1,14 @@
 // Component micro-benchmark: AIG construction, composition, CNF encoding
-// and bit-parallel simulation.
+// and the word-parallel exhaustive checks.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "aig/aig.hpp"
 #include "aig/aig_cnf.hpp"
 #include "aig/aig_sim.hpp"
 #include "util/rng.hpp"
+#include "workloads/gen_util.hpp"
 
 namespace {
 
@@ -84,17 +87,81 @@ void BM_AigEncodeCnf(benchmark::State& state) {
 }
 BENCHMARK(BM_AigEncodeCnf)->Arg(200)->Arg(2000);
 
-void BM_AigSimulate64(benchmark::State& state) {
+/// Number of inputs in the union support of `literals`.
+std::size_t support_size(const Aig& m, const std::vector<Ref>& literals) {
+  std::vector<std::int32_t> ids;
+  for (const Ref l : literals) {
+    for (const std::int32_t id : m.support(l)) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  return static_cast<std::size_t>(std::unique(ids.begin(), ids.end()) -
+                                   ids.begin());
+}
+
+/// Literals of a planted_hard-shaped candidate clause, drawn as
+/// workloads::gen_planted draws them at nx = 22, ny = 6: planted
+/// functions of 5 AND/OR gates over nested dependency sets of 5 to 16
+/// universals, 2-4 literals, each a universal with probability 0.55.
+/// Each planted function is the widest of 8 draws, and the clause is the
+/// widest of 60000 draws that the exhaustive check accepts (`valid`: all
+/// 2^support patterns evaluated) or rejects (early exit): the tail of
+/// the generator's checks, where the exhaustive enumeration costs most.
+std::vector<Ref> planted_clause(Aig& m, bool valid) {
+  constexpr int kUniversals = 22;
+  manthan::util::Rng rng(17);
+  std::vector<manthan::cnf::Var> order(kUniversals);
+  for (int i = 0; i < kUniversals; ++i) order[i] = i;
+  for (int i = kUniversals - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.next_below(i + 1)]);
+  }
+  std::vector<Ref> planted;
+  for (int i = 0; i < 6; ++i) {
+    const std::vector<manthan::cnf::Var> deps(
+        order.begin(), order.begin() + 5 + (i * 11) / 5);
+    Ref widest = manthan::aig::kFalseRef;
+    for (int draw = 0; draw < 8; ++draw) {
+      const Ref f = manthan::workloads::detail::random_function(m, deps, 5,
+                                                                rng, false);
+      if (m.support(f).size() > m.support(widest).size()) widest = f;
+    }
+    planted.push_back(widest);
+  }
+  std::vector<Ref> best;
+  std::size_t best_support = 0;
+  std::vector<Ref> literals;
+  for (int draw = 0; draw < 60000; ++draw) {
+    literals.clear();
+    const std::size_t width = 2 + rng.next_below(3);
+    for (std::size_t k = 0; k < width; ++k) {
+      const Ref negate = rng.flip() ? 1 : 0;
+      literals.push_back((rng.flip(0.55)
+                              ? m.input(static_cast<std::int32_t>(
+                                    rng.next_below(kUniversals)))
+                              : planted[rng.next_below(6)]) ^
+                         negate);
+    }
+    const std::size_t support = support_size(m, literals);
+    if (support > best_support &&
+        manthan::aig::clause_is_tautology(m, literals) == valid) {
+      best = literals;
+      best_support = support;
+    }
+  }
+  return best;
+}
+
+void BM_AigIsTautology(benchmark::State& state) {
+  // Explains workloads.generate_s: gen_planted runs this check on every
+  // candidate clause, up to 200 per emitted one.
   Aig m;
-  const Ref f = random_cone(m, 16, 2000, 11);
-  manthan::util::Rng rng(13);
-  std::unordered_map<std::int32_t, std::uint64_t> patterns;
-  for (int i = 0; i < 16; ++i) patterns[i] = rng.next();
+  const std::vector<Ref> literals = planted_clause(m, state.range(0) != 0);
+  state.counters["support"] =
+      static_cast<double>(support_size(m, literals));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(manthan::aig::simulate64(m, f, patterns));
+    benchmark::DoNotOptimize(manthan::aig::clause_is_tautology(m, literals));
   }
 }
-BENCHMARK(BM_AigSimulate64);
+BENCHMARK(BM_AigIsTautology)->ArgName("valid")->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -167,6 +167,13 @@ thread_local WalkMarks t_walk_marks;
 }  // namespace
 
 std::vector<std::uint32_t> cone_topo_order(const Aig& aig, Ref root) {
+  std::vector<std::uint32_t> order;
+  cone_topo_order(aig, &root, 1, order);
+  return order;
+}
+
+void cone_topo_order(const Aig& aig, const Ref* roots, std::size_t count,
+                     std::vector<std::uint32_t>& order) {
   WalkMarks& marks = t_walk_marks;
   if (marks.stamp.size() < aig.num_nodes()) {
     marks.stamp.resize(aig.num_nodes(), 0);
@@ -178,32 +185,33 @@ std::vector<std::uint32_t> cone_topo_order(const Aig& aig, Ref root) {
   marks.epoch += 2;
   const std::uint32_t open = marks.epoch;
   const std::uint32_t done = open + 1;
-  std::vector<std::uint32_t> order;
+  order.clear();
   std::vector<std::uint32_t>& stack = marks.stack;
-  stack.clear();
-  stack.push_back(ref_node(root));
-  while (!stack.empty()) {
-    const std::uint32_t n = stack.back();
-    std::uint32_t& mark = marks.stamp[n];
-    if (mark == done) {
-      stack.pop_back();
-      continue;
-    }
-    const Aig::Node& node = aig.node(n);
-    const bool is_leaf = node.input_id >= 0 || n == 0;
-    if (mark != open) {
-      mark = open;
-      if (!is_leaf) {
-        stack.push_back(ref_node(node.fanin0));
-        stack.push_back(ref_node(node.fanin1));
+  for (std::size_t r = 0; r < count; ++r) {
+    stack.clear();
+    stack.push_back(ref_node(roots[r]));
+    while (!stack.empty()) {
+      const std::uint32_t n = stack.back();
+      std::uint32_t& mark = marks.stamp[n];
+      if (mark == done) {
+        stack.pop_back();
         continue;
       }
+      const Aig::Node& node = aig.node(n);
+      const bool is_leaf = node.input_id >= 0 || n == 0;
+      if (mark != open) {
+        mark = open;
+        if (!is_leaf) {
+          stack.push_back(ref_node(node.fanin0));
+          stack.push_back(ref_node(node.fanin1));
+          continue;
+        }
+      }
+      mark = done;
+      order.push_back(n);
+      stack.pop_back();
     }
-    mark = done;
-    order.push_back(n);
-    stack.pop_back();
   }
-  return order;
 }
 
 Ref Aig::compose(Ref root,

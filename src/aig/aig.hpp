@@ -128,6 +128,13 @@ class Aig {
 /// share state, and it only reads `aig`.
 std::vector<std::uint32_t> cone_topo_order(const Aig& aig, Ref root);
 
+/// The same walk over the union cone of `roots[0..count)`, written into
+/// `order` (cleared first; its capacity is reused): every node appears
+/// once, after its fanins. With one root the order equals the
+/// single-root overload's.
+void cone_topo_order(const Aig& aig, const Ref* roots, std::size_t count,
+                     std::vector<std::uint32_t>& order);
+
 /// Rebuild the cone of `root` (a ref in `src`) inside `dst`, reusing the
 /// destination's structural hashing. `node_map` maps src node index ->
 /// dst ref of the plain node; share it across roots so common logic is

@@ -1,24 +1,24 @@
-// Bit-parallel and exhaustive simulation of AIG cones.
+// Word-parallel simulation of AIG cones.
 //
-// Used for fast semantic checks in tests and generators: 64 input patterns
-// per word, plus exhaustive tautology/equality checks for cones with small
-// structural support.
+// One kernel serves every entry point: a cone is flattened once per call
+// (one walk, in per-thread scratch) into a gate list whose fanins are
+// operand slots with inversion masks, and whose leaves are input slots.
+// Gates then evaluate 64 patterns per word, up to 16 words per gate
+// visit, with no hashing. The leaves read either the columns of a
+// bit-packed sample matrix (`simulate_matrix`, the synthesis loop's
+// candidate screen) or an exhaustive enumeration of the cone's inputs
+// (`is_tautology`, `clause_is_tautology`, `semantically_equal`,
+// `truth_table`: generators and tests, for small structural supports).
+// `Aig::evaluate` stays the independent per-assignment reference.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "aig/aig.hpp"
 #include "cnf/sample_matrix.hpp"
 
 namespace manthan::aig {
-
-/// Simulate one 64-pattern word: each input id maps to a 64-bit pattern;
-/// returns the 64 output bits.
-std::uint64_t simulate64(
-    const Aig& aig, Ref root,
-    const std::unordered_map<std::int32_t, std::uint64_t>& input_patterns);
 
 /// Batch-evaluate `root` over every sample of a bit-packed training
 /// matrix: input ids are read as matrix variables (ids outside the matrix
@@ -36,6 +36,12 @@ std::vector<std::uint64_t> simulate_matrix(const Aig& aig, Ref root,
 /// support. Intended for supports up to ~24 inputs (2^support evaluations,
 /// 64 at a time).
 bool is_tautology(const Aig& aig, Ref root);
+
+/// Exhaustively check whether the clause OR(`literals`) is a tautology
+/// over the union of their supports, without building the disjunction
+/// in the manager (the planted generators test many candidate clauses
+/// and keep few).
+bool clause_is_tautology(const Aig& aig, const std::vector<Ref>& literals);
 
 /// Exhaustively check semantic equivalence of two cones (over the union of
 /// their supports).

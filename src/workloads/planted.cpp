@@ -46,14 +46,18 @@ dqbf::DqbfFormula gen_planted(const PlantedParams& params) {
 
   // Emit random clauses over X ∪ Y that the planted vector satisfies for
   // every X valuation: a clause is kept iff, with each y_i replaced by its
-  // planted function, it is a tautology over X.
+  // planted function, it is a tautology over X. The check reads the
+  // literals' union cone directly, so rejected attempts leave nothing in
+  // the manager; both buffers are reused across attempts.
   std::size_t emitted = 0;
   std::size_t attempts = 0;
   const std::size_t max_attempts = params.num_clauses * 200;
+  cnf::Clause clause;
+  std::vector<aig::Ref> substituted;
   while (emitted < params.num_clauses && attempts++ < max_attempts) {
     const std::size_t width = 2 + rng.next_below(3);
-    cnf::Clause clause;
-    std::vector<aig::Ref> substituted;
+    clause.clear();
+    substituted.clear();
     bool has_existential = false;
     for (std::size_t k = 0; k < width; ++k) {
       const bool negate = rng.flip();
@@ -71,12 +75,11 @@ dqbf::DqbfFormula gen_planted(const PlantedParams& params) {
       }
     }
     if (!has_existential) continue;  // pure-X clauses are rarely valid
-    const aig::Ref clause_fn = manager.or_all(substituted);
-    if (!aig::is_tautology(manager, clause_fn)) continue;
+    if (!aig::clause_is_tautology(manager, substituted)) continue;
     // Deduplicate literals within the clause.
     std::sort(clause.begin(), clause.end());
     clause.erase(std::unique(clause.begin(), clause.end()), clause.end());
-    formula.matrix().add_clause(std::move(clause));
+    formula.matrix().add_clause(clause);
     ++emitted;
   }
   return formula;

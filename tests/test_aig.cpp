@@ -148,29 +148,6 @@ TEST(Aig, CofactorFixesInput) {
   EXPECT_TRUE(m.evaluate(f1, in));
 }
 
-TEST(AigSim, Simulate64MatchesEvaluate) {
-  util::Rng rng(42);
-  Aig m;
-  std::vector<Ref> pool;
-  for (int i = 0; i < 6; ++i) pool.push_back(m.input(i));
-  for (int g = 0; g < 30; ++g) {
-    const Ref a = pool[rng.next_below(pool.size())] ^
-                  static_cast<Ref>(rng.flip());
-    const Ref b = pool[rng.next_below(pool.size())] ^
-                  static_cast<Ref>(rng.flip());
-    pool.push_back(m.and_gate(a, b));
-  }
-  const Ref f = pool.back();
-  std::unordered_map<std::int32_t, std::uint64_t> patterns;
-  for (int i = 0; i < 6; ++i) patterns[i] = rng.next();
-  const std::uint64_t word = simulate64(m, f, patterns);
-  for (int bit = 0; bit < 64; ++bit) {
-    std::unordered_map<std::int32_t, bool> in;
-    for (int i = 0; i < 6; ++i) in[i] = ((patterns[i] >> bit) & 1) != 0;
-    EXPECT_EQ(((word >> bit) & 1) != 0, m.evaluate(f, in)) << "bit " << bit;
-  }
-}
-
 TEST(AigSim, TautologyDetection) {
   Aig m;
   const Ref a = m.input(0);
@@ -458,6 +435,308 @@ TEST(AigWalk, ConeWalksFromFourThreads) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[t], 0) << "thread " << t;
   }
+}
+
+// --- exhaustive checks against per-assignment evaluation ------------------
+
+/// Truth table of `root` over `ids` from Aig::evaluate, one assignment at
+/// a time (row r sets ids[j] to bit j of r): the hash-map reference the
+/// word-parallel kernel must agree with.
+std::vector<bool> evaluated_table(const Aig& m, Ref root,
+                                  const std::vector<std::int32_t>& ids) {
+  std::vector<bool> table(std::size_t{1} << ids.size());
+  std::unordered_map<std::int32_t, bool> inputs;
+  for (std::size_t row = 0; row < table.size(); ++row) {
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      inputs[ids[j]] = ((row >> j) & 1) != 0;
+    }
+    table[row] = m.evaluate(root, inputs);
+  }
+  return table;
+}
+
+/// Sorted union of the supports of `roots`.
+std::vector<std::int32_t> union_support(const Aig& m,
+                                        const std::vector<Ref>& roots) {
+  std::vector<std::int32_t> ids;
+  for (const Ref r : roots) {
+    for (const std::int32_t id : m.support(r)) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+/// Shannon expansion of `f` on its first support input: equal to `f`,
+/// but structurally a different cone (unless `f` is constant).
+Ref shannon(Aig& m, Ref f) {
+  const std::vector<std::int32_t> ids = m.support(f);
+  if (ids.empty()) return f;
+  return m.ite_gate(m.input(ids[0]), m.cofactor(f, ids[0], true),
+                    m.cofactor(f, ids[0], false));
+}
+
+/// Compares every exhaustive check on `roots` (cones of `m`) with
+/// evaluated_table over their union support: is_tautology and
+/// truth_table of each root, semantically_equal of each pair, and
+/// clause_is_tautology of the whole list.
+void expect_checks_match_evaluate(Aig& m, const std::vector<Ref>& roots,
+                                  util::Rng& rng) {
+  const std::vector<std::int32_t> ids = union_support(m, roots);
+  std::vector<std::vector<bool>> tables;
+  std::vector<bool> clause(std::size_t{1} << ids.size(), false);
+  for (const Ref r : roots) {
+    tables.push_back(evaluated_table(m, r, ids));
+    for (std::size_t row = 0; row < clause.size(); ++row) {
+      if (tables.back()[row]) clause[row] = true;
+    }
+  }
+  const auto all_true = [](const std::vector<bool>& t) {
+    return std::find(t.begin(), t.end(), false) == t.end();
+  };
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    EXPECT_EQ(is_tautology(m, roots[i]), all_true(tables[i]))
+        << "root " << i << ", support " << ids.size();
+    // Any order, and ids outside the support, are allowed: row r of the
+    // table over `order` is the row over `ids` whose bits follow r.
+    std::vector<std::int32_t> order = ids;
+    for (std::size_t j = order.size(); j > 1; --j) {
+      std::swap(order[j - 1], order[rng.next_below(j)]);
+    }
+    order.insert(order.begin() + static_cast<std::ptrdiff_t>(
+                                     rng.next_below(order.size() + 1)),
+                 1000);
+    std::vector<std::size_t> id_bit(order.size(), 0);
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      const auto at = std::lower_bound(ids.begin(), ids.end(), order[j]);
+      if (at != ids.end() && *at == order[j]) {
+        id_bit[j] = std::size_t{1} << (at - ids.begin());
+      }
+    }
+    std::vector<bool> expected(std::size_t{1} << order.size());
+    for (std::size_t row = 0; row < expected.size(); ++row) {
+      std::size_t id_row = 0;
+      for (std::size_t j = 0; j < order.size(); ++j) {
+        if (((row >> j) & 1) != 0) id_row |= id_bit[j];
+      }
+      expected[row] = tables[i][id_row];
+    }
+    EXPECT_EQ(truth_table(m, roots[i], order), expected)
+        << "root " << i << ", support " << ids.size();
+    for (std::size_t j = 0; j < roots.size(); ++j) {
+      EXPECT_EQ(semantically_equal(m, roots[i], roots[j]),
+                tables[i] == tables[j])
+          << "roots " << i << ", " << j << ", support " << ids.size();
+    }
+  }
+  EXPECT_EQ(clause_is_tautology(m, roots), all_true(clause))
+      << "support " << ids.size();
+}
+
+TEST(AigSim, ExhaustiveChecksMatchEvaluate) {
+  util::Rng rng(42);
+  // Random cones over 0-16 inputs with gaps between input ids, unused
+  // inputs, constants in the pool (folded away or left as roots),
+  // complemented roots, and several roots over one shared pool. (The
+  // NAND cones below reach 20 inputs.)
+  for (const int inputs : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 16}) {
+    for (int round = 0; round < (inputs > 11 ? 1 : 4); ++round) {
+      Aig m;
+      std::vector<Ref> pool{kFalseRef, kTrueRef};
+      for (int i = 0; i < inputs + 2; ++i) {
+        const Ref in = m.input(3 * i + static_cast<int>(rng.next_below(3)));
+        if (i < inputs) pool.push_back(in);
+      }
+      const auto draw = [&] {
+        return pool[rng.next_below(pool.size())] ^
+               static_cast<Ref>(rng.flip());
+      };
+      const int gates = inputs > 13 ? inputs + 4 : 3 * inputs + 4;
+      for (int g = 0; g < gates; ++g) {
+        const Ref a = draw();
+        const Ref b = draw();
+        switch (rng.next_below(3)) {
+          case 0: pool.push_back(m.and_gate(a, b)); break;
+          case 1: pool.push_back(m.xor_gate(a, b)); break;
+          default: pool.push_back(m.or_gate(a, b)); break;
+        }
+      }
+      // Chain every input into the last root so the support reaches
+      // `inputs`.
+      Ref all = inputs > 0 ? pool[2] : kFalseRef;
+      for (int i = 3; i < inputs + 2; ++i) {
+        const Ref in = pool[i] ^ static_cast<Ref>(rng.flip());
+        all = rng.flip() ? m.or_gate(all, in) : m.xor_gate(all, in);
+      }
+      if (ref_regular(pool.back()) != ref_regular(all)) {
+        all = m.xor_gate(all, pool.back());
+      }
+      all ^= static_cast<Ref>(rng.flip());
+      ASSERT_EQ(m.support(all).size(), static_cast<std::size_t>(inputs));
+      // The reference costs 2^inputs evaluate walks per root, so the
+      // widest cones keep two roots.
+      std::vector<Ref> roots{all, shannon(m, all)};
+      if (inputs <= 13) {
+        const Ref f = draw();
+        roots.push_back(f);
+        roots.push_back(shannon(m, f));
+        roots.push_back(draw());
+        // Tautologies only a full enumeration can confirm.
+        roots.push_back(m.or_gate(all, ref_not(shannon(m, all))));
+        roots.push_back(m.or_gate(f, draw()));
+      }
+      expect_checks_match_evaluate(m, roots, rng);
+    }
+  }
+
+  // The cone the former 64-pattern simulate test drew: 30 AND gates over
+  // 6 inputs, now checked over all 64 assignments.
+  {
+    util::Rng cone_rng(42);
+    Aig m;
+    std::vector<Ref> pool;
+    for (int i = 0; i < 6; ++i) pool.push_back(m.input(i));
+    for (int g = 0; g < 30; ++g) {
+      const Ref a = pool[cone_rng.next_below(pool.size())] ^
+                    static_cast<Ref>(cone_rng.flip());
+      const Ref b = pool[cone_rng.next_below(pool.size())] ^
+                    static_cast<Ref>(cone_rng.flip());
+      pool.push_back(m.and_gate(a, b));
+    }
+    expect_checks_match_evaluate(m, {pool.back(), shannon(m, pool.back())},
+                                 rng);
+  }
+
+  // A cone false only on the last pattern of the last block: NAND of all
+  // inputs is false only where every input is 1. Below six inputs the
+  // one word holds several copies of the patterns, all-ones included, so
+  // each copy must read false there. Up to 13 inputs the reference
+  // enumerates every assignment; at 20 it checks the all-ones one.
+  for (const int inputs : {1, 3, 5, 6, 7, 12, 13, 20}) {
+    Aig m;
+    std::vector<Ref> ins;
+    std::vector<std::int32_t> ids;
+    std::vector<Ref> negated;
+    for (int i = 0; i < inputs; ++i) {
+      ids.push_back(2 * i + 1);
+      ins.push_back(m.input(ids.back()));
+      negated.push_back(ref_not(ins.back()));
+    }
+    const Ref nand = ref_not(m.and_all(ins));
+    EXPECT_FALSE(is_tautology(m, nand)) << inputs << " inputs";
+    EXPECT_FALSE(clause_is_tautology(m, negated)) << inputs << " inputs";
+    EXPECT_FALSE(semantically_equal(m, nand, kTrueRef)) << inputs << " inputs";
+    const std::vector<bool> table = truth_table(m, nand, ids);
+    ASSERT_EQ(table.size(), std::size_t{1} << inputs);
+    EXPECT_EQ(std::count(table.begin(), table.end(), false), 1);
+    EXPECT_FALSE(table.back());
+    std::unordered_map<std::int32_t, bool> all_ones;
+    for (const std::int32_t id : ids) all_ones[id] = true;
+    EXPECT_FALSE(m.evaluate(nand, all_ones));
+    if (inputs <= 13) expect_checks_match_evaluate(m, {nand}, rng);
+  }
+
+  // Constant roots and the empty clause.
+  Aig m;
+  EXPECT_TRUE(is_tautology(m, kTrueRef));
+  EXPECT_FALSE(is_tautology(m, kFalseRef));
+  EXPECT_FALSE(clause_is_tautology(m, {}));
+  EXPECT_TRUE(clause_is_tautology(m, {kFalseRef, kTrueRef}));
+  EXPECT_EQ(truth_table(m, kTrueRef, {4, 9}),
+            (std::vector<bool>{true, true, true, true}));
+}
+
+TEST(AigSim, ExhaustiveChecksFromFourThreads) {
+  // The kernel flattens into per-thread scratch. Four threads run every
+  // exhaustive check on a shared manager and on their own managers at
+  // once; every answer must match the single-threaded one.
+  util::Rng rng(43);
+  Aig shared;
+  std::vector<Ref> roots;
+  std::vector<std::int32_t> ids;
+  for (int i = 0; i < 12; ++i) ids.push_back(i);
+  for (int i = 0; i < 6; ++i) roots.push_back(random_cone(shared, 12, 60, rng));
+  roots.push_back(shared.or_gate(roots[0], ref_not(shannon(shared, roots[0]))));
+  std::vector<bool> expected_tautology;
+  std::vector<std::vector<bool>> expected_tables;
+  std::vector<bool> expected_equal;
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    expected_tautology.push_back(is_tautology(shared, roots[i]));
+    expected_tables.push_back(truth_table(shared, roots[i], ids));
+    expected_equal.push_back(
+        semantically_equal(shared, roots[i], roots[(i + 1) % roots.size()]));
+  }
+  EXPECT_TRUE(expected_tautology.back());
+  const bool expected_clause = clause_is_tautology(shared, roots);
+
+  constexpr int kThreads = 4;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      util::Rng local_rng(200 + static_cast<std::uint64_t>(t));
+      Aig own;
+      const Ref own_root = random_cone(own, 10, 40 + 20 * t, local_rng);
+      const Ref own_copy = shannon(own, own_root);
+      for (int round = 0; round < 30; ++round) {
+        const std::size_t i =
+            static_cast<std::size_t>(round + t) % roots.size();
+        if (is_tautology(shared, roots[i]) != expected_tautology[i]) {
+          ++failures[t];
+        }
+        if (truth_table(shared, roots[i], ids) != expected_tables[i]) {
+          ++failures[t];
+        }
+        if (semantically_equal(shared, roots[i],
+                               roots[(i + 1) % roots.size()]) !=
+            expected_equal[i]) {
+          ++failures[t];
+        }
+        if (clause_is_tautology(shared, roots) != expected_clause) {
+          ++failures[t];
+        }
+        if (!semantically_equal(own, own_root, own_copy)) ++failures[t];
+        if (!is_tautology(own, own.or_gate(own_root, ref_not(own_copy)))) {
+          ++failures[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+  }
+}
+
+TEST(AigWalk, UnionConeListsEachNodeOnceAfterItsFanins) {
+  util::Rng rng(44);
+  Aig m;
+  std::vector<Ref> roots;
+  for (int i = 0; i < 4; ++i) roots.push_back(random_cone(m, 8, 40, rng));
+  roots.push_back(roots[1]);
+  std::vector<std::uint32_t> order{7, 7, 7};  // cleared by the walk
+  cone_topo_order(m, roots.data(), roots.size(), order);
+  std::vector<std::uint32_t> expected;
+  for (const Ref r : roots) {
+    for (const std::uint32_t n : cone_topo_order(m, r)) expected.push_back(n);
+  }
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+  std::vector<std::uint32_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, expected);
+  std::unordered_map<std::uint32_t, std::size_t> position;
+  for (std::size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
+  for (const std::uint32_t n : order) {
+    const Aig::Node& node = m.node(n);
+    if (n == 0 || node.input_id >= 0) continue;
+    EXPECT_LT(position.at(ref_node(node.fanin0)), position.at(n));
+    EXPECT_LT(position.at(ref_node(node.fanin1)), position.at(n));
+  }
+  // One root: the single-root overload's order exactly.
+  cone_topo_order(m, &roots[2], 1, order);
+  EXPECT_EQ(order, cone_topo_order(m, roots[2]));
 }
 
 }  // namespace

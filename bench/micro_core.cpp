@@ -1,17 +1,9 @@
-// Core synthesis-pipeline micro-benchmark: per-round verify latency and
-// whole-run verify/repair throughput of the persistent incremental
-// pipeline against the from-scratch re-encode oracle
-// (Manthan3Options::incremental = false — the pre-refactor *cost
-// structure*: fresh solvers and full re-encoding per round; seeding now
-// flows through derive_seed streams on both sides), the incremental
-// MaxSAT round against a fresh Fu-Malik solver per counterexample.
-//
-// The headline series is BM_Pipeline*: the same multi-round planted/pec
-// instances run through both pipelines — the incremental one re-encodes
-// only repaired cones and keeps all solver state warm, so its per-round
-// cost is O(changed cones) instead of O(formula). The committed
-// BENCH_core.json snapshot shows ≥2x end-to-end on every multi-round
-// instance (7-9x on the counterexample-heavy ones).
+// Core synthesis-pipeline micro-benchmark: whole-run verify/repair cost of
+// Manthan3 on multi-round instances; per-round verify latency of the
+// persistent IncrementalRefutation against re-encoding build_refutation_cnf
+// into a fresh solver; the incremental MaxSAT round against a fresh
+// Fu-Malik solver per counterexample; and the sampling + learning front
+// end.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -54,22 +46,18 @@ manthan::dqbf::DqbfFormula repair_heavy_pec() {
 }
 
 void run_pipeline(benchmark::State& state,
-                  const manthan::dqbf::DqbfFormula& formula,
-                  bool incremental) {
+                  const manthan::dqbf::DqbfFormula& formula) {
   SynthesisResult last;
   for (auto _ : state) {
     manthan::aig::Aig manager;
     Manthan3Options options;
     options.time_limit_seconds = 120.0;
     options.max_counterexamples = 300;
-    options.incremental = incremental;
-    // Pin the PR-5 front end off: these benches exist to compare the
-    // incremental vs re-encode *verify/repair* machinery, and under the
-    // enumerating sampler + reuse defaults the planted instance certifies
-    // in round 0 — the comparison would be vacuous (the counterexamples
-    // counter guards this).
+    // Pin the enumerating sampler off: these benches time the
+    // verify/repair machinery, and under the enumerating sampler the
+    // planted instance certifies in round 0 (the counterexamples counter
+    // guards this).
     options.sampler.enumerate = false;
-    options.sample_reuse = false;
     options.seed = 42;
     last = Manthan3(options).synthesize(formula, manager);
     benchmark::DoNotOptimize(last.status);
@@ -88,29 +76,15 @@ void run_pipeline(benchmark::State& state,
   manthan::bench::report_memory_counters(state);
 }
 
-void BM_PipelineIncrementalPlanted(benchmark::State& state) {
-  const auto f = multi_round_planted();
-  run_pipeline(state, f, /*incremental=*/true);
+void BM_PipelinePlanted(benchmark::State& state) {
+  run_pipeline(state, multi_round_planted());
 }
-BENCHMARK(BM_PipelineIncrementalPlanted)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PipelinePlanted)->Unit(benchmark::kMillisecond);
 
-void BM_PipelineRebuildPlanted(benchmark::State& state) {
-  const auto f = multi_round_planted();
-  run_pipeline(state, f, /*incremental=*/false);
+void BM_PipelinePec(benchmark::State& state) {
+  run_pipeline(state, repair_heavy_pec());
 }
-BENCHMARK(BM_PipelineRebuildPlanted)->Unit(benchmark::kMillisecond);
-
-void BM_PipelineIncrementalPec(benchmark::State& state) {
-  const auto f = repair_heavy_pec();
-  run_pipeline(state, f, /*incremental=*/true);
-}
-BENCHMARK(BM_PipelineIncrementalPec)->Unit(benchmark::kMillisecond);
-
-void BM_PipelineRebuildPec(benchmark::State& state) {
-  const auto f = repair_heavy_pec();
-  run_pipeline(state, f, /*incremental=*/false);
-}
-BENCHMARK(BM_PipelineRebuildPec)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PipelinePec)->Unit(benchmark::kMillisecond);
 
 // --- isolated verify-round latency -----------------------------------------
 // A fixed repair-like mutation sweep over candidate vectors, verified
@@ -333,63 +307,6 @@ void BM_SampleLearnPhasePacked(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SampleLearnPhasePacked)->Unit(benchmark::kMillisecond);
-
-// --- cross-round sample reuse ------------------------------------------------
-// Counterexample-heavy nested-dependency family (repair-hostile: the
-// core-guided patcher alone burns its whole counterexample budget here):
-// with reuse on, repair counterexamples and MaxSAT-corrected σ's feed
-// refits, so the engine escapes with a fraction of the repair iterations
-// — and typically actually certifies (`realized` counter).
-
-manthan::dqbf::DqbfFormula repair_hostile_planted() {
-  manthan::workloads::PlantedParams params;
-  params.num_universals = 16;
-  params.num_existentials = 6;
-  params.dep_size = 5;
-  params.function_gates = 5;
-  params.num_clauses = 180;
-  params.seed = 3;
-  params.xor_functions = false;
-  params.nested_deps = true;
-  params.dep_size_max = 12;
-  return manthan::workloads::gen_planted(params);
-}
-
-void run_reuse(benchmark::State& state, bool reuse) {
-  const auto formula = repair_hostile_planted();
-  SynthesisResult last;
-  for (auto _ : state) {
-    manthan::aig::Aig manager;
-    Manthan3Options options;
-    options.time_limit_seconds = 120.0;
-    options.max_counterexamples = 300;
-    options.sample_reuse = reuse;
-    options.seed = 42;
-    last = Manthan3(options).synthesize(formula, manager);
-    benchmark::DoNotOptimize(last.status);
-  }
-  state.counters["counterexamples"] =
-      static_cast<double>(last.stats.counterexamples);
-  state.counters["repair_checks"] =
-      static_cast<double>(last.stats.repair_checks);
-  state.counters["repairs"] = static_cast<double>(last.stats.repairs);
-  state.counters["refit_rounds"] =
-      static_cast<double>(last.stats.refit_rounds);
-  state.counters["samples_appended"] =
-      static_cast<double>(last.stats.samples_appended);
-  state.counters["realized"] =
-      last.status == manthan::core::SynthesisStatus::kRealizable ? 1.0 : 0.0;
-}
-
-void BM_ReuseRefitOn(benchmark::State& state) {
-  run_reuse(state, /*reuse=*/true);
-}
-BENCHMARK(BM_ReuseRefitOn)->Unit(benchmark::kMillisecond);
-
-void BM_ReuseRefitOff(benchmark::State& state) {
-  run_reuse(state, /*reuse=*/false);
-}
-BENCHMARK(BM_ReuseRefitOff)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

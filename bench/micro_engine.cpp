@@ -14,14 +14,14 @@
 #include <vector>
 
 #include "engine/race.hpp"
-#include "engine/scheduler.hpp"
 #include "portfolio/runner.hpp"
+#include "util/scheduler.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
 
 using manthan::engine::EngineKind;
-using manthan::engine::Scheduler;
+using manthan::util::Scheduler;
 using manthan::portfolio::ParallelOptions;
 using manthan::portfolio::RunnerOptions;
 using manthan::workloads::Instance;

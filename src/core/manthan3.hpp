@@ -65,11 +65,19 @@
 //                  is UNSAT, which π rules out.
 //
 // The call owns its incremental SAT solvers for its whole life: the φ
-// solver that the MaxSAT and G_k queries share and, when `incremental` is
-// set, the verify solver. Neither is simplified between rounds, so they
-// grow with every counterexample; max_counterexamples is what bounds
-// their size (ph_32x8_s0 of the planted-hard grid in ROADMAP.md, seed
-// 1000, reaches verify_vars 41,053).
+// solver that the MaxSAT and G_k queries share, and the verify solver.
+// Neither is simplified between rounds, so they grow with every
+// counterexample; max_counterexamples is what bounds their size
+// (ph_32x8_s0 of the planted-hard grid in ROADMAP.md, seed 1000, reaches
+// verify_vars 5,843 in 190 counterexamples).
+//
+// Cross-round sample reuse: every counterexample's φ-extension π, each
+// MaxSAT-corrected σ and every G_k-SAT model ρ is appended to the
+// training matrix (fingerprint-deduped). Every round, each candidate with
+// at least 16 rows appended since its own last fit is batch-simulated
+// over them and refit when its error rate there reaches 5%, so later
+// refits train on counterexample-corrected data instead of the stale
+// round-0 samples.
 #pragma once
 
 #include <cstdint>
@@ -103,32 +111,6 @@ struct Manthan3Options {
   /// engine returns kTimeout within a bounded number of decisions and
   /// propagations. Null = not cancellable; must outlive synthesize().
   const util::CancelToken* cancel = nullptr;
-  /// Use the persistent incremental verify/repair pipeline (one
-  /// IncrementalRefutation verify solver for the whole run; the φ solver
-  /// shared with an activation-scoped MaxSAT). false = re-encode both
-  /// from scratch every round — kept as the differential-testing oracle
-  /// and benchmark baseline. (Seeding also moved to derive_seed streams,
-  /// so the oracle reproduces the old pipeline's *cost structure*, not
-  /// its exact pre-refactor search trajectories.)
-  bool incremental = true;
-  /// Fit decision trees straight from the bit-packed SampleMatrix
-  /// (popcount split counting). false = unpack per-existential rows and
-  /// run the row-wise learner — the differential oracle; both paths
-  /// produce bit-identical trees, so the whole synthesis trajectory
-  /// matches field-for-field at a fixed seed.
-  bool packed_learning = true;
-  /// Cross-round sample reuse: append every repair counterexample's
-  /// φ-extension π and each MaxSAT-corrected σ to the training matrix
-  /// (fingerprint-deduped), and refit candidates that disagree with the
-  /// refreshed data — screened by 64-way AIG simulation over the matrix.
-  /// Every G_k-SAT model ρ (a full model of φ from an already-hot solver
-  /// session) is appended too, so refits see the repair neighborhood of
-  /// the counterexample. Every round, each candidate with at least 16 rows
-  /// appended since its own last fit is batch-simulated over them and
-  /// refit when its error rate there reaches 5%. Later refits therefore
-  /// train on counterexample-corrected data instead of the stale round-0
-  /// samples.
-  bool sample_reuse = true;
   std::uint64_t seed = 42;
   /// Tag every obs trace span emitted by this run (args.trace_id in the
   /// Chrome trace). The service sets it to the spec fingerprint so spans
@@ -173,10 +155,7 @@ struct SynthesisStats {
   double verify_seconds = 0.0;
   double repair_seconds = 0.0;
   double total_seconds = 0.0;
-  // --- incremental-pipeline counters. The verify-solver block (cones,
-  // aig nodes, verify_*) is zero when incremental = false; the φ-solver
-  // fields are reported for every run — the persistent φ solver exists in
-  // both pipelines (the oracle just never retires anything on it). --------
+  // --- verify and φ/MaxSAT solver counters ---------------------------------
   /// Candidate output equivalences (re-)encoded into the verify solver.
   std::size_t cones_encoded = 0;
   /// Per-round candidates whose cached cone encoding was reused as-is.
@@ -198,7 +177,7 @@ struct SynthesisStats {
   /// Always 0 (the solvers have no inprocessing) and without a kStatFields
   /// row; kept only because the benchmark driver in perfbench/ reads it.
   std::size_t inprocess_runs = 0;
-  // --- cross-round sample reuse (zero when sample_reuse = false) ----------
+  // --- cross-round sample reuse -------------------------------------------
   /// Counterexample-derived samples appended to the training matrix
   /// (π extensions and MaxSAT-corrected σ, deduped by fingerprint).
   std::size_t samples_appended = 0;
@@ -218,8 +197,8 @@ struct SynthesisStats {
   std::size_t peak_rss_bytes = 0;
   /// Heap bytes of the bit-packed training matrix at run end.
   std::size_t sample_matrix_bytes = 0;
-  /// Clause-arena bytes of the persistent verify solver (incremental
-  /// pipeline; 0 for the oracle).
+  /// Clause-arena bytes of the persistent verify solver (0 when the run
+  /// answers before learning).
   std::size_t verify_arena_bytes = 0;
   /// Clause-arena bytes of the shared φ/MaxSAT solver.
   std::size_t phi_arena_bytes = 0;

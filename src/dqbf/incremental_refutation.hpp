@@ -16,7 +16,7 @@
 //     node a later cone reaches is re-encoded as its own gate (sound,
 //     since every definition is a full equivalence over a fresh
 //     variable). The one-shot build_refutation_cnf stays plain Tseitin,
-//     an independent encoding for the incremental = false oracle and the
+//     an independent encoding for the certificate checker and the
 //     differential tests;
 //   * the per-candidate output equivalence  y_i ↔ f_i  is guarded by an
 //     activation literal. check() assumes the current guards; when a

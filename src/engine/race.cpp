@@ -6,11 +6,11 @@
 #include <utility>
 
 #include "dqbf/certificate.hpp"
-#include "engine/scheduler.hpp"
 #include "obs/trace.hpp"
 #include "util/budget.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
+#include "util/scheduler.hpp"
 #include "util/timer.hpp"
 
 namespace manthan::engine {
@@ -31,7 +31,7 @@ RaceOutcome race(const dqbf::DqbfFormula& formula, aig::Aig& manager,
   std::vector<core::SynthesisResult> results(n);
 
   {
-    Scheduler pool(n);
+    util::Scheduler pool(n);
     std::vector<std::future<void>> futures;
     futures.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {

@@ -65,9 +65,9 @@
 #include "dqbf/fingerprint.hpp"
 #include "engine/engine.hpp"
 #include "engine/race.hpp"
-#include "engine/scheduler.hpp"
 #include "util/budget.hpp"
 #include "util/cancel.hpp"
+#include "util/scheduler.hpp"
 
 namespace manthan::engine {
 
@@ -349,7 +349,7 @@ class Service {
   std::size_t persisted_corrupt_ = 0;  // guarded by mutex_
 
   Watchdog watchdog_;  // before pool_: outlives every job
-  Scheduler pool_;     // last member: drains before the maps die
+  util::Scheduler pool_;  // last member: drains before the maps die
 };
 
 }  // namespace manthan::engine

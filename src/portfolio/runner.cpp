@@ -8,8 +8,8 @@
 #include <thread>
 
 #include "dqbf/certificate.hpp"
-#include "engine/scheduler.hpp"
 #include "util/rng.hpp"
+#include "util/scheduler.hpp"
 #include "util/timer.hpp"
 
 namespace manthan::portfolio {
@@ -73,7 +73,7 @@ std::vector<RunRecord> Runner::run_suite(
   if (workers == 0) workers = 1;
   workers = std::min(workers, total);
 
-  engine::Scheduler pool(workers);
+  util::Scheduler pool(workers);
   std::vector<std::future<void>> futures;
   futures.reserve(total);
   for (std::size_t i = 0; i < suite.size(); ++i) {

@@ -1,22 +1,18 @@
 // Fixed-size thread-pool scheduler — the execution substrate of the
-// parallel portfolio (suite fan-out, racing engines), of Manthan3's
-// per-existential candidate learning, and of every future
-// sharding/batching layer.
+// parallel portfolio (suite fan-out, racing engines) and of the synthesis
+// service. Manthan3 itself runs serially: nothing in core uses the pool.
 //
 // Design: a fixed worker count chosen at construction, one global FIFO
 // job queue guarded by a mutex + condition variable, and std::future
 // results via packaged_task. Deliberately work-stealing-free: jobs here
-// are coarse (one engine × one instance, or one decision-tree fit —
-// milliseconds to seconds), so a single FIFO queue is contention-free in
+// are coarse (one engine × one instance — milliseconds to seconds), so a single FIFO queue is contention-free in
 // practice and keeps completion order comprehensible. Determinism is the
 // client's job — scheduled work must derive its own RNG stream from a
 // stable job identity (util::derive_seed) and never depend on
 // interleaving.
 //
-// Layering: the class lives in util (below sat/core) so the synthesis
-// engine can fan work across it without a link cycle through the engine
-// module, which depends on core. engine/scheduler.hpp aliases it back
-// into manthan::engine, where the portfolio-facing clients know it from.
+// Layering: the class lives in util, so a client (engine, portfolio, the
+// benchmarks) takes no link dependency beyond util.
 //
 // Shutdown semantics: the destructor drains — already-submitted jobs all
 // run to completion before the workers join. Cancellation of in-flight

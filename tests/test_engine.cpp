@@ -16,9 +16,9 @@
 #include "baselines/pedant_lite.hpp"
 #include "engine/engine.hpp"
 #include "engine/race.hpp"
-#include "engine/scheduler.hpp"
 #include "sat/solver.hpp"
 #include "util/cancel.hpp"
+#include "util/scheduler.hpp"
 #include "util/timer.hpp"
 #include "workloads/workloads.hpp"
 
@@ -26,6 +26,7 @@ namespace manthan::engine {
 namespace {
 
 using cnf::Var;
+using util::Scheduler;
 
 // --- CancelToken / Deadline composition ------------------------------------
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "baselines/pedant_lite.hpp"
 #include "core/manthan3.hpp"
@@ -230,64 +233,125 @@ TEST(Manthan3, StatsArepopulated) {
   }
 }
 
-TEST(Manthan3, PackedLearningMatchesRowwiseOracleEndToEnd) {
-  // packed_learning only changes the split-counting machinery; the trees
-  // are bit-identical, so the *entire* synthesis trajectory — functions,
-  // counterexamples, repairs, refits — must match field-for-field.
-  for (const std::uint64_t seed : {5ull, 23ull, 71ull}) {
-    const dqbf::DqbfFormula f = testutil::small_planted(seed);
-    Manthan3Options packed_options;
-    packed_options.time_limit_seconds = 30.0;
-    packed_options.packed_learning = true;
-    Manthan3Options rowwise_options = packed_options;
-    rowwise_options.packed_learning = false;
-    aig::Aig packed_manager;
-    const SynthesisResult packed =
-        Manthan3(packed_options).synthesize(f, packed_manager);
-    aig::Aig rowwise_manager;
-    const SynthesisResult rowwise =
-        Manthan3(rowwise_options).synthesize(f, rowwise_manager);
-    SCOPED_TRACE(seed);
-    ASSERT_EQ(packed.status, rowwise.status);
-    EXPECT_EQ(packed.vector.functions, rowwise.vector.functions);
-    testutil::expect_same_counts(packed.stats, rowwise.stats);
-  }
-}
-
 TEST(Manthan3, SampleReuseStaysSoundAndCertified) {
-  // Counterexample-heavy nested-dependency instance: reuse appends
+  // Counterexample-heavy nested-dependency instance: the run appends
   // samples and refits candidates mid-run; whatever the outcome, any
   // kRealizable answer must certify, and the reuse counters move.
   workloads::PlantedParams params{12, 6, 4, 6, 80, 7};
   params.nested_deps = true;
   params.dep_size_max = 10;
   const dqbf::DqbfFormula f = workloads::gen_planted(params);
-  Manthan3Options options;
-  options.time_limit_seconds = 30.0;
-  options.sample_reuse = true;
   aig::Aig manager;
-  const SynthesisResult result = run(f, manager, options);
+  const SynthesisResult result = run(f, manager);
   if (result.status == SynthesisStatus::kRealizable) {
     expect_certified(f, manager, result);
   }
   if (result.stats.counterexamples > 0) {
     EXPECT_GT(result.stats.samples_appended, 0u);
   }
-  // And the reuse-disabled run also stays sound on the same instance.
-  Manthan3Options no_reuse = options;
-  no_reuse.sample_reuse = false;
-  aig::Aig manager2;
-  const SynthesisResult baseline = run(f, manager2, no_reuse);
-  if (baseline.status == SynthesisStatus::kRealizable) {
-    expect_certified(f, manager2, baseline);
-  }
-  EXPECT_EQ(baseline.stats.samples_appended, 0u);
-  EXPECT_EQ(baseline.stats.refit_rounds, 0u);
 }
 
 /// Manthan3 seed of paper-suite run k (suite seed 42 + k).
 std::uint64_t paper_seed(const std::string& name, std::uint64_t k) {
   return suite_run_seed(name, 42 + k);
+}
+
+/// A run's status and every kCount row of kStatFields, folded into one
+/// hash: equal hashes mean the same trajectory up to timing and memory.
+std::uint64_t trajectory_hash(const SynthesisResult& result) {
+  std::string text = std::to_string(static_cast<int>(result.status));
+  for (const StatField& f : kStatFields) {
+    if (f.kind != StatKind::kCount) continue;
+    text += ' ';
+    text += f.name;
+    text += '=';
+    text += std::to_string(result.stats.*f.integer);
+  }
+  return util::hash64(text);
+}
+
+struct GoldenTrajectory {
+  const char* name;
+  std::uint64_t hash[3];  // paper seeds k = 0, 1, 2
+};
+
+// trajectory_hash of every paper-suite run: each standard_suite instance,
+// in suite order, at paper_seed(name, k) with default options and no time
+// limit. A change that alters any trajectory updates these values in the
+// same change, and says why.
+constexpr GoldenTrajectory kGoldenTrajectories[] = {
+    {"planted_6x3_s0", {0x83032b5603ff077eULL, 0x83032b5603ff077eULL, 0x83032b5603ff077eULL}},
+    {"planted_6x3_s1", {0x64d50d23d5fc25f0ULL, 0x64d50d23d5fc25f0ULL, 0x64d50d23d5fc25f0ULL}},
+    {"planted_6x5_s0", {0x47dc3f299735a686ULL, 0xc92c5f46cd336605ULL, 0x24d8b10549297a61ULL}},
+    {"planted_6x5_s1", {0x500227902e5b936cULL, 0x500227902e5b936cULL, 0x500227902e5b936cULL}},
+    {"planted_8x3_s0", {0x8f3d644e480e2fa3ULL, 0x6452418e113b7148ULL, 0x94b6bdf921502183ULL}},
+    {"planted_8x3_s1", {0x5b3dd912b8a2fcc5ULL, 0x0f9c66c05550449aULL, 0x45eaf6fd612460dfULL}},
+    {"planted_8x5_s0", {0x162618bc2cffecedULL, 0x022c3c50eb19526bULL, 0x15eef15f8b9e78daULL}},
+    {"planted_8x5_s1", {0xc0bf10c5908a0a92ULL, 0x00c79e3616f34b85ULL, 0x8ac19ffb7b46d6ebULL}},
+    {"planted_10x3_s0", {0x916ddd28f449caaeULL, 0x5f9ed65f09012a30ULL, 0x707ae82b204795ecULL}},
+    {"planted_10x3_s1", {0xe044abbbb1121d2fULL, 0x389dadf36f8a3d9aULL, 0xdb2e28d215a0ff09ULL}},
+    {"planted_10x5_s0", {0x7c536097e134b1e1ULL, 0x1968b4b258e84d1dULL, 0xabc257b156823e94ULL}},
+    {"planted_10x5_s1", {0xe8e7ae9dd9658f9aULL, 0xe060a6631cd17dabULL, 0xc8267f377e0de73bULL}},
+    {"plantedhard_16x4_s0", {0x8837238c05a23a89ULL, 0xc9a38572a42cdb1bULL, 0xd0e483592665351dULL}},
+    {"plantedhard_16x4_s1", {0xb12229493a50ca2cULL, 0x02416e0d1169314eULL, 0x25bde525de4f080fULL}},
+    {"plantedhard_16x6_s0", {0xb266d48c1d124ba3ULL, 0xe8c3dca6349f4decULL, 0x914bd14f7f7c20c0ULL}},
+    {"plantedhard_16x6_s1", {0xfcae67861a886301ULL, 0xdcc2479ce22a9ac6ULL, 0xf9ec5fe124392f78ULL}},
+    {"plantedhard_18x4_s0", {0xc7f45681034a68b5ULL, 0x2b6c99494ce59d6cULL, 0x0b17c681b517f41cULL}},
+    {"plantedhard_18x4_s1", {0x743e6746b9e10a3aULL, 0x9ded87a8dcc73569ULL, 0xa802c12cb3592819ULL}},
+    {"plantedhard_18x6_s0", {0x4c343c19bd045aa4ULL, 0x04a943229103968aULL, 0x09034ecdb12f9d6fULL}},
+    {"plantedhard_18x6_s1", {0x64ec29256491563bULL, 0xdfe62de3ae6f132fULL, 0x7f598606306cfb53ULL}},
+    {"pec_5x2_s0", {0xa52db71dcd289f33ULL, 0xa52db71dcd289f33ULL, 0xa52db71dcd289f33ULL}},
+    {"pec_5x2_s1", {0xef05d7bfcb5c826bULL, 0xef05d7bfcb5c826bULL, 0xef05d7bfcb5c826bULL}},
+    {"pec_5x3_s0", {0x830edd25d287438bULL, 0x830edd25d287438bULL, 0x830edd25d287438bULL}},
+    {"pec_5x3_s1", {0x051d3089e3b41b74ULL, 0x051d3089e3b41b74ULL, 0x051d3089e3b41b74ULL}},
+    {"pec_7x2_s0", {0x6b8fd84e31423d1eULL, 0xab292a84bf4dd0cbULL, 0x6b8fd84e31423d1eULL}},
+    {"pec_7x2_s1", {0xe260a5b91ebaf2b4ULL, 0xad70c7804e63e98fULL, 0x208bd1e79b6e7162ULL}},
+    {"pec_7x3_s0", {0x2b0bf2acf1df7ef5ULL, 0x2b0bf2acf1df7ef5ULL, 0x2b0bf2acf1df7ef5ULL}},
+    {"pec_7x3_s1", {0xc52c5343799e0a5dULL, 0xb68fcfe238e63296ULL, 0xe57edca3bc1014e7ULL}},
+    {"controller_3x2_s0", {0xce5fbcd5dcd74a25ULL, 0xce5fbcd5dcd74a25ULL, 0xce5fbcd5dcd74a25ULL}},
+    {"controller_3x2_s1", {0xa52db71dcd289f33ULL, 0xa52db71dcd289f33ULL, 0xa52db71dcd289f33ULL}},
+    {"controller_3x3_s0", {0x00f1b2d69a7126c8ULL, 0xb5f6cc757a1bd1f9ULL, 0x4f40e0140fb83941ULL}},
+    {"controller_3x3_s1", {0xf6ddedb77514a9dfULL, 0xf6ddedb77514a9dfULL, 0xf6ddedb77514a9dfULL}},
+    {"controller_4x2_s0", {0x14390ef7909dbd9bULL, 0x14390ef7909dbd9bULL, 0x14390ef7909dbd9bULL}},
+    {"controller_4x2_s1", {0x9c29e884562e184cULL, 0x9c29e884562e184cULL, 0x9c29e884562e184cULL}},
+    {"controller_4x3_s0", {0x641989f76c61c97aULL, 0xa42659ac6264e487ULL, 0x01df90fa95af89fdULL}},
+    {"controller_4x3_s1", {0x1456dc02865435ccULL, 0x1456dc02865435ccULL, 0xb6d90762c382eea7ULL}},
+    {"succinct_10x3_s0", {0x568055ef2c3f40f8ULL, 0x568055ef2c3f40f8ULL, 0x568055ef2c3f40f8ULL}},
+    {"succinct_10x3_s1", {0x735787d77aa2f37bULL, 0x735787d77aa2f37bULL, 0x735787d77aa2f37bULL}},
+    {"succinct_16x3_s0", {0xfb09352a4376eff8ULL, 0xfb09352a4376eff8ULL, 0xfb09352a4376eff8ULL}},
+    {"succinct_16x3_s1", {0xddafe0a4f2801e27ULL, 0xddafe0a4f2801e27ULL, 0xddafe0a4f2801e27ULL}},
+    {"xoreq_1x2_s0", {0x60ed8e9ca727c678ULL, 0x60ed8e9ca727c678ULL, 0x60ed8e9ca727c678ULL}},
+    {"xorshared_1x2_s0", {0xc580f59e39eb9301ULL, 0xc580f59e39eb9301ULL, 0xc580f59e39eb9301ULL}},
+    {"xoreq_2x2_s0", {0x7065fecd984c4f71ULL, 0x7065fecd984c4f71ULL, 0x7065fecd984c4f71ULL}},
+    {"xorshared_2x2_s0", {0x02bdf80b0b6b4febULL, 0x02bdf80b0b6b4febULL, 0x02bdf80b0b6b4febULL}},
+    {"xoreq_3x2_s0", {0x625b6320c1992a1eULL, 0x9d051b2c3dc26a30ULL, 0x54f86e3f7cfa63b5ULL}},
+    {"xorshared_3x2_s0", {0xe72732dedc925f3fULL, 0x19e6f0655d61e61fULL, 0x253f872a85d81dbaULL}},
+    {"unreal_1x1_s0", {0x554fb4205c64faadULL, 0x554fb4205c64faadULL, 0x554fb4205c64faadULL}},
+    {"unrealext_1x1_s0", {0x7dda78131c852ed8ULL, 0x7dda78131c852ed8ULL, 0x7dda78131c852ed8ULL}},
+    {"unreal_2x1_s0", {0x6548137f5d637deaULL, 0x6548137f5d637deaULL, 0x6548137f5d637deaULL}},
+    {"unrealext_2x1_s0", {0x84548c6233c503b8ULL, 0x84548c6233c503b8ULL, 0x84548c6233c503b8ULL}},
+};
+
+TEST(Manthan3, StandardSuiteTrajectoriesMatchGolden) {
+  // The 150 runs of perfbench's paper_suite workload (about 0.2 s of
+  // synthesis in a release build): a refactor of the engine that keeps
+  // every solver, AIG node and RNG stream in order keeps these hashes.
+  const std::vector<workloads::Instance> suite =
+      workloads::standard_suite(workloads::SuiteParams{});
+  ASSERT_EQ(suite.size(), std::size(kGoldenTrajectories));
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const workloads::Instance& instance = suite[i];
+    ASSERT_EQ(instance.name, kGoldenTrajectories[i].name);
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      Manthan3Options options;
+      options.seed = paper_seed(instance.name, k);
+      aig::Aig manager;
+      const SynthesisResult result =
+          Manthan3(options).synthesize(instance.formula, manager);
+      EXPECT_EQ(trajectory_hash(result), kGoldenTrajectories[i].hash[k])
+          << instance.name << " seed " << k;
+    }
+  }
 }
 
 TEST(Manthan3, SingleAttemptCertifiesFormerRestartingStreams) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "obs/memory.hpp"
 #include "portfolio/runner.hpp"
 #include "portfolio/tables.hpp"
@@ -59,58 +60,12 @@ inline const std::vector<workloads::Instance>& bench_suite() {
 
 namespace detail {
 
-inline const char* engine_token(portfolio::EngineKind kind) {
-  switch (kind) {
-    case portfolio::EngineKind::kManthan3: return "manthan3";
-    case portfolio::EngineKind::kHqsLite: return "hqs";
-    case portfolio::EngineKind::kPedantLite: return "pedant";
-  }
-  return "?";
-}
-
-inline bool parse_engine(const std::string& token,
-                         portfolio::EngineKind& kind) {
-  if (token == "manthan3") kind = portfolio::EngineKind::kManthan3;
-  else if (token == "hqs") kind = portfolio::EngineKind::kHqsLite;
-  else if (token == "pedant") kind = portfolio::EngineKind::kPedantLite;
-  else return false;
-  return true;
-}
-
-inline const char* status_token(core::SynthesisStatus status) {
-  switch (status) {
-    case core::SynthesisStatus::kRealizable: return "realizable";
-    case core::SynthesisStatus::kUnrealizable: return "unrealizable";
-    case core::SynthesisStatus::kIncomplete: return "incomplete";
-    case core::SynthesisStatus::kLimit: return "limit";
-    case core::SynthesisStatus::kTimeout: return "timeout";
-    case core::SynthesisStatus::kOutOfBudget: return "out_of_budget";
-    case core::SynthesisStatus::kInternalError: return "internal_error";
-  }
-  return "?";
-}
-
-inline bool parse_status(const std::string& token,
-                         core::SynthesisStatus& status) {
-  if (token == "realizable") status = core::SynthesisStatus::kRealizable;
-  else if (token == "unrealizable")
-    status = core::SynthesisStatus::kUnrealizable;
-  else if (token == "incomplete") status = core::SynthesisStatus::kIncomplete;
-  else if (token == "limit") status = core::SynthesisStatus::kLimit;
-  else if (token == "timeout") status = core::SynthesisStatus::kTimeout;
-  else if (token == "out_of_budget")
-    status = core::SynthesisStatus::kOutOfBudget;
-  else if (token == "internal_error")
-    status = core::SynthesisStatus::kInternalError;
-  else return false;
-  return true;
-}
-
-/// Cache header: identifies (scale, budget, suite size) so a stale cache
-/// is never silently reused for a different configuration.
+/// Cache header: identifies the format version (v2: engine::engine_name
+/// and engine::status_name tokens) and (scale, budget, suite size) so a
+/// stale cache is never silently reused for a different configuration.
 inline std::string cache_header() {
   std::ostringstream os;
-  os << "# manthan3-bench-cache v1 scale=" << env_scale()
+  os << "# manthan3-bench-cache v2 scale=" << env_scale()
      << " budget=" << env_budget() << " instances=" << bench_suite().size();
   return os.str();
 }
@@ -134,8 +89,11 @@ inline bool load_cache(std::vector<portfolio::RunRecord>& records) {
           certified >> r.seconds)) {
       return false;
     }
-    if (!parse_engine(engine_tok, r.engine)) return false;
-    if (!parse_status(status_tok, r.status)) return false;
+    const auto kind = engine::engine_from_name(engine_tok);
+    const auto status = engine::status_from_name(status_tok);
+    if (!kind || !status) return false;
+    r.engine = *kind;
+    r.status = *status;
     r.certified = certified != 0;
     records.push_back(r);
   }
@@ -150,8 +108,9 @@ inline void save_cache(const std::vector<portfolio::RunRecord>& records) {
   if (!out) return;
   out << cache_header() << '\n';
   for (const portfolio::RunRecord& r : records) {
-    out << r.instance << '\t' << r.family << '\t' << engine_token(r.engine)
-        << '\t' << status_token(r.status) << '\t' << (r.certified ? 1 : 0)
+    out << r.instance << '\t' << r.family << '\t'
+        << engine::engine_name(r.engine) << '\t'
+        << engine::status_name(r.status) << '\t' << (r.certified ? 1 : 0)
         << '\t' << r.seconds << '\n';
   }
 }

@@ -21,18 +21,17 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "aig/aig_io.hpp"
-#include "baselines/hqs_lite.hpp"
-#include "baselines/pedant_lite.hpp"
 #include "core/manthan3.hpp"
 #include "dqbf/certificate.hpp"
 #include "dqbf/dqdimacs.hpp"
+#include "engine/engine.hpp"
 #include "engine/service.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "portfolio/runner.hpp"
 #include "preprocess/hqspre_lite.hpp"
 #include "workloads/workloads.hpp"
 
@@ -84,6 +83,16 @@ int usage(const char* argv0) {
                " [--trace F] [--metrics-json F] [--metrics-prom F]"
                " [--seed N] (--demo | --planted SEED | instance.dqdimacs)\n";
   return 2;
+}
+
+/// The --engine tokens; nullopt for an unknown token.
+std::optional<manthan::engine::EngineKind> engine_from_token(
+    const std::string& token) {
+  using manthan::engine::EngineKind;
+  if (token == "manthan3") return EngineKind::kManthan3;
+  if (token == "hqs") return EngineKind::kHqsLite;
+  if (token == "pedant") return EngineKind::kPedantLite;
+  return std::nullopt;
 }
 
 /// Flush telemetry to the files requested on the command line. Called on
@@ -158,6 +167,12 @@ int main(int argc, char** argv) {
   if (!cli.demo && !cli.planted && cli.input_path.empty()) {
     return usage(argv[0]);
   }
+  const std::optional<manthan::engine::EngineKind> engine =
+      engine_from_token(cli.engine);
+  if (!engine) {
+    std::cerr << "unknown engine " << cli.engine << "\n";
+    return usage(argv[0]);
+  }
   if (!cli.trace_path.empty()) manthan::obs::start_tracing();
   // Export the service_* series (zero-valued: the CLI solves in-process)
   // so one scrape config covers the CLI and the daemon alike.
@@ -219,38 +234,20 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, cli_handle_signal);
   std::signal(SIGTERM, cli_handle_signal);
   manthan::aig::Aig manager;
-  manthan::core::SynthesisResult result;
-  if (cli.engine == "manthan3") {
-    manthan::core::Manthan3Options options;
-    options.time_limit_seconds = cli.timeout;
-    options.seed = cli.seed;
-    options.cancel = &g_interrupt;
-    result = manthan::core::Manthan3(options).synthesize(*to_solve, manager);
-  } else if (cli.engine == "hqs") {
-    manthan::baselines::HqsLiteOptions options;
-    options.time_limit_seconds = cli.timeout;
-    options.cancel = &g_interrupt;
-    result = manthan::baselines::HqsLite(options).synthesize(*to_solve,
-                                                             manager);
-  } else if (cli.engine == "pedant") {
-    manthan::baselines::PedantLiteOptions options;
-    options.time_limit_seconds = cli.timeout;
-    options.cancel = &g_interrupt;
-    result =
-        manthan::baselines::PedantLite(options).synthesize(*to_solve,
-                                                           manager);
-  } else {
-    std::cerr << "unknown engine " << cli.engine << "\n";
-    return usage(argv[0]);
-  }
+  manthan::engine::EngineOptions options;
+  options.time_limit_seconds = cli.timeout;
+  options.seed = cli.seed;
+  options.cancel = &g_interrupt;
+  const manthan::core::SynthesisResult result =
+      manthan::engine::run_engine(*to_solve, manager, *engine, options);
   if (g_interrupt.cancelled()) {
     std::cout << "interrupted: truncated "
-              << manthan::portfolio::status_name(result.status)
+              << manthan::engine::status_name(result.status)
               << " result after " << result.stats.total_seconds << " s\n";
   }
 
   std::cout << "engine: " << cli.engine << ", status: "
-            << manthan::portfolio::status_name(result.status) << "\n";
+            << manthan::engine::status_name(result.status) << "\n";
   for (const manthan::core::StatField& f : manthan::core::kStatFields) {
     std::cout << f.name << ' ' << manthan::core::stat_text(result.stats, f)
               << '\n';

@@ -2,7 +2,7 @@
 //
 // Watches a queue directory for `*.dqdimacs` request files, routes each
 // through one engine::Service (shared scheduler pool, admission policy,
-// two-tier result cache), and writes `<name>.result.json` next to every
+// tier-1 result cache), and writes `<name>.result.json` next to every
 // answered request: status, engine, cache/race provenance, the canonical
 // spec fingerprint, engine counters, and the certified functions as an
 // embedded BLIF netlist. Duplicate requests — byte-identical or merely
@@ -71,7 +71,7 @@ struct CliOptions {
   bool once = false;
   int poll_ms = 200;
   std::size_t max_requests = 0;
-  bool use_cache = true;
+  bool result_cache = true;
   std::string cache_dir;
   std::size_t max_attempts = 3;
   double retry_base_ms = 200.0;
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-requests") {
       cli.max_requests = std::stoul(next("--max-requests"));
     } else if (arg == "--no-cache") {
-      cli.use_cache = false;
+      cli.result_cache = false;
     } else if (arg == "--cache-dir") {
       cli.cache_dir = next("--cache-dir");
     } else if (arg == "--max-attempts") {
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   service_options.workers = cli.workers;
   service_options.default_time_limit_seconds = cli.timeout;
   service_options.seed = cli.seed;
-  service_options.result_cache = cli.use_cache;
+  service_options.result_cache = cli.result_cache;
   service_options.cache_dir = cli.cache_dir;
   service_options.default_budget.memory_bytes =
       cli.mem_budget_mb * 1024 * 1024;
@@ -217,7 +217,6 @@ int main(int argc, char** argv) {
   daemon_options.queue_dir = cli.queue_dir;
   daemon_options.max_requests = cli.max_requests;
   daemon_options.stop = &g_stop;
-  daemon_options.use_cache = cli.use_cache;
   daemon_options.max_attempts = cli.max_attempts;
   daemon_options.retry_base_ms = cli.retry_base_ms;
 

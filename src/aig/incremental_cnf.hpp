@@ -38,9 +38,10 @@
 // dqbf::IncrementalRefutation).
 //
 // The one-shot encoder stays plain Tseitin on purpose: the workload
-// generators build matrices with it, and the certificate checker and the
-// non-incremental verify oracle rely on it being an encoding independent
-// of this one.
+// generators and the spec builder build matrices with it, and the
+// certificate checker and PedantLite's verify step (both through
+// dqbf::build_refutation_cnf) rely on it being an encoding independent of
+// this one.
 //
 // The clause sink is a pair of callbacks rather than a sat::Solver so the
 // aig module stays independent of the solver layer.

@@ -77,8 +77,7 @@ std::string blif_certificate(const dqbf::DqbfFormula& formula,
 
 std::string result_json(const std::string& request_name,
                         const dqbf::DqbfFormula& formula,
-                        const ServiceResponse& response,
-                        bool with_certificate) {
+                        const ServiceResponse& response) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"request\": \"" << json_escape(request_name) << "\",\n";
@@ -98,8 +97,7 @@ std::string result_json(const std::string& request_name,
     out << "    \"" << f.name << "\": " << core::stat_text(response.stats, f);
   }
   out << "\n  }";
-  if (with_certificate && response.solved() &&
-      response.functions != nullptr) {
+  if (response.solved() && response.functions != nullptr) {
     out << ",\n  \"functions_blif\": \""
         << json_escape(blif_certificate(formula, response)) << "\"";
   }
@@ -195,13 +193,16 @@ double retry_jitter(const std::string& name, std::uint64_t attempt) {
   return 0.5 + 0.5 * (static_cast<double>(h >> 11) * 0x1.0p-53);
 }
 
+/// Cap of the exponential retry backoff, before jitter.
+constexpr double kRetryMaxMs = 60000.0;
+
 double backoff_ms(const DaemonOptions& options, const std::string& name,
                   std::uint64_t attempt) {
   double base = options.retry_base_ms;
-  for (std::uint64_t i = 1; i < attempt && base < options.retry_max_ms; ++i) {
+  for (std::uint64_t i = 1; i < attempt && base < kRetryMaxMs; ++i) {
     base *= 2.0;
   }
-  return std::min(base, options.retry_max_ms) * retry_jitter(name, attempt);
+  return std::min(base, kRetryMaxMs) * retry_jitter(name, attempt);
 }
 
 /// Move the request to failed/ with an error record; the request is
@@ -261,7 +262,7 @@ DrainReport drain_queue(Service& service, const DaemonOptions& options) {
     if (fs::exists(result_path)) {
       // Finished in a previous life; a leftover journal (crash between
       // result write and journal removal) is stale bookkeeping.
-      if (options.journal) remove_journal(journal_path);
+      remove_journal(journal_path);
       ++report.skipped;
       continue;
     }
@@ -269,54 +270,46 @@ DrainReport drain_queue(Service& service, const DaemonOptions& options) {
     RequestRecord record;
     record.path = request.string();
 
-    Journal journal;
-    if (options.journal) {
-      journal = read_journal(journal_path);
-      if (journal.next_retry_ms != 0 &&
-          now_unix_ms() < journal.next_retry_ms) {
-        // Backoff not elapsed: leave for a later drain, keep draining —
-        // one throttled request must not delay the rest of the queue.
-        record.deferred = true;
-        record.attempts = static_cast<std::size_t>(journal.attempts);
-        ++report.deferred;
-        report.records.push_back(std::move(record));
-        continue;
-      }
-      if (journal.attempts >= options.max_attempts) {
-        // Covers crash-loops: the journal counts *started* executions,
-        // so a request that keeps killing the daemon exhausts its
-        // attempts without ever reporting a failure.
-        quarantine_request(options, request, name, journal.attempts,
-                           journal.error.empty() ? "attempts exhausted"
-                                                 : journal.error);
-        record.quarantined = true;
-        record.attempts = static_cast<std::size_t>(journal.attempts);
-        ++report.quarantined;
-        obs::Registry::global()
-            .counter("service_requests_quarantined_total")
-            .inc();
-        report.records.push_back(std::move(record));
-        continue;
-      }
+    const Journal journal = read_journal(journal_path);
+    if (journal.next_retry_ms != 0 && now_unix_ms() < journal.next_retry_ms) {
+      // Backoff not elapsed: leave for a later drain, keep draining — one
+      // throttled request must not delay the rest of the queue.
+      record.deferred = true;
+      record.attempts = static_cast<std::size_t>(journal.attempts);
+      ++report.deferred;
+      report.records.push_back(std::move(record));
+      continue;
+    }
+    if (journal.attempts >= options.max_attempts) {
+      // Covers crash-loops: the journal counts *started* executions, so a
+      // request that keeps killing the daemon exhausts its attempts
+      // without ever reporting a failure.
+      quarantine_request(options, request, name, journal.attempts,
+                         journal.error.empty() ? "attempts exhausted"
+                                               : journal.error);
+      record.quarantined = true;
+      record.attempts = static_cast<std::size_t>(journal.attempts);
+      ++report.quarantined;
+      obs::Registry::global()
+          .counter("service_requests_quarantined_total")
+          .inc();
+      report.records.push_back(std::move(record));
+      continue;
     }
     const std::uint64_t attempts_prev = journal.attempts;
     const std::uint64_t attempt = attempts_prev + 1;
     record.attempts = static_cast<std::size_t>(attempt);
-    if (options.journal) {
-      // Write-ahead intent: if we die mid-request, the next drain sees
-      // this execution in the count and re-runs (or quarantines) it.
-      Journal intent;
-      intent.attempts = attempt;
-      intent.error = journal.error;
-      write_journal(journal_path, intent);
-    }
+    // Write-ahead intent: if we die mid-request, the next drain sees this
+    // execution in the count and re-runs (or quarantines) it.
+    Journal intent;
+    intent.attempts = attempt;
+    intent.error = journal.error;
+    write_journal(journal_path, intent);
 
     // A transient failure: journal a backed-off retry, or quarantine once
-    // the attempt budget is spent. Without the journal this keeps the
-    // PR-9 behavior — no result file, re-run on every drain.
+    // the attempt budget is spent.
     const auto transient_failure = [&](const std::string& message) {
       record.internal_error = true;
-      if (!options.journal) return;
       if (attempt >= options.max_attempts) {
         quarantine_request(options, request, name, attempt, message);
         record.quarantined = true;
@@ -364,7 +357,7 @@ DrainReport drain_queue(Service& service, const DaemonOptions& options) {
                             error_json(name, "unparsable DQDIMACS"))) {
         record.result_path = result_path;
       }
-      if (options.journal) remove_journal(journal_path);
+      remove_journal(journal_path);
       report.records.push_back(std::move(record));
       continue;
     }
@@ -373,7 +366,6 @@ DrainReport drain_queue(Service& service, const DaemonOptions& options) {
     SolveOptions solve_options;
     solve_options.time_limit_seconds = options.time_limit_seconds;
     solve_options.cancel = options.stop;
-    solve_options.use_cache = options.use_cache;
     const ServiceResponse response =
         service.submit(formula, solve_options).get();
     record.seconds = timer.seconds();
@@ -386,14 +378,12 @@ DrainReport drain_queue(Service& service, const DaemonOptions& options) {
       // Interrupted, not answered: leave no result file so the next
       // drain re-runs the request, and stop draining. The interrupted
       // execution does not count against the attempt budget.
-      if (options.journal) {
-        if (attempts_prev == 0) {
-          remove_journal(journal_path);
-        } else {
-          Journal restore = journal;
-          restore.next_retry_ms = 0;
-          write_journal(journal_path, restore);
-        }
+      if (attempts_prev == 0) {
+        remove_journal(journal_path);
+      } else {
+        Journal restore = journal;
+        restore.next_retry_ms = 0;
+        write_journal(journal_path, restore);
       }
       report.records.push_back(std::move(record));
       report.stopped = true;
@@ -417,8 +407,7 @@ DrainReport drain_queue(Service& service, const DaemonOptions& options) {
     const bool write_failed =
         util::fault::io_should_fail(util::fault::Site::kDaemonWrite) ||
         !write_file_atomic(result_path,
-                           result_json(name, formula, response,
-                                       options.write_certificates));
+                           result_json(name, formula, response));
     if (write_failed) {
       // The verdict exists but is not durable: without a result file the
       // next drain would re-run the request, so treat it as transient.
@@ -430,7 +419,7 @@ DrainReport drain_queue(Service& service, const DaemonOptions& options) {
       continue;
     }
     record.result_path = result_path;
-    if (options.journal) remove_journal(journal_path);
+    remove_journal(journal_path);
     report.records.push_back(std::move(record));
   }
   return report;

@@ -22,19 +22,19 @@
 // an error-result file — a poisoned request must not wedge the queue by
 // being retried forever.
 //
-// Crash/fault hardening (when `journal` is on): before a request is
-// executed, a write-ahead intent record `journal/<name>.journal` is
-// written with the attempt count. A transient failure (worker internal
-// error, result-write failure, injected daemon I/O fault) leaves the
-// journal in place with an exponential-backoff-with-jitter retry time, so
-// later drains re-run the request after the backoff; once max_attempts
-// executions have started without producing a result — including
-// crash-loops, where the journal survives the process — the request file
-// is moved to `failed/<name>` with an `<name>.error.json` beside it and
-// never retried again (quarantine). Graceful cancellation restores the
-// previous attempt count: an interrupt is not a failure. Successful
-// results remove the journal, so a daemon killed between journal write
-// and result write re-runs the interrupted request exactly once.
+// Crash/fault hardening: before a request is executed, a write-ahead
+// intent record `journal/<name>.journal` is written with the attempt
+// count. A transient failure (worker internal error, result-write
+// failure, injected daemon I/O fault) leaves the journal in place with an
+// exponential-backoff-with-jitter retry time, so later drains re-run the
+// request after the backoff; once max_attempts executions have started
+// without producing a result — including crash-loops, where the journal
+// survives the process — the request file is moved to `failed/<name>`
+// with an `<name>.error.json` beside it and never retried again
+// (quarantine). Graceful cancellation restores the previous attempt
+// count: an interrupt is not a failure. Successful results remove the
+// journal, so a daemon killed between journal write and result write
+// re-runs the interrupted request exactly once.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +47,8 @@
 
 namespace manthan::engine {
 
+/// Drain settings. Whether requests consult the tier-1 cache is the
+/// service's ServiceOptions::result_cache.
 struct DaemonOptions {
   /// Directory holding `*.dqdimacs` request files.
   std::string queue_dir;
@@ -57,22 +59,14 @@ struct DaemonOptions {
   /// Checked between requests and composed into each request's
   /// cancellation; null = only service shutdown can interrupt.
   const util::CancelToken* stop = nullptr;
-  /// Consult/populate the service's tier-1 cache.
-  bool use_cache = true;
-  /// Embed the certified functions as BLIF in the result JSON.
-  bool write_certificates = true;
 
   /// Maximum executions per request before it is quarantined to
   /// `failed/` (counted across daemon restarts via the journal).
   std::size_t max_attempts = 3;
   /// Exponential retry backoff: attempt k waits about
-  /// retry_base_ms * 2^(k-1), capped at retry_max_ms, scaled by a
+  /// retry_base_ms * 2^(k-1), capped at 60 s, scaled by a
   /// deterministic per-(request, attempt) jitter in [0.5, 1.0].
   double retry_base_ms = 200.0;
-  double retry_max_ms = 60000.0;
-  /// Write-ahead intent journal + retry/quarantine bookkeeping. Off =
-  /// PR-9 behavior (transient failures re-run forever, no quarantine).
-  bool journal = true;
 };
 
 /// Per-request drain outcome.

@@ -52,10 +52,11 @@ core::SynthesisResult run_engine(const dqbf::DqbfFormula& formula,
                                  const EngineOptions& options) {
   switch (kind) {
     case EngineKind::kManthan3: {
-      core::Manthan3Options opts = options.manthan3;
+      core::Manthan3Options opts;
       opts.time_limit_seconds = options.time_limit_seconds;
       opts.seed = options.seed;
       opts.cancel = options.cancel;
+      opts.trace_id = options.trace_id;
       core::Manthan3 synthesizer(opts);
       return synthesizer.synthesize(formula, manager);
     }

@@ -30,7 +30,8 @@ const char* status_name(core::SynthesisStatus status);
 std::optional<core::SynthesisStatus> status_from_name(const std::string& name);
 std::optional<EngineKind> engine_from_name(const std::string& name);
 
-/// Budget, stream identity, and knobs for one engine run.
+/// Budget, stream identity, and trace tag for one engine run. Every other
+/// engine option runs at its default.
 struct EngineOptions {
   /// Wall-clock budget in seconds; 0 = unlimited.
   double time_limit_seconds = 0.0;
@@ -41,9 +42,9 @@ struct EngineOptions {
   /// Cooperative stop flag composed into the engine's internal Deadline;
   /// null means "not cancellable". Must outlive the run.
   const util::CancelToken* cancel = nullptr;
-  /// Knobs forwarded to Manthan3 (its time/seed/cancel fields are
-  /// overridden by the ones above).
-  core::Manthan3Options manthan3;
+  /// Tag for Manthan3's trace spans (core::Manthan3Options::trace_id);
+  /// the service sets it per request. 0 = untagged.
+  std::uint64_t trace_id = 0;
 };
 
 /// Run one engine on one formula. Thread-safe: shares no mutable state

@@ -38,8 +38,7 @@ RaceOutcome race(const dqbf::DqbfFormula& formula, aig::Aig& manager,
       futures.push_back(pool.submit([&, i]() {
         // One span per contender; all lanes share the request's trace id,
         // so a trace shows them racing side by side across threads.
-        obs::Span lane_span("race.lane", "service",
-                            options.manthan3.trace_id);
+        obs::Span lane_span("race.lane", "service", options.trace_id);
         // The budget is thread-local; each lane re-installs it so its
         // growth sites charge the shared request budget.
         util::BudgetScope budget_scope(options.budget);
@@ -50,7 +49,7 @@ RaceOutcome race(const dqbf::DqbfFormula& formula, aig::Aig& manager,
             options.seed,
             static_cast<std::uint64_t>(options.contenders[i]), i);
         engine_options.cancel = &cancel;
-        engine_options.manthan3 = options.manthan3;
+        engine_options.trace_id = options.trace_id;
         managers[i] = std::make_unique<aig::Aig>();
         core::SynthesisResult result;
         try {
@@ -81,8 +80,7 @@ RaceOutcome race(const dqbf::DqbfFormula& formula, aig::Aig& manager,
         if (definitive && outcome.winner < 0) {
           outcome.winner = static_cast<int>(i);
           lane.winner = true;
-          obs::trace_instant("race.win", "service",
-                             options.manthan3.trace_id);
+          obs::trace_instant("race.win", "service", options.trace_id);
           cancel.cancel();  // stop the losing lanes at their next poll
         } else if (cancel.cancelled() &&
                    lane.status == core::SynthesisStatus::kTimeout) {

@@ -36,8 +36,8 @@ struct RaceOptions {
   /// ends when every lane returns).
   double time_limit_seconds = 0.0;
   std::uint64_t seed = 42;
-  /// Knobs forwarded to Manthan3 lanes.
-  core::Manthan3Options manthan3;
+  /// Tag for the lane spans and every lane's engine spans; 0 = untagged.
+  std::uint64_t trace_id = 0;
   /// External stop signal (a service shutdown, a caller's per-request
   /// cancel): composed with the race's internal winner token, so every
   /// lane stops at its next poll when either fires. Null = the race can

@@ -142,8 +142,7 @@ std::shared_future<ServiceResponse> Service::submit(
           ? 1 + static_cast<std::uint32_t>(*options.engine)
           : 0;
   job->options = options;
-  job->coalescable = options_.coalesce && options.use_cache &&
-                     options.cancel == nullptr;
+  job->coalescable = options.cancel == nullptr;
   const std::uint64_t trace_id = trace_id_of(job->canon.spec);
   obs::Span submit_span("service.submit", "service", trace_id);
   ServiceMetrics& metrics = service_metrics();
@@ -153,7 +152,7 @@ std::shared_future<ServiceResponse> Service::submit(
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.requests;
 
-    if (options.use_cache && options_.result_cache) {
+    if (options_.result_cache) {
       const auto it = cache_.find(job->key);
       if (it != cache_.end()) {
         ++stats_.tier1_hits;
@@ -214,7 +213,7 @@ ServiceResponse Service::run_job(const std::shared_ptr<Job>& job) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     --queued_;
-    if (!job->options.engine && options_.race_contenders.size() >= 2) {
+    if (!job->options.engine) {
       switch (options_.admission) {
         case ServiceOptions::Admission::kRace:
           race_mode = true;
@@ -272,8 +271,6 @@ ServiceResponse Service::run_job(const std::shared_ptr<Job>& job) {
   const double limit = job->options.time_limit_seconds < 0.0
                            ? options_.default_time_limit_seconds
                            : job->options.time_limit_seconds;
-  core::Manthan3Options manthan3 = options_.manthan3;
-  manthan3.trace_id = trace_id;
   // Seed from the canonical identity, not submission order: duplicate
   // specs replay identical streams, which is what makes a tier-1 hit
   // indistinguishable from re-solving.
@@ -290,10 +287,9 @@ ServiceResponse Service::run_job(const std::shared_ptr<Job>& job) {
     util::BudgetScope budget_scope(budget ? &*budget : nullptr);
     if (race_mode) {
       RaceOptions race_options;
-      race_options.contenders = options_.race_contenders;
       race_options.time_limit_seconds = limit;
       race_options.seed = seed;
-      race_options.manthan3 = manthan3;
+      race_options.trace_id = trace_id;
       race_options.cancel = &token;
       race_options.budget = budget ? &*budget : nullptr;
       const RaceOutcome outcome = race(job->formula, cone->manager_,
@@ -318,7 +314,7 @@ ServiceResponse Service::run_job(const std::shared_ptr<Job>& job) {
       engine_options.time_limit_seconds = limit;
       engine_options.seed = seed;
       engine_options.cancel = &token;
-      engine_options.manthan3 = manthan3;
+      engine_options.trace_id = trace_id;
       core::SynthesisResult result =
           run_engine(job->formula, cone->manager_, kind, engine_options);
       response.status = result.status;
@@ -387,8 +383,7 @@ ServiceResponse Service::run_job(const std::shared_ptr<Job>& job) {
     }
     // Cache only trustworthy verdicts: certified vectors and proven
     // unrealizability, never anything a token truncated.
-    if (job->options.use_cache && options_.result_cache && definitive &&
-        !response.cancelled) {
+    if (options_.result_cache && definitive && !response.cancelled) {
       obs::trace_instant("cache.store", "service", trace_id);
       cache_store(job->key, response, /*persist=*/true);
       metrics.cache_entries.set(static_cast<double>(cache_.size()));

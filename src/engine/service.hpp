@@ -20,10 +20,10 @@
 //     per-request cancel token) share one underlying job and one future.
 //
 // Admission: when the service is idle (no queued requests) and has spare
-// workers, a request fans into engine::race across the configured
-// contenders — latency mode. Once a backlog forms, each request runs a
-// single engine — throughput mode, one worker per request. kSingle /
-// kRace force either behavior.
+// workers, a request fans into engine::race across all three engines —
+// latency mode. Once a backlog forms, each request runs a single engine —
+// throughput mode, one worker per request. kSingle / kRace force either
+// behavior.
 //
 // Determinism: the per-request seed is derived from the service seed and
 // the spec fingerprint, never from submission order or wall clock, so a
@@ -77,11 +77,9 @@ struct ServiceOptions {
   /// Default per-request wall-clock budget in seconds (0 = unlimited);
   /// counted from job start, not from submission (queue wait is free).
   double default_time_limit_seconds = 0.0;
-  /// Base seed: per-request seeds are derive_seed(seed, fp, mode).
+  /// Base seed: per-request seeds are derive_seed(seed, fp, mode). The
+  /// engines run at their default options otherwise.
   std::uint64_t seed = 42;
-  /// Knobs forwarded to every Manthan3 run (time/seed/cancel are
-  /// overridden per request by the service).
-  core::Manthan3Options manthan3;
 
   enum class Admission {
     kAuto,    // race when idle, single-engine when backlogged
@@ -89,20 +87,14 @@ struct ServiceOptions {
     kRace,    // always race (unless the request forces an engine)
   };
   Admission admission = Admission::kAuto;
-  /// Engine used for single-engine runs (backlog mode / kSingle).
+  /// Engine used for single-engine runs (backlog mode / kSingle). Race
+  /// mode runs RaceOptions' default contenders, all three engines.
   EngineKind single_engine = EngineKind::kManthan3;
-  /// Contenders for race-mode requests.
-  std::vector<EngineKind> race_contenders{
-      EngineKind::kManthan3, EngineKind::kHqsLite, EngineKind::kPedantLite};
 
-  /// Enable the tier-1 certified-result cache.
+  /// Enable the tier-1 certified-result cache for every request.
   bool result_cache = true;
   /// Tier-1 LRU capacity (entries); 0 = unbounded.
   std::size_t result_cache_capacity = 1024;
-  /// Share one in-flight job between concurrent duplicate submissions
-  /// (only requests without a per-request cancel token coalesce — a
-  /// token must never cancel a stranger's request).
-  bool coalesce = true;
 
   /// Default per-request resource budget (growth-site heap bytes, wall
   /// seconds enforced by the service watchdog, SAT conflicts). All-zero =
@@ -125,13 +117,13 @@ struct SolveOptions {
   double time_limit_seconds = -1.0;
   /// Optional per-request stop flag, composed with the service shutdown
   /// token. Must outlive the request. Requests carrying a token are
-  /// never coalesced with other submissions.
+  /// never coalesced with other submissions (a token must never cancel a
+  /// stranger's request); all others share one in-flight job with their
+  /// concurrent duplicates.
   const util::CancelToken* cancel = nullptr;
   /// Force this engine instead of the admission policy (cached under a
   /// separate engine-mode tag).
   std::optional<EngineKind> engine;
-  /// Consult and populate the tier-1 cache for this request.
-  bool use_cache = true;
   /// Per-request resource budget; unset = the service default.
   std::optional<util::ResourceBudget::Limits> budget;
 };

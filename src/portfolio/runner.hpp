@@ -46,8 +46,6 @@ struct RunnerOptions {
   /// Per-instance, per-engine wall-clock budget (the paper's 7200 s,
   /// scaled to laptop instances).
   double per_instance_seconds = 5.0;
-  /// Options forwarded to Manthan3 (ablation benches override these).
-  core::Manthan3Options manthan3;
   /// Suite-level seed. Every (instance, engine) job derives its own
   /// stream with util::derive_seed(seed, hash64(instance name), engine),
   /// so parallel and serial runs draw identical randomness per job — see

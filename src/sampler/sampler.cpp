@@ -13,6 +13,13 @@ namespace {
 /// the remaining models exactly.
 constexpr std::size_t kStallRun = 16;
 
+/// Adaptive weighting: a bias variable true in at least kSkewHigh (at
+/// most kSkewLow) of the probe models decides true with probability
+/// kStrongBias (1 - kStrongBias) in the main round.
+constexpr double kSkewHigh = 0.65;
+constexpr double kSkewLow = 0.35;
+constexpr double kStrongBias = 0.9;
+
 /// Population count of variable `v`'s packed column (tail bits are zero by
 /// construction, so no masking is needed).
 std::size_t column_popcount(const cnf::SampleMatrix& m, Var v) {
@@ -33,6 +40,14 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
                                          const util::Deadline* deadline) {
   cnf::SampleMatrix matrix(formula.num_vars());
   stats_ = SamplerStats{};
+  // One solver serves both rounds. Probe round: unbiased random
+  // polarities.
+  sat::SolverOptions probe_options;
+  probe_options.random_polarity = true;
+  probe_options.seed = options_.seed;
+  sat::Solver solver(probe_options);
+  if (!solver.add_formula(formula)) return matrix;
+
   // Randomized branching can rediscover the same model; the training set
   // must contain distinct assignments, so the matrix drops repeats (by
   // 64-bit model fingerprint — see cnf::fingerprint on the collision
@@ -42,72 +57,43 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
   // left.
   bool distinct = false;
 
-  const auto draw = [&](sat::Solver& solver, std::size_t count) {
+  // Persistent enumerating session. The sink tracks the stall; the
+  // solver polls the deadline on its decision + propagation counter, so
+  // the sink reads no clock per model.
+  const auto draw = [&](std::size_t count) {
     if (count == 0) return;
-    if (options_.enumerate) {
-      // Persistent enumerating session. The sink tracks the stall; the
-      // solver polls the deadline on its decision + propagation counter,
-      // so the sink reads no clock per model.
-      std::size_t run = 0;
-      const sat::ModelSink sink = [&](const Assignment& model) {
-        if (matrix.append_distinct(model)) {
-          run = 0;
-          return --count > 0;
-        }
-        ++stats_.duplicates;
-        return distinct || ++run < kStallRun;
-      };
-      sat::Result result = solver.enumerate(
-          sink, {}, deadline,
-          distinct ? sat::EnumerateMode::kDistinct
-                   : sat::EnumerateMode::kRandom);
-      if (run >= kStallRun) {
-        distinct = true;
-        result = solver.enumerate(sink, {}, deadline,
-                                  sat::EnumerateMode::kDistinct);
+    std::size_t run = 0;
+    const sat::ModelSink sink = [&](const Assignment& model) {
+      if (matrix.append_distinct(model)) {
+        run = 0;
+        return --count > 0;
       }
-      stats_.exhausted = result == sat::Result::kUnsat;
-      return;
+      ++stats_.duplicates;
+      return distinct || ++run < kStallRun;
+    };
+    sat::Result result = solver.enumerate(
+        sink, {}, deadline,
+        distinct ? sat::EnumerateMode::kDistinct : sat::EnumerateMode::kRandom);
+    if (run >= kStallRun) {
+      distinct = true;
+      result =
+          solver.enumerate(sink, {}, deadline, sat::EnumerateMode::kDistinct);
     }
-    // Legacy loop: one full CDCL solve per model (distribution oracle). A
-    // duplicate budget bounds the extra solves when the formula has fewer
-    // models than requested.
-    std::size_t duplicates = 0;
-    const std::size_t max_duplicates = 16 + 4 * count;
-    while (count > 0) {
-      if (deadline != nullptr && deadline->expired()) break;
-      const sat::Result result =
-          deadline != nullptr ? solver.solve({}, *deadline) : solver.solve();
-      if (result != sat::Result::kSat) break;
-      if (matrix.append_distinct(solver.model())) {
-        --count;
-      } else {
-        ++stats_.duplicates;
-        if (++duplicates >= max_duplicates) break;
-      }
-    }
+    stats_.exhausted = result == sat::Result::kUnsat;
   };
 
-  // Probe round: unbiased random polarities.
-  sat::SolverOptions probe_options;
-  probe_options.random_polarity = true;
-  probe_options.random_branch_freq = options_.random_branch_freq;
-  probe_options.seed = options_.seed;
-  sat::Solver solver(probe_options);
-  if (!solver.add_formula(formula)) return matrix;
   const std::size_t probe_count =
       options_.adaptive ? std::min(options_.probe_samples,
                                    options_.num_samples)
                         : options_.num_samples;
   {
     obs::Span span("sample.probe");
-    draw(solver, probe_count);
+    draw(probe_count);
   }
   stats_.probe_samples = matrix.num_samples();
   if (matrix.empty()) return matrix;
-  // An expired deadline must short-circuit here: the old code broke out
-  // of the probe draw only to spin up (and immediately abandon) the
-  // main-round solver.
+  // An expired deadline must short-circuit here, before the main round
+  // starts a draw it would immediately abandon.
   if (deadline != nullptr && deadline->expired()) return matrix;
   if (!options_.adaptive || stats_.exhausted ||
       matrix.num_samples() >= options_.num_samples) {
@@ -121,31 +107,21 @@ cnf::SampleMatrix Sampler::sample_packed(const CnfFormula& formula,
     const double fraction =
         static_cast<double>(column_popcount(matrix, v)) /
         static_cast<double>(matrix.num_samples());
-    if (fraction >= options_.skew_high) {
-      bias[static_cast<std::size_t>(v)] = options_.strong_bias;
-    } else if (fraction <= options_.skew_low) {
-      bias[static_cast<std::size_t>(v)] = 1.0 - options_.strong_bias;
+    if (fraction >= kSkewHigh) {
+      bias[static_cast<std::size_t>(v)] = kStrongBias;
+    } else if (fraction <= kSkewLow) {
+      bias[static_cast<std::size_t>(v)] = 1.0 - kStrongBias;
     }
   }
 
   // Main round with the learned biases.
   stats_.main_round = true;
   obs::Span main_span("sample.main");
-  const std::uint64_t main_seed = options_.seed ^ 0x5deece66dULL;
-  if (options_.enumerate) {
-    // Same session keeps its learnt clauses; only the polarity bias and
-    // the decision RNG stream change between rounds.
-    solver.options().polarity_bias = bias;
-    solver.reseed(main_seed);
-    draw(solver, options_.num_samples - matrix.num_samples());
-  } else {
-    sat::SolverOptions main_options = probe_options;
-    main_options.seed = main_seed;
-    main_options.polarity_bias = bias;
-    sat::Solver main_solver(main_options);
-    if (!main_solver.add_formula(formula)) return matrix;
-    draw(main_solver, options_.num_samples - matrix.num_samples());
-  }
+  // Same session keeps its learnt clauses; only the polarity bias and the
+  // decision RNG stream change between rounds.
+  solver.options().polarity_bias = bias;
+  solver.reseed(options_.seed ^ 0x5deece66dULL);
+  draw(options_.num_samples - matrix.num_samples());
   stats_.main_samples = matrix.num_samples() - stats_.probe_samples;
   return matrix;
 }

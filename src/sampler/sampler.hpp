@@ -4,17 +4,15 @@
 // quasi-uniform models of the specification to serve as training data for
 // candidate learning.
 //
-// Front end (default): one persistent *enumerating* solver session per
-// sampling run — the CDCL search hands back a model per phase-scrambled
-// descent (sat::Solver::enumerate) instead of paying a full solve() call
-// per model, and models land directly in a column-major bit-packed
+// Front end: one persistent *enumerating* solver session per sampling
+// run — the CDCL search hands back a model per phase-scrambled descent
+// (sat::Solver::enumerate) instead of paying a full solve() call per
+// model, and models land directly in a column-major bit-packed
 // cnf::SampleMatrix (one uint64_t word per 64 samples per variable) that
 // the decision-tree learner and the AIG batch simulator consume without
 // re-packing. The matrix drops duplicates itself (append_distinct, by
 // 64-bit model fingerprint over the word-packed model) and hands its
-// fingerprint set on to the caller with the samples. The pre-existing
-// one-solve-per-model loop is kept behind `enumerate = false` as the
-// distribution oracle and benchmark baseline.
+// fingerprint set on to the caller with the samples.
 //
 // Small model spaces: once the random draw sees 16 duplicates in a row,
 // the same solver finishes the call in distinct mode
@@ -50,20 +48,6 @@ struct SamplerOptions {
   std::size_t probe_samples = 64;
   /// Enable the adaptive bias stage (ablation knob: abl2_sampling).
   bool adaptive = true;
-  /// Bias applied to skewed variables in the main round.
-  double strong_bias = 0.9;
-  /// Skew thresholds: fraction of true above/below which bias kicks in.
-  double skew_high = 0.65;
-  double skew_low = 0.35;
-  /// Fraction of random decisions in the underlying solver (legacy
-  /// one-solve-per-model path only; the enumerating session branches on a
-  /// fresh random permutation every descent instead).
-  double random_branch_freq = 0.2;
-  /// Harvest models from a persistent enumerating solver session (one
-  /// phase-scrambled descent per model). false = the legacy loop running
-  /// one full CDCL solve() per model — kept as the distribution oracle
-  /// and the before/after benchmark baseline.
-  bool enumerate = true;
   std::uint64_t seed = 42;
 };
 
@@ -75,13 +59,12 @@ struct SamplerStats {
   /// Distinct models added by the biased main round.
   std::size_t main_samples = 0;
   /// Whether a main-round draw ran at all. Stays false when the deadline
-  /// expired during the probe round (the caller-facing fix for the old
-  /// bug where an expired deadline still spun up the main-round solver).
+  /// expired during the probe round.
   bool main_round = false;
   /// Rediscovered models dropped by fingerprint.
   std::size_t duplicates = 0;
   /// The draw ran out of models: the matrix holds every model of the
-  /// formula. Enumerating front end only.
+  /// formula.
   bool exhausted = false;
 };
 
@@ -97,9 +80,7 @@ class Sampler {
   /// models are dropped by fingerprint and the draw loop tops itself up.
   /// A formula with fewer models than requested is returned whole, with
   /// stats().exhausted set (a probe round that exhausts skips the main
-  /// round); only the deadline can cut such a draw short. The legacy
-  /// `enumerate = false` loop instead stops after a duplicate budget of
-  /// 16 + 4·count.
+  /// round); only the deadline can cut such a draw short.
   cnf::SampleMatrix sample_packed(const CnfFormula& formula,
                                   const std::vector<Var>& bias_vars,
                                   const util::Deadline* deadline = nullptr);

@@ -98,7 +98,7 @@ Var Solver::new_var() {
   const Var v = num_vars();
   assigns_.push_back(LBool::kUndef);
   var_data_.push_back({});
-  saved_phase_.push_back(options_.default_polarity);
+  saved_phase_.push_back(false);  // first decision on v is negative
   activity_.push_back(0.0);
   seen_.push_back(0);
   watches_.resize(2 * assigns_.size());
@@ -595,7 +595,7 @@ void Solver::var_bump_activity(Var v) {
   order_.update(v);
 }
 
-void Solver::var_decay_activity() { var_inc_ /= options_.var_decay; }
+void Solver::var_decay_activity() { var_inc_ /= kVarDecay; }
 
 void Solver::clause_bump_activity(ClauseRef cref) {
   const float bumped =
@@ -610,7 +610,7 @@ void Solver::clause_bump_activity(ClauseRef cref) {
 }
 
 void Solver::clause_decay_activity() {
-  clause_inc_ /= options_.clause_activity_decay;
+  clause_inc_ /= kClauseActivityDecay;
 }
 
 /// Number of distinct (non-root) decision levels among `size` literals
@@ -658,19 +658,11 @@ bool Solver::pick_polarity(Var v) {
 }
 
 Lit Solver::pick_branch_lit() {
-  Var next = cnf::kNoVar;
-  if (options_.random_branch_freq > 0.0 &&
-      rng_.flip(options_.random_branch_freq)) {
-    // Random decision variable (sampler diversification).
-    const Var v = static_cast<Var>(rng_.next_below(
-        static_cast<std::uint64_t>(num_vars())));
-    if (value(v) == LBool::kUndef) next = v;
+  while (!order_.empty()) {
+    const Var next = order_.remove_max();
+    if (value(next) == LBool::kUndef) return Lit(next, !pick_polarity(next));
   }
-  while (next == cnf::kNoVar || value(next) != LBool::kUndef) {
-    if (order_.empty()) return cnf::kUndefLit;
-    next = order_.remove_max();
-  }
-  return Lit(next, !pick_polarity(next));
+  return cnf::kUndefLit;
 }
 
 Lit Solver::pick_enum_lit() {
@@ -908,8 +900,7 @@ Result Solver::search_loop(const std::vector<Lit>& assumptions,
   std::int64_t restart_round = 0;
   std::vector<Lit>& learnt = learnt_tmp_;
   while (true) {
-    const std::int64_t budget =
-        luby(++restart_round) * options_.restart_base;
+    const std::int64_t budget = luby(++restart_round) * kRestartBase;
     std::int64_t conflicts_this_round = 0;
     while (true) {
       if (deadline != nullptr &&

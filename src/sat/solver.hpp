@@ -84,11 +84,6 @@ using cnf::Var;
 enum class Result { kSat, kUnsat, kUnknown };
 
 struct SolverOptions {
-  double var_decay = 0.95;
-  double clause_activity_decay = 0.999;
-  /// Probability of choosing a random (instead of highest-activity)
-  /// decision variable. Raised by the sampler to diversify models.
-  double random_branch_freq = 0.0;
   /// If true, decision polarities are drawn at random (per decision)
   /// instead of from saved phases; used by the sampler.
   bool random_polarity = false;
@@ -96,11 +91,7 @@ struct SolverOptions {
   /// probability of deciding the variable true (see Sampler).
   /// Empty means unbiased 0.5.
   std::vector<double> polarity_bias;
-  /// Polarity assigned to fresh variables before any phase is saved.
-  bool default_polarity = false;
   std::uint64_t seed = 0x123456789abcdefULL;
-  /// Restart interval base (conflicts); scaled by the Luby sequence.
-  int restart_base = 100;
 };
 
 struct SolverStats {
@@ -286,6 +277,11 @@ class Solver {
   static constexpr std::uint32_t kMidLbd = 6;
   // Deadline poll interval in decisions + propagations.
   static constexpr std::uint64_t kDeadlinePollInterval = 4096;
+  // VSIDS variable and clause activity decay factors.
+  static constexpr double kVarDecay = 0.95;
+  static constexpr double kClauseActivityDecay = 0.999;
+  // Restart interval base (conflicts), scaled by the Luby sequence.
+  static constexpr std::int64_t kRestartBase = 100;
   // Watcher cref tag marking a binary clause (top bit; arena offsets are
   // therefore limited to 2^31 words, i.e. 8 GiB of clauses).
   static constexpr ClauseRef kBinaryTag = 0x80000000u;

@@ -946,27 +946,6 @@ TEST_F(DaemonChaos, ExhaustedJournalQuarantinesWithoutExecution) {
   EXPECT_FALSE(fs::exists(dir_ / "journal" / "a.dqdimacs.journal"));
 }
 
-TEST_F(DaemonChaos, JournalOffRestoresLegacyBehavior) {
-  write_request("a.dqdimacs", testutil::paper_example());
-  fault::install("seed=6;service.job:io:after=1:every=1:limit=0");
-  Service service(single_manthan3());
-  DaemonOptions options = immediate_retry();
-  options.journal = false;
-
-  // Without the journal a transient failure is recorded but nothing is
-  // persisted: no journal dir, no quarantine, the request simply stays
-  // in the queue for the next drain.
-  const DrainReport report = drain_queue(service, options);
-  EXPECT_EQ(report.processed, 0u);
-  EXPECT_EQ(report.retried, 0u);
-  EXPECT_EQ(report.quarantined, 0u);
-  ASSERT_EQ(report.records.size(), 1u);
-  EXPECT_TRUE(report.records[0].internal_error);
-  EXPECT_FALSE(fs::exists(dir_ / "journal"));
-  EXPECT_FALSE(fs::exists(dir_ / "failed"));
-  EXPECT_TRUE(fs::exists(dir_ / "a.dqdimacs"));
-}
-
 TEST_F(DaemonChaos, RestartRerunsJournaledRequestOnceFromWarmCache) {
   // The full kill-and-restart story: daemon 1 answers the spec (and
   // persists the tier-1 entry), then "dies" mid-way through a duplicate

@@ -155,71 +155,62 @@ TEST(Sampler, DeterministicForSeed) {
   }
 }
 
-// --- enumerating session vs the legacy one-solve-per-model oracle ----------
+// --- the enumerating session ------------------------------------------------
 
 TEST(SamplerEnumerate, ModelsValidAndPairwiseDistinctInBothModes) {
   CnfFormula f(12);
   f.add_clause({pos(0), pos(1)});
   f.add_clause({neg(2), pos(3)});
   f.add_clause({pos(4), neg(5), pos(0)});
-  for (const bool enumerate : {true, false}) {
-    SamplerOptions options;
-    options.num_samples = 300;
-    options.enumerate = enumerate;
-    Sampler sampler(options);
-    const std::vector<Assignment> samples = sampler.sample(f, {0, 2});
-    ASSERT_GT(samples.size(), 200u) << "enumerate " << enumerate;
-    std::set<std::vector<std::uint64_t>> distinct;
-    for (const Assignment& a : samples) {
-      EXPECT_TRUE(f.satisfied_by(a));
-      EXPECT_TRUE(distinct.insert(a.words()).second) << "duplicate model";
-    }
+  SamplerOptions options;
+  options.num_samples = 300;
+  Sampler sampler(options);
+  const std::vector<Assignment> samples = sampler.sample(f, {0, 2});
+  ASSERT_GT(samples.size(), 200u);
+  std::set<std::vector<std::uint64_t>> distinct;
+  for (const Assignment& a : samples) {
+    EXPECT_TRUE(f.satisfied_by(a));
+    EXPECT_TRUE(distinct.insert(a.words()).second) << "duplicate model";
   }
 }
 
 TEST(SamplerEnumerate, MatchesLegacyDistributionSanity) {
-  // 8 free variables, unbiased polarities: both front ends must cover
-  // both polarities of every variable at a healthy rate; the enumerating
-  // session must not collapse onto a corner of the model space.
+  // 8 free variables, unbiased polarities: the session must cover both
+  // polarities of every variable at a healthy rate, not collapse onto a
+  // corner of the model space.
   CnfFormula f(8);
   f.add_clause({pos(0), neg(0)});
-  for (const bool enumerate : {true, false}) {
-    SamplerOptions options;
-    options.num_samples = 200;
-    options.adaptive = false;
-    options.enumerate = enumerate;
-    Sampler sampler(options);
-    const std::vector<Assignment> samples = sampler.sample(f, {});
-    ASSERT_GT(samples.size(), 100u);
-    for (cnf::Var v = 0; v < 8; ++v) {
-      std::size_t trues = 0;
-      for (const Assignment& a : samples) {
-        if (a.value(v)) ++trues;
-      }
-      const double fraction =
-          static_cast<double>(trues) / static_cast<double>(samples.size());
-      EXPECT_GT(fraction, 0.25) << "enumerate " << enumerate << " var " << v;
-      EXPECT_LT(fraction, 0.75) << "enumerate " << enumerate << " var " << v;
+  SamplerOptions options;
+  options.num_samples = 200;
+  options.adaptive = false;
+  Sampler sampler(options);
+  const std::vector<Assignment> samples = sampler.sample(f, {});
+  ASSERT_GT(samples.size(), 100u);
+  for (cnf::Var v = 0; v < 8; ++v) {
+    std::size_t trues = 0;
+    for (const Assignment& a : samples) {
+      if (a.value(v)) ++trues;
     }
+    const double fraction =
+        static_cast<double>(trues) / static_cast<double>(samples.size());
+    EXPECT_GT(fraction, 0.25) << "var " << v;
+    EXPECT_LT(fraction, 0.75) << "var " << v;
   }
 }
 
 TEST(SamplerEnumerate, ExhaustsSmallModelSpacesLikeLegacy) {
-  // Only 4 models exist; both modes must find all of them (and stop).
+  // Only 4 models exist; the session must find all of them, stop, and
+  // report that it has them all.
   CnfFormula f(3);
   f.add_clause({neg(2), pos(0), pos(1)});
   f.add_clause({pos(2), neg(0)});
   f.add_clause({pos(2), neg(1)});
-  for (const bool enumerate : {true, false}) {
-    SamplerOptions options;
-    options.num_samples = 64;
-    options.enumerate = enumerate;
-    Sampler sampler(options);
-    const std::vector<Assignment> samples = sampler.sample(f, {2});
-    EXPECT_EQ(samples.size(), 4u) << "enumerate " << enumerate;
-    // Only the enumerating session proves it has them all.
-    EXPECT_EQ(sampler.stats().exhausted, enumerate);
-  }
+  SamplerOptions options;
+  options.num_samples = 64;
+  Sampler sampler(options);
+  const std::vector<Assignment> samples = sampler.sample(f, {2});
+  EXPECT_EQ(samples.size(), 4u);
+  EXPECT_TRUE(sampler.stats().exhausted);
 }
 
 TEST(SamplerEnumerate, PackedMatrixAgreesWithRowUnpackedView) {
@@ -269,22 +260,18 @@ TEST(Sampler, ExpiredDeadlineShortCircuitsBeforeMainRound) {
   // variables: the space cannot be exhausted before the deadline.
   CnfFormula f(40);
   f.add_clause({pos(0), pos(1)});
-  for (const bool enumerate : {true, false}) {
-    SamplerOptions options;
-    options.num_samples = 100000000;
-    options.probe_samples = 100000000;  // probe absorbs the whole budget
-    options.adaptive = true;
-    options.enumerate = enumerate;
-    Sampler sampler(options);
-    const util::Deadline deadline(0.05);
-    const auto samples = sampler.sample(f, {0}, &deadline);
-    EXPECT_TRUE(deadline.expired());
-    EXPECT_FALSE(samples.empty());
-    EXPECT_FALSE(sampler.stats().main_round)
-        << "main-round solver spun up after deadline expiry (enumerate "
-        << enumerate << ")";
-    EXPECT_EQ(sampler.stats().main_samples, 0u);
-  }
+  SamplerOptions options;
+  options.num_samples = 100000000;
+  options.probe_samples = 100000000;  // probe absorbs the whole budget
+  options.adaptive = true;
+  Sampler sampler(options);
+  const util::Deadline deadline(0.05);
+  const auto samples = sampler.sample(f, {0}, &deadline);
+  EXPECT_TRUE(deadline.expired());
+  EXPECT_FALSE(samples.empty());
+  EXPECT_FALSE(sampler.stats().main_round)
+      << "main round started after deadline expiry";
+  EXPECT_EQ(sampler.stats().main_samples, 0u);
 }
 
 TEST(Sampler, DeadlineReturnsPartialData) {

@@ -597,7 +597,6 @@ TEST(Solver, ReseedChangesSearchNotVerdict) {
   if (!s.add_formula(f)) GTEST_SKIP() << "root-level conflict";
   const Result first = s.solve();
   s.reseed(0xfeedULL);
-  s.options().random_branch_freq = 0.2;
   s.options().random_polarity = true;
   EXPECT_EQ(s.solve(), first);
 }

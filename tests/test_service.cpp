@@ -1,15 +1,18 @@
 // The synthesis service: any-of cancellation composition, the tier-1
 // result cache (duplicate and isomorphic requests answered without
 // solving, warm results field-for-field identical to cold ones), in-flight
-// coalescing, admission modes, shutdown semantics, the service-routed
-// portfolio runner, and the directory-queue daemon front end.
+// coalescing, admission modes, per-request trace ids on engine spans,
+// shutdown semantics, the service-routed portfolio runner, and the
+// directory-queue daemon front end.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "test_util.hpp"
@@ -17,6 +20,7 @@
 #include "dqbf/fingerprint.hpp"
 #include "engine/daemon.hpp"
 #include "engine/service.hpp"
+#include "obs/trace.hpp"
 #include "portfolio/runner.hpp"
 #include "util/cancel.hpp"
 #include "workloads/workloads.hpp"
@@ -364,6 +368,80 @@ TEST(Service, ForcedEngineRunsSingle) {
   EXPECT_FALSE(result.response.raced);
   EXPECT_EQ(result.response.engine, EngineKind::kHqsLite);
   EXPECT_EQ(service.stats().single_runs, 1u);
+}
+
+// --- trace ids ----------------------------------------------------------------
+
+/// (name, trace id) of every buffered trace event, read back from the
+/// Chrome trace JSON (one event per line); untagged events carry id 0.
+std::vector<std::pair<std::string, std::uint64_t>> traced_events() {
+  std::ostringstream out;
+  obs::write_trace_json(out);
+  std::vector<std::pair<std::string, std::uint64_t>> events;
+  std::istringstream lines(out.str());
+  std::string line;
+  const std::string name_key = "{\"name\": \"";
+  const std::string id_key = "\"trace_id\": \"";
+  while (std::getline(lines, line)) {
+    if (line.rfind(name_key, 0) != 0) continue;
+    const std::size_t begin = name_key.size();
+    std::string name = line.substr(begin, line.find('"', begin) - begin);
+    const std::size_t id_at = line.find(id_key);
+    const std::uint64_t id =
+        id_at == std::string::npos
+            ? 0
+            : std::stoull(line.substr(id_at + id_key.size(), 16), nullptr,
+                          16);
+    events.emplace_back(std::move(name), id);
+  }
+  return events;
+}
+
+TEST(Service, EngineSpansCarryRequestTraceId) {
+  // Each request's engine spans (Manthan3's synthesize span, and in race
+  // mode every lane's span) carry the trace id of its service.job span.
+  const struct {
+    ServiceOptions::Admission admission;
+    dqbf::DqbfFormula spec;
+    std::size_t lanes;
+  } cases[] = {
+      {ServiceOptions::Admission::kSingle, testutil::paper_example(), 0},
+      {ServiceOptions::Admission::kRace, testutil::tiny_planted(3), 3},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.lanes == 0 ? "kSingle" : "kRace");
+    ServiceOptions options;
+    options.workers = 2;
+    options.admission = c.admission;
+    Service service(options);
+    aig::Aig manager;
+    obs::start_tracing();
+    const ServiceResult result = service.solve(c.spec, manager);
+    obs::stop_tracing();
+    const auto events = traced_events();
+    obs::clear_trace();
+    ASSERT_TRUE(result.solved());
+    EXPECT_EQ(result.response.raced, c.lanes > 0);
+
+    std::uint64_t job_id = 0;
+    for (const auto& [name, id] : events) {
+      if (name == "service.job") job_id = id;
+    }
+    ASSERT_NE(job_id, 0u);
+    std::size_t synthesize = 0;
+    std::size_t lanes = 0;
+    for (const auto& [name, id] : events) {
+      if (name == "synthesize") {
+        EXPECT_EQ(id, job_id);
+        ++synthesize;
+      } else if (name == "race.lane") {
+        EXPECT_EQ(id, job_id);
+        ++lanes;
+      }
+    }
+    EXPECT_EQ(synthesize, 1u);
+    EXPECT_EQ(lanes, c.lanes);
+  }
 }
 
 // --- service-routed portfolio runner ----------------------------------------

@@ -1,6 +1,7 @@
 // Parallel execution engine micro-benchmark: scheduler dispatch overhead,
 // concurrency (overlap of blocking jobs), parallel suite throughput at
-// 1/2/4/8 workers on the planted suite, and the racing portfolio.
+// 1/2/4/8 workers on the planted suite, and the racing portfolio over the
+// standard suite on persistent lane threads.
 //
 // The worker-scaling series (BM_ParallelSuite) is the headline number:
 // wall-clock per suite as the worker count doubles. Speedup tops out at
@@ -10,7 +11,9 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/race.hpp"
@@ -109,27 +112,36 @@ BENCHMARK(BM_ParallelSuite)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Racing portfolio latency on an instance with strong engine asymmetry
-/// (HqsLite wins, the others are cancelled) vs. the serial sum.
+/// Racing portfolio on persistent lane threads, the way the service races
+/// a cold request: one iteration races each of the 50 standard-suite specs
+/// once (3 s budget, as perfbench's daemon) and answers at the first
+/// definitive lane. Explains perfbench `daemon_stream`
+/// `engine.service.solve_ms.p50`; `s_per_race` is the mean race time.
 void BM_RacePortfolio(benchmark::State& state) {
-  manthan::workloads::PlantedParams params{16, 6, 5, 5, 180, 3};
-  params.xor_functions = false;
-  params.nested_deps = true;
-  params.dep_size_max = 12;
-  const manthan::dqbf::DqbfFormula formula =
-      manthan::workloads::gen_planted(params);
-  std::size_t cancelled = 0;
-  for (auto _ : state) {
-    manthan::aig::Aig manager;
-    manthan::engine::RaceOptions options;
-    options.time_limit_seconds = 120.0;
-    const manthan::engine::RaceOutcome outcome =
-        manthan::engine::race(formula, manager, options);
-    cancelled = 0;
-    for (const auto& lane : outcome.lanes) cancelled += lane.cancelled;
-    benchmark::DoNotOptimize(outcome.solved());
+  std::vector<std::shared_ptr<const manthan::dqbf::DqbfFormula>> specs;
+  for (Instance& instance :
+       manthan::workloads::standard_suite(manthan::workloads::SuiteParams{})) {
+    specs.push_back(std::make_shared<const manthan::dqbf::DqbfFormula>(
+        std::move(instance.formula)));
   }
-  state.counters["lanes_cancelled"] = static_cast<double>(cancelled);
+  manthan::engine::RaceLanes lanes;
+  manthan::engine::RaceOptions options;
+  options.time_limit_seconds = 3.0;
+  std::size_t definitive = 0;
+  for (auto _ : state) {
+    definitive = 0;
+    for (const auto& spec : specs) {
+      manthan::aig::Aig manager;
+      const manthan::engine::RaceOutcome outcome =
+          manthan::engine::race(lanes, spec, manager, options);
+      definitive += outcome.winner >= 0 ? 1 : 0;
+    }
+  }
+  state.counters["definitive"] = static_cast<double>(definitive);
+  state.counters["s_per_race"] = benchmark::Counter(
+      static_cast<double>(specs.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
   state.counters["cores"] = host_cores();
 }
 BENCHMARK(BM_RacePortfolio)->UseRealTime()->Unit(benchmark::kMillisecond);

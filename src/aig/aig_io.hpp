@@ -28,6 +28,15 @@ std::string default_input_name(std::int32_t id);
 void write_blif(std::ostream& out, const Aig& aig, const std::string& model,
                 const std::vector<NamedFunction>& outputs);
 
+/// Append to `out` the BLIF text write_blif gives for `outputs` once their
+/// cones are imported (import_cone, in output order, one shared node map)
+/// into a fresh manager, without building that manager. AND nodes are
+/// numbered densely in the order that import creates them, so the text
+/// depends on the functions' structure, not on where they sit in `aig`.
+void append_dense_blif(std::string& out, const Aig& aig,
+                       const std::string& model,
+                       const std::vector<NamedFunction>& outputs);
+
 /// Write the cones as a structural Verilog module (assign statements).
 void write_verilog(std::ostream& out, const Aig& aig,
                    const std::string& module,

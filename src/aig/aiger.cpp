@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <istream>
 #include <map>
-#include <ostream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -95,16 +93,11 @@ AigerModule read_aiger_ascii_string(const std::string& text, Aig& manager) {
   return read_aiger_ascii(in, manager);
 }
 
-void write_aiger_ascii(std::ostream& out, const Aig& manager,
-                       const std::vector<Ref>& outputs) {
+void append_aiger_ascii(std::string& out, const Aig& manager,
+                        const std::vector<Ref>& outputs) {
   // Union cone in topological order.
   std::vector<std::uint32_t> cone;
-  std::set<std::uint32_t> seen;
-  for (const Ref o : outputs) {
-    for (const std::uint32_t n : cone_topo_order(manager, o)) {
-      if (seen.insert(n).second) cone.push_back(n);
-    }
-  }
+  cone_topo_order(manager, outputs.data(), outputs.size(), cone);
   // Assign AIGER variable indices: inputs first (ascending input id),
   // then AND nodes in topological order.
   std::vector<std::pair<std::int32_t, std::uint32_t>> inputs;  // (id, node)
@@ -119,39 +112,56 @@ void write_aiger_ascii(std::ostream& out, const Aig& manager,
   }
   std::sort(inputs.begin(), inputs.end());
 
-  std::map<std::uint32_t, std::size_t> aiger_lit;  // node -> even literal
-  std::size_t next_var = 1;
-  for (const auto& [id, n] : inputs) {
-    (void)id;
-    aiger_lit[n] = 2 * next_var++;
+  // Even AIGER literal of each cone node, indexed by node: written before
+  // it is read, so the per-thread array is never cleared.
+  thread_local std::vector<std::uint32_t> aiger_lit;
+  if (aiger_lit.size() < manager.num_nodes()) {
+    aiger_lit.resize(manager.num_nodes());
   }
+  std::uint32_t next_var = 1;
+  for (const auto& input : inputs) aiger_lit[input.second] = 2 * next_var++;
   for (const std::uint32_t n : ands) aiger_lit[n] = 2 * next_var++;
 
-  const auto ref_to_lit = [&](Ref r) -> std::size_t {
-    if (r == kFalseRef) return 0;
-    if (r == kTrueRef) return 1;
-    return aiger_lit.at(ref_node(r)) + (ref_complemented(r) ? 1 : 0);
+  const auto append_lit = [&out](Ref r) {
+    out += std::to_string(r == kFalseRef  ? 0u
+                          : r == kTrueRef ? 1u
+                                          : aiger_lit[ref_node(r)] +
+                                                (ref_complemented(r) ? 1u : 0u));
   };
 
-  out << "aag " << next_var - 1 << ' ' << inputs.size() << " 0 "
-      << outputs.size() << ' ' << ands.size() << '\n';
-  for (const auto& [id, n] : inputs) {
-    (void)id;
-    out << aiger_lit[n] << '\n';
+  out += "aag ";
+  out += std::to_string(next_var - 1);
+  out += ' ';
+  out += std::to_string(inputs.size());
+  out += " 0 ";
+  out += std::to_string(outputs.size());
+  out += ' ';
+  out += std::to_string(ands.size());
+  out += '\n';
+  for (const auto& input : inputs) {
+    out += std::to_string(aiger_lit[input.second]);
+    out += '\n';
   }
-  for (const Ref o : outputs) out << ref_to_lit(o) << '\n';
+  for (const Ref o : outputs) {
+    append_lit(o);
+    out += '\n';
+  }
   for (const std::uint32_t n : ands) {
     const Aig::Node& node = manager.node(n);
-    out << aiger_lit[n] << ' ' << ref_to_lit(node.fanin0) << ' '
-        << ref_to_lit(node.fanin1) << '\n';
+    out += std::to_string(aiger_lit[n]);
+    out += ' ';
+    append_lit(node.fanin0);
+    out += ' ';
+    append_lit(node.fanin1);
+    out += '\n';
   }
 }
 
 std::string to_aiger_ascii_string(const Aig& manager,
                                   const std::vector<Ref>& outputs) {
-  std::ostringstream out;
-  write_aiger_ascii(out, manager, outputs);
-  return out.str();
+  std::string out;
+  append_aiger_ascii(out, manager, outputs);
+  return out;
 }
 
 }  // namespace manthan::aig

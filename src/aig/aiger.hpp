@@ -25,10 +25,11 @@ struct AigerModule {
 AigerModule read_aiger_ascii(std::istream& in, Aig& manager);
 AigerModule read_aiger_ascii_string(const std::string& text, Aig& manager);
 
-/// Write the given outputs as an ASCII AIGER file. Inputs are the union
-/// of the cones' input ids, mapped densely in ascending id order.
-void write_aiger_ascii(std::ostream& out, const Aig& manager,
-                       const std::vector<Ref>& outputs);
+/// Append the given outputs to `out` as an ASCII AIGER file. Inputs are
+/// the union of the cones' input ids, mapped densely in ascending id
+/// order; AND nodes follow in the order of the union-cone walk.
+void append_aiger_ascii(std::string& out, const Aig& manager,
+                        const std::vector<Ref>& outputs);
 std::string to_aiger_ascii_string(const Aig& manager,
                                   const std::vector<Ref>& outputs);
 

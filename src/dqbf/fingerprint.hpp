@@ -21,9 +21,13 @@
 //
 // Like every fingerprint scheme, equality is evidence, not proof: WL
 // refinement can merge non-isomorphic specs and 128 bits can collide.
-// Both events are vanishingly rare; cache consumers inherit at most a
-// wrong-but-certified-elsewhere entry, and the service's certificate
-// checks keep end-to-end soundness independent of the hash.
+// The service certifies each vector once, on the cold solve that fills
+// the cache; a tier-1 hit is never re-checked against the request that
+// hits it. So a merged or colliding spec is served the other spec's
+// answer. Even an exact isomorphic hit is served the filling spec's
+// cones over that spec's own variable ids, which the renamed request
+// does not share: the fingerprint identifies the spec up to renaming,
+// but nothing maps the answer through the renaming (an open bug).
 #pragma once
 
 #include <cstdint>

@@ -26,9 +26,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
+/// Append `s` to `out` as the body of a JSON string.
+void append_json_escaped(std::string& out, const std::string& s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -46,6 +45,12 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  append_json_escaped(out, s);
   return out;
 }
 
@@ -59,50 +64,72 @@ std::string result_path_for(const fs::path& request) {
 // rename) so a drain interrupted mid-write leaves no half-result behind.
 using obs::write_file_atomic;
 
-std::string blif_certificate(const dqbf::DqbfFormula& formula,
+/// The certified functions as one BLIF model, rendered straight from the
+/// response's cone. The output names come from this request's formula,
+/// so the text is rendered per request, never shared between requests.
+void append_blif_certificate(std::string& out,
+                             const dqbf::DqbfFormula& formula,
                              const ServiceResponse& response) {
-  aig::Aig manager;
-  const dqbf::HenkinVector vector = response.functions->import_into(manager);
+  const std::vector<aig::Ref>& roots = response.functions->roots();
   std::vector<aig::NamedFunction> named;
-  named.reserve(vector.functions.size());
-  for (std::size_t i = 0; i < vector.functions.size(); ++i) {
+  named.reserve(roots.size());
+  for (std::size_t i = 0; i < roots.size(); ++i) {
     named.push_back(
-        {"y" + std::to_string(formula.existentials()[i].var + 1),
-         vector.functions[i]});
+        {"y" + std::to_string(formula.existentials()[i].var + 1), roots[i]});
   }
-  std::ostringstream out;
-  aig::write_blif(out, manager, "henkin_functions", named);
-  return out.str();
+  aig::append_dense_blif(out, response.functions->manager(),
+                         "henkin_functions", named);
 }
 
 std::string result_json(const std::string& request_name,
                         const dqbf::DqbfFormula& formula,
                         const ServiceResponse& response) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"request\": \"" << json_escape(request_name) << "\",\n";
-  out << "  \"status\": \"" << status_name(response.status) << "\",\n";
-  out << "  \"engine\": \"" << engine_name(response.engine) << "\",\n";
-  out << "  \"certified\": " << (response.certified ? "true" : "false")
-      << ",\n";
-  out << "  \"cache_hit\": " << (response.cache_hit ? "true" : "false")
-      << ",\n";
-  out << "  \"raced\": " << (response.raced ? "true" : "false") << ",\n";
-  out << "  \"seconds\": " << response.solve_seconds << ",\n";
-  out << "  \"fingerprint\": \"" << dqbf::to_string(response.fingerprint)
-      << "\",\n";
-  out << "  \"stats\": {\n";
+  std::string out;
+  out.reserve(2048);
+  const auto field = [&out](const char* key, const char* value) {
+    out += "  \"";
+    out += key;
+    out += "\": ";
+    out += value;
+    out += ",\n";
+  };
+  out += "{\n  \"request\": \"";
+  append_json_escaped(out, request_name);
+  out += "\",\n";
+  out += "  \"status\": \"";
+  out += status_name(response.status);
+  out += "\",\n  \"engine\": \"";
+  out += engine_name(response.engine);
+  out += "\",\n";
+  field("certified", response.certified ? "true" : "false");
+  field("cache_hit", response.cache_hit ? "true" : "false");
+  field("raced", response.raced ? "true" : "false");
+  char seconds[32];
+  std::snprintf(seconds, sizeof(seconds), "%g", response.solve_seconds);
+  field("seconds", seconds);
+  out += "  \"fingerprint\": \"";
+  out += dqbf::to_string(response.fingerprint);
+  out += "\",\n  \"stats\": {\n";
   for (const core::StatField& f : core::kStatFields) {
-    if (&f != &core::kStatFields[0]) out << ",\n";
-    out << "    \"" << f.name << "\": " << core::stat_text(response.stats, f);
+    if (&f != &core::kStatFields[0]) out += ",\n";
+    out += "    \"";
+    out += f.name;
+    out += "\": ";
+    out += core::stat_text(response.stats, f);
   }
-  out << "\n  }";
+  out += "\n  }";
   if (response.solved() && response.functions != nullptr) {
-    out << ",\n  \"functions_blif\": \""
-        << json_escape(blif_certificate(formula, response)) << "\"";
+    // Rendered into a per-thread buffer (its capacity is reused), then
+    // escaped into the document.
+    thread_local std::string blif;
+    blif.clear();
+    append_blif_certificate(blif, formula, response);
+    out += ",\n  \"functions_blif\": \"";
+    append_json_escaped(out, blif);
+    out += '"';
   }
-  out << "\n}\n";
-  return out.str();
+  out += "\n}\n";
+  return out;
 }
 
 std::string error_json(const std::string& request_name,

@@ -126,7 +126,8 @@ Service::Service(ServiceOptions options)
 Service::~Service() {
   shutdown();
   // pool_ is the last member: its destructor drains every submitted job
-  // while the caches and maps above it are still alive.
+  // while the caches and maps above it are still alive. lanes_ goes next
+  // and joins the losing race lanes that were still stopping.
 }
 
 void Service::shutdown() { shutdown_.cancel(); }
@@ -242,8 +243,9 @@ ServiceResponse Service::run_job(const std::shared_ptr<Job>& job) {
   // wall-time watchdog) stops the engines at their next deadline poll.
   const util::ResourceBudget::Limits limits =
       job->options.budget ? *job->options.budget : options_.default_budget;
-  std::optional<util::ResourceBudget> budget;
-  if (limits.any()) budget.emplace(limits);
+  // Shared: race lanes still running after the answer keep charging it.
+  std::shared_ptr<util::ResourceBudget> budget;
+  if (limits.any()) budget = std::make_shared<util::ResourceBudget>(limits);
   util::AnyOfCancelToken token(&shutdown_, job->options.cancel,
                                budget ? &budget->token() : nullptr);
   struct WatchdogGuard {  // unregisters on every exit path (throws too)
@@ -254,7 +256,7 @@ ServiceResponse Service::run_job(const std::shared_ptr<Job>& job) {
     }
   } watchdog_guard{watchdog_};
   if (budget && limits.wall_seconds > 0.0) {
-    watchdog_guard.id = watchdog_.add(&*budget, limits.wall_seconds);
+    watchdog_guard.id = watchdog_.add(budget.get(), limits.wall_seconds);
   }
   // Chaos hook: one poll per executed job (cache hits never reach here).
   switch (util::fault::poll(util::fault::Site::kServiceJob)) {
@@ -283,17 +285,20 @@ ServiceResponse Service::run_job(const std::shared_ptr<Job>& job) {
 
   try {
     // Growth sites on this thread charge the request's budget; race lanes
-    // re-install the scope per worker through RaceOptions::budget.
-    util::BudgetScope budget_scope(budget ? &*budget : nullptr);
+    // re-install the scope on their threads through RaceOptions::budget.
+    util::BudgetScope budget_scope(budget.get());
     if (race_mode) {
       RaceOptions race_options;
       race_options.time_limit_seconds = limit;
       race_options.seed = seed;
       race_options.trace_id = trace_id;
       race_options.cancel = &token;
-      race_options.budget = budget ? &*budget : nullptr;
-      const RaceOutcome outcome = race(job->formula, cone->manager_,
-                                       race_options);
+      race_options.budget = budget;
+      // The lanes share the job's formula: losers may outlive this call.
+      const RaceOutcome outcome =
+          race(lanes_,
+               std::shared_ptr<const dqbf::DqbfFormula>(job, &job->formula),
+               cone->manager_, race_options);
       response.status = outcome.status;
       response.certified = outcome.certified;
       response.raced = true;

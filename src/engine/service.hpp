@@ -21,9 +21,12 @@
 //
 // Admission: when the service is idle (no queued requests) and has spare
 // workers, a request fans into engine::race across all three engines —
-// latency mode. Once a backlog forms, each request runs a single engine —
-// throughput mode, one worker per request. kSingle / kRace force either
-// behavior.
+// latency mode. The lanes run on the service's persistent lane threads
+// (RaceLanes, started by the first race, joined by the destructor); the
+// job answers at the first certified or proven-False lane, and the losers
+// stop in the background. Once a backlog forms, each request runs a
+// single engine — throughput mode, one worker per request. kSingle /
+// kRace force either behavior.
 //
 // Determinism: the per-request seed is derived from the service seed and
 // the spec fingerprint, never from submission order or wall clock, so a
@@ -35,8 +38,11 @@
 // the service-wide shutdown token and the caller's optional per-request
 // token. shutdown() flips the service token and returns; the destructor
 // drains the pool, with every queued-but-unstarted job observing the
-// token at its first deadline poll and returning kTimeout quickly.
-// Cancelled results are never cached.
+// token at its first deadline poll and returning kTimeout quickly, and
+// then joins the race lanes. Cancelled results are never cached. A race
+// lane reads the caller's token only until its race answers, so the
+// token, like the request's budget, may be destroyed as soon as the
+// response is taken.
 //
 // Threading: submit() is safe from any thread. solve() blocks on the
 // returned future — calling it from inside a service worker can deadlock
@@ -116,10 +122,11 @@ struct SolveOptions {
   /// Wall-clock budget in seconds; negative = service default.
   double time_limit_seconds = -1.0;
   /// Optional per-request stop flag, composed with the service shutdown
-  /// token. Must outlive the request. Requests carrying a token are
-  /// never coalesced with other submissions (a token must never cancel a
-  /// stranger's request); all others share one in-flight job with their
-  /// concurrent duplicates.
+  /// token. Must outlive the request, that is, until its response is
+  /// ready (race lanes still stopping no longer read it). Requests
+  /// carrying a token are never coalesced with other submissions (a token
+  /// must never cancel a stranger's request); all others share one
+  /// in-flight job with their concurrent duplicates.
   const util::CancelToken* cancel = nullptr;
   /// Force this engine instead of the admission policy (cached under a
   /// separate engine-mode tag).
@@ -341,6 +348,10 @@ class Service {
   std::size_t persisted_corrupt_ = 0;  // guarded by mutex_
 
   Watchdog watchdog_;  // before pool_: outlives every job
+  /// Lane threads of every raced job; the first race starts them. Before
+  /// pool_: the jobs race on them, and losing lanes may still be stopping
+  /// when pool_ has drained.
+  RaceLanes lanes_;
   util::Scheduler pool_;  // last member: drains before the maps die
 };
 

@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -53,11 +54,11 @@ namespace fs = std::filesystem;
 constexpr const char* kMagic = "manthan3-cache 1";
 constexpr const char* kExtension = ".m3c";
 
+/// `value` with 17 significant digits, so that parsing gives it back.
 std::string format_double(double value) {
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
 }
 
 template <typename Unsigned>
@@ -100,19 +101,18 @@ obs::Gauge& persisted_entries_gauge() {
 }
 
 /// Union of the cones' primary-input ids, ascending — exactly the dense
-/// input order write_aiger_ascii emits, so position k of this list is
+/// input order append_aiger_ascii emits, so position k of this list is
 /// the original id of AIGER input k.
 std::vector<std::int32_t> cone_input_ids(const aig::Aig& manager,
                                          const std::vector<aig::Ref>& roots) {
+  std::vector<std::uint32_t> cone;
+  aig::cone_topo_order(manager, roots.data(), roots.size(), cone);
   std::vector<std::int32_t> ids;
-  for (const aig::Ref root : roots) {
-    for (const std::uint32_t idx : aig::cone_topo_order(manager, root)) {
-      const std::int32_t input_id = manager.node(idx).input_id;
-      if (input_id >= 0) ids.push_back(input_id);
-    }
+  for (const std::uint32_t idx : cone) {
+    const std::int32_t input_id = manager.node(idx).input_id;
+    if (input_id >= 0) ids.push_back(input_id);
   }
   std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
 }
 
@@ -124,37 +124,48 @@ std::string Service::persist_filename(const CacheKey& key) {
 
 std::string Service::encode_persisted(const CacheKey& key,
                                       const ServiceResponse& response) {
-  std::ostringstream out;
-  out << kMagic << '\n';
-  out << "fp " << dqbf::to_string(key.fp) << '\n';
-  out << "mode " << key.mode << '\n';
-  out << "status " << status_name(response.status) << '\n';
-  out << "engine " << engine_name(response.engine) << '\n';
-  out << "certified " << (response.certified ? 1 : 0) << '\n';
-  out << "raced " << (response.raced ? 1 : 0) << '\n';
-  out << "solve_seconds " << format_double(response.solve_seconds) << '\n';
+  std::string out;
+  out.reserve(2048);
+  const auto line = [&out](const char* name, const std::string& value) {
+    out += name;
+    out += ' ';
+    out += value;
+    out += '\n';
+  };
+  out += kMagic;
+  out += '\n';
+  line("fp", dqbf::to_string(key.fp));
+  line("mode", std::to_string(key.mode));
+  line("status", status_name(response.status));
+  line("engine", engine_name(response.engine));
+  line("certified", response.certified ? "1" : "0");
+  line("raced", response.raced ? "1" : "0");
+  line("solve_seconds", format_double(response.solve_seconds));
   for (const core::StatField& f : core::kStatFields) {
-    out << "stat " << f.name << ' ' << core::stat_text(response.stats, f)
-        << '\n';
+    out += "stat ";
+    line(f.name, core::stat_text(response.stats, f));
   }
   const std::size_t roots =
       response.functions != nullptr ? response.functions->roots().size() : 0;
-  out << "roots " << roots << '\n';
+  line("roots", std::to_string(roots));
   if (roots > 0) {
     const std::vector<std::int32_t> inputs = cone_input_ids(
         response.functions->manager(), response.functions->roots());
     if (!inputs.empty()) {
-      out << "inputs";
-      for (const std::int32_t id : inputs) out << ' ' << id;
-      out << '\n';
+      out += "inputs";
+      for (const std::int32_t id : inputs) {
+        out += ' ';
+        out += std::to_string(id);
+      }
+      out += '\n';
     }
   }
-  out << "end-header\n";
+  out += "end-header\n";
   if (roots > 0) {
-    out << aig::to_aiger_ascii_string(response.functions->manager(),
-                                      response.functions->roots());
+    aig::append_aiger_ascii(out, response.functions->manager(),
+                            response.functions->roots());
   }
-  return out.str();
+  return out;
 }
 
 std::optional<Service::PersistedEntry> Service::decode_persisted(

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "aig/aig_io.hpp"
+#include "util/rng.hpp"
 
 namespace manthan::aig {
 namespace {
@@ -88,6 +92,44 @@ TEST(AigIo, SharedNodesEmittedOnce) {
   const std::size_t first = text.find(needle);
   ASSERT_NE(first, std::string::npos);
   EXPECT_EQ(text.find(needle, first + 1), std::string::npos);
+}
+
+TEST(AigIo, DenseBlifEqualsWriteBlifOfTheImportedCones) {
+  // append_dense_blif renders cones that sit anywhere in a larger manager
+  // byte for byte as write_blif renders their import into a fresh one:
+  // same node names, fanin order, covers and line order, with shared
+  // logic, repeated inputs, complemented and constant outputs.
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    Aig m;
+    std::vector<Ref> pool;
+    for (int i = 0; i < 7; ++i) {
+      pool.push_back(m.input(static_cast<std::int32_t>(rng.next_below(10))));
+    }
+    const auto pick = [&] {
+      return pool[rng.next_below(pool.size())] ^
+             static_cast<Ref>(rng.next_below(2));
+    };
+    for (int g = 0; g < 60; ++g) pool.push_back(m.and_gate(pick(), pick()));
+    std::vector<NamedFunction> outputs;
+    for (int k = 0; k < 4; ++k) {
+      outputs.push_back({"y" + std::to_string(k), pick()});
+    }
+    if (seed % 3 == 0) outputs.push_back({"c", Aig::constant(seed % 2 == 0)});
+
+    Aig fresh;
+    std::unordered_map<std::uint32_t, Ref> node_map;
+    std::vector<NamedFunction> imported;
+    for (const NamedFunction& o : outputs) {
+      imported.push_back({o.name, import_cone(m, fresh, o.function, node_map)});
+    }
+    std::ostringstream expected;
+    write_blif(expected, fresh, "henkin_functions", imported);
+    std::string actual = "prefix\n";
+    append_dense_blif(actual, m, "henkin_functions", outputs);
+    EXPECT_EQ(actual, "prefix\n" + expected.str());
+  }
 }
 
 }  // namespace

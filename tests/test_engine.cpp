@@ -1,12 +1,14 @@
 // Parallel execution engine: thread-pool scheduler semantics, cooperative
 // cancellation through the CancelToken/Deadline composition (SAT solver
 // and synthesis engines stop mid-run with bounded extra work), and the
-// racing portfolio (first certified result wins, losers are cancelled).
+// racing portfolio (first certified result wins and answers at once,
+// losers are cancelled and never certified).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "test_util.hpp"
 #include "baselines/hqs_lite.hpp"
 #include "baselines/pedant_lite.hpp"
+#include "dqbf/certificate.hpp"
 #include "engine/engine.hpp"
 #include "engine/race.hpp"
 #include "sat/solver.hpp"
@@ -331,6 +334,70 @@ TEST(Race, CancelsTheLosingEngines) {
   const dqbf::CertificateResult cert =
       dqbf::check_certificate(formula, manager, outcome.vector);
   EXPECT_EQ(cert.status, dqbf::CertificateStatus::kValid);
+}
+
+TEST(Race, AnswersBeforeLosersFinish) {
+  // The race returns at HqsLite's certified answer; PedantLite, which
+  // needs seconds serially, is still stopping (or has just stopped) and
+  // is reported cancelled with kTimeout. The lanes own the formula: they
+  // let go of it only when the lane threads are joined.
+  auto formula =
+      std::make_shared<const dqbf::DqbfFormula>(slow_planted_hard());
+  const std::weak_ptr<const dqbf::DqbfFormula> watched = formula;
+  aig::Aig manager;
+  RaceOptions options;
+  options.contenders = {EngineKind::kHqsLite, EngineKind::kPedantLite};
+  options.time_limit_seconds = 120.0;
+  {
+    RaceLanes lanes;
+    const RaceOutcome outcome =
+        race(lanes, std::move(formula), manager, options);
+    ASSERT_TRUE(outcome.solved());
+    ASSERT_EQ(outcome.winner, 0);
+    EXPECT_EQ(outcome.lanes[0].engine, EngineKind::kHqsLite);
+    EXPECT_TRUE(outcome.lanes[0].certified);
+    const RaceLane& loser = outcome.lanes[1];
+    EXPECT_EQ(loser.engine, EngineKind::kPedantLite);
+    EXPECT_TRUE(loser.cancelled);
+    EXPECT_FALSE(loser.certified);
+    EXPECT_EQ(loser.status, core::SynthesisStatus::kTimeout);
+    EXPECT_EQ(dqbf::check_certificate(*watched.lock(), manager,
+                                      outcome.vector)
+                  .status,
+              dqbf::CertificateStatus::kValid);
+  }
+  EXPECT_TRUE(watched.expired());
+}
+
+TEST(Race, LaneReturningAfterTheWinIsNotCertified) {
+  // Two copies of one engine finish microseconds apart, so the second
+  // often returns kRealizable after the first has won: its vector is never
+  // checked, and it comes back uncertified and cancelled. A copy still
+  // running when race() returns is reported cancelled with kTimeout. Only
+  // the winner is certified. Races repeat until a late kRealizable shows.
+  const auto formula =
+      std::make_shared<const dqbf::DqbfFormula>(testutil::paper_example());
+  RaceLanes lanes;
+  RaceOptions options;
+  options.contenders = {EngineKind::kHqsLite, EngineKind::kHqsLite};
+  options.time_limit_seconds = 20.0;
+  bool returned_after_win = false;
+  for (int round = 0; round < 500 && !returned_after_win; ++round) {
+    aig::Aig manager;
+    const RaceOutcome outcome = race(lanes, formula, manager, options);
+    ASSERT_TRUE(outcome.solved());
+    ASSERT_GE(outcome.winner, 0);
+    EXPECT_TRUE(outcome.lanes[outcome.winner].certified);
+    const RaceLane& loser = outcome.lanes[1 - outcome.winner];
+    EXPECT_FALSE(loser.winner);
+    EXPECT_FALSE(loser.certified);
+    EXPECT_TRUE(loser.cancelled);
+    EXPECT_TRUE(loser.status == core::SynthesisStatus::kRealizable ||
+                loser.status == core::SynthesisStatus::kTimeout)
+        << status_name(loser.status);
+    returned_after_win = loser.status == core::SynthesisStatus::kRealizable;
+  }
+  EXPECT_TRUE(returned_after_win);
 }
 
 TEST(Race, ReportsUnrealizableVerdicts) {

@@ -6,8 +6,10 @@
 // directory-queue daemon front end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <memory>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,6 +25,7 @@
 #include "obs/trace.hpp"
 #include "portfolio/runner.hpp"
 #include "util/cancel.hpp"
+#include "util/rng.hpp"
 #include "workloads/workloads.hpp"
 
 namespace manthan::engine {
@@ -413,10 +416,13 @@ TEST(Service, EngineSpansCarryRequestTraceId) {
     ServiceOptions options;
     options.workers = 2;
     options.admission = c.admission;
-    Service service(options);
     aig::Aig manager;
     obs::start_tracing();
-    const ServiceResult result = service.solve(c.spec, manager);
+    ServiceResult result;
+    {
+      Service service(options);
+      result = service.solve(c.spec, manager);
+    }  // a losing lane's span may end after solve(): count once drained
     obs::stop_tracing();
     const auto events = traced_events();
     obs::clear_trace();
@@ -442,6 +448,31 @@ TEST(Service, EngineSpansCarryRequestTraceId) {
     EXPECT_EQ(synthesize, 1u);
     EXPECT_EQ(lanes, c.lanes);
   }
+}
+
+TEST(Service, LosingLanesOutliveTheRequestsTokenAndBudget) {
+  // A raced request answers at its first definitive lane, and the losers
+  // stop in the background. The caller may destroy its cancel token, its
+  // budget and the service as soon as it has the answer: the lanes no
+  // longer read the token, share the budget, and are joined by the
+  // service. Run under TSan and ASan, this is the lifetime check.
+  ServiceOptions options;
+  options.workers = 2;
+  options.admission = ServiceOptions::Admission::kRace;
+  auto service = std::make_unique<Service>(options);
+  auto token = std::make_unique<util::CancelToken>();
+  auto solve = std::make_unique<SolveOptions>();
+  solve->cancel = token.get();
+  solve->budget = util::ResourceBudget::Limits{std::uint64_t{1} << 34, 60.0, 0};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const ServiceResponse response =
+        service->submit(testutil::small_planted(seed), *solve).get();
+    EXPECT_TRUE(response.raced);
+    EXPECT_TRUE(response.solved()) << seed;
+  }
+  token.reset();
+  solve.reset();
+  service.reset();
 }
 
 // --- service-routed portfolio runner ----------------------------------------
@@ -549,6 +580,111 @@ TEST_F(DaemonQueue, DrainsCertifiesAndCachesDuplicates) {
   const DrainReport again = drain_queue(service, options);
   EXPECT_EQ(again.processed, 0u);
   EXPECT_EQ(again.skipped, 3u);
+}
+
+/// `text` (a result JSON or a .m3c entry) with every value that reads a
+/// clock replaced by "T": the solve time, the *_seconds stat rows and the
+/// process's peak RSS.
+std::string clock_free(const std::string& text) {
+  static const char* const kClockKeys[] = {
+      "seconds",        "solve_seconds",  "sampling_seconds",
+      "learning_seconds", "verify_seconds", "repair_seconds",
+      "total_seconds",  "peak_rss_bytes"};
+  std::istringstream in(text);
+  std::string out;
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t indent = std::min(line.find_first_not_of(' '),
+                                        line.size());
+    for (const std::string key : kClockKeys) {
+      std::size_t value = std::string::npos;
+      if (line.compare(indent, key.size() + 4, "\"" + key + "\": ") == 0) {
+        value = indent + key.size() + 4;  // JSON row
+      } else if (line.rfind(key + " ", 0) == 0) {
+        value = key.size() + 1;  // .m3c header line
+      } else if (line.rfind("stat " + key + " ", 0) == 0) {
+        value = key.size() + 6;  // .m3c stat row
+      }
+      if (value == std::string::npos) continue;
+      const std::size_t comma = line.find(',', value);
+      line.replace(value,
+                   comma == std::string::npos ? std::string::npos
+                                              : comma - value,
+                   "T");
+      break;
+    }
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+TEST_F(DaemonQueue, AnswerFilesMatchGolden) {
+  // The result JSON (functions_blif included) and the .m3c entry of one
+  // fixed spec, byte for byte under both admissions, with only the values
+  // that read a clock masked. A race answers with whichever lane won, so
+  // it has one golden per engine that can win.
+  struct Golden {
+    ServiceOptions::Admission admission;
+    EngineKind engine;
+    std::uint64_t json_hash;
+    std::uint64_t m3c_hash;
+  };
+  const Golden goldens[] = {
+      {ServiceOptions::Admission::kSingle, EngineKind::kManthan3,
+       8312249275172772489ULL, 3379576436835820309ULL},
+      {ServiceOptions::Admission::kRace, EngineKind::kManthan3,
+       13461462719472931974ULL, 13524110357490468142ULL},
+      {ServiceOptions::Admission::kRace, EngineKind::kHqsLite,
+       12184679660673306477ULL, 8775286642846398270ULL},
+      {ServiceOptions::Admission::kRace, EngineKind::kPedantLite,
+       13264657546189877554ULL, 9549941697793682695ULL},
+  };
+  const std::string request =
+      dqbf::to_dqdimacs_string(testutil::small_planted(9));
+  for (const auto admission : {ServiceOptions::Admission::kSingle,
+                               ServiceOptions::Admission::kRace}) {
+    const bool single = admission == ServiceOptions::Admission::kSingle;
+    SCOPED_TRACE(single ? "kSingle" : "kRace");
+    const fs::path dir = dir_ / (single ? "single" : "race");
+    fs::create_directories(dir / "queue");
+    {
+      ServiceOptions options;
+      options.workers = 2;
+      options.admission = admission;
+      options.cache_dir = (dir / "cache").string();
+      Service service(options);
+      std::ofstream(dir / "queue" / "spec.dqdimacs") << request;
+      DaemonOptions daemon;
+      daemon.queue_dir = (dir / "queue").string();
+      ASSERT_EQ(drain_queue(service, daemon).solved, 1u);
+    }
+    std::ifstream json_in(dir / "queue" / "spec.result.json");
+    const std::string json = clock_free(
+        std::string((std::istreambuf_iterator<char>(json_in)),
+                    std::istreambuf_iterator<char>()));
+    std::vector<fs::path> entries;
+    for (const auto& item : fs::directory_iterator(dir / "cache")) {
+      entries.push_back(item.path());
+    }
+    ASSERT_EQ(entries.size(), 1u);
+    std::ifstream m3c_in(entries[0]);
+    const std::string m3c = clock_free(
+        std::string((std::istreambuf_iterator<char>(m3c_in)),
+                    std::istreambuf_iterator<char>()));
+
+    const Golden* golden = nullptr;
+    for (const Golden& g : goldens) {
+      if (g.admission == admission &&
+          json.find("\"engine\": \"" + std::string(engine_name(g.engine)) +
+                    "\"") != std::string::npos) {
+        golden = &g;
+      }
+    }
+    ASSERT_NE(golden, nullptr) << json;
+    EXPECT_EQ(util::hash64(json), golden->json_hash) << json;
+    EXPECT_EQ(util::hash64(m3c), golden->m3c_hash) << m3c;
+  }
 }
 
 TEST_F(DaemonQueue, PreCancelledStopDrainsNothing) {
